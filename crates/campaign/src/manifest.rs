@@ -12,10 +12,11 @@
 //! threads 4
 //! ```
 //!
-//! The same description drives every front-end: the CLI's `suite` command
-//! desugars its flags into a [`Manifest`] (or loads one with
-//! `--manifest FILE`), `contango serve` accepts manifest text in `run`
-//! requests ([`crate::protocol`]), and library code calls
+//! The same description drives every front-end: the CLI's synthesis
+//! commands pass each `--KEY VALUE` flag through as the line `KEY VALUE`
+//! (after the lines of `--manifest FILE`, if given), `contango serve`
+//! accepts manifest text in `run` requests ([`crate::protocol`]), and
+//! library code calls
 //! [`Manifest::compile`] to obtain the equivalent [`Campaign`] directly.
 //! One `Manifest -> Campaign` path means the daemon, the CLI and offline
 //! scripts can never drift apart — serve responses are bit-identical to
@@ -53,6 +54,32 @@ pub const DEFAULT_SAMPLES: usize = 8;
 /// Default Monte-Carlo seed when a manifest declares a `variation` model
 /// without a `seed` key.
 pub const DEFAULT_VARIATION_SEED: u64 = 0xC0FFEE;
+
+/// Every manifest key, narrowest scope first: the keys that configure one
+/// Contango flow, then `cache-dir` and `threads`, then the keys only a
+/// whole campaign reads (sources, baselines, analysis axes, distribution).
+/// A front-end that runs less than a campaign accepts a prefix of the list.
+pub const KEYS: &[&str] = &[
+    "technology",
+    "profile",
+    "topology",
+    "model",
+    "large-inverters",
+    "stages",
+    "skip",
+    "construct-threads",
+    "cache-dir",
+    "threads",
+    "suite",
+    "instance",
+    "baselines",
+    "corners",
+    "variation",
+    "samples",
+    "seed",
+    "workers",
+    "dispatch",
+];
 
 /// Where a manifest's instances come from, in declaration order.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -560,9 +587,10 @@ fn parse_bool(line: usize, key: &str, value: &str) -> Result<bool, ManifestError
 }
 
 impl Manifest {
-    /// Parses manifest text: one `key value` pair per line, `#` comments
-    /// and blank lines ignored. `suite` and `instance` may repeat (sources
-    /// accumulate in order); every other key is single-valued.
+    /// Parses manifest text: one `key value` pair per line, blank lines and
+    /// full-line `#` comments ignored (a `#` inside a value is part of it).
+    /// `suite` and `instance` may repeat (sources accumulate in order);
+    /// every other key is single-valued.
     ///
     /// # Errors
     ///
@@ -571,21 +599,11 @@ impl Manifest {
         let mut manifest = Manifest::default();
         let mut samples_line = None;
         let mut seed_line = None;
-        let mut seen: Vec<&'static str> = Vec::new();
-        let mut once = |line: usize, key: &'static str| -> Result<(), ManifestError> {
-            if seen.contains(&key) {
-                return Err(ManifestError::DuplicateKey {
-                    line,
-                    key: key.to_string(),
-                });
-            }
-            seen.push(key);
-            Ok(())
-        };
+        let mut seen: Vec<&str> = Vec::new();
         for (index, raw) in text.lines().enumerate() {
             let line = index + 1;
-            let content = raw.split('#').next().unwrap_or("").trim();
-            if content.is_empty() {
+            let content = raw.trim();
+            if content.is_empty() || content.starts_with('#') {
                 continue;
             }
             let (key, value) = match content.split_once(char::is_whitespace) {
@@ -597,6 +615,21 @@ impl Manifest {
                     })
                 }
             };
+            if !KEYS.contains(&key) {
+                return Err(ManifestError::UnknownKey {
+                    line,
+                    key: key.to_string(),
+                });
+            }
+            if !matches!(key, "suite" | "instance") {
+                if seen.contains(&key) {
+                    return Err(ManifestError::DuplicateKey {
+                        line,
+                        key: key.to_string(),
+                    });
+                }
+                seen.push(key);
+            }
             let invalid = |key: &str| ManifestError::InvalidValue {
                 line,
                 key: key.to_string(),
@@ -616,7 +649,6 @@ impl Manifest {
                 }
                 "instance" => manifest.sources.push(parse_source(line, value)?),
                 "technology" => {
-                    once(line, "technology")?;
                     manifest.technology = match value {
                         "ispd09" => TechnologyKind::Ispd09,
                         "ti45" => TechnologyKind::Ti45,
@@ -624,7 +656,6 @@ impl Manifest {
                     };
                 }
                 "profile" => {
-                    once(line, "profile")?;
                     manifest.profile = match value {
                         "default" => Profile::Default,
                         "fast" => Profile::Fast,
@@ -633,7 +664,6 @@ impl Manifest {
                     };
                 }
                 "topology" => {
-                    once(line, "topology")?;
                     manifest.topology = match value {
                         "dme" => TopologyKind::Dme,
                         "greedy-matching" => TopologyKind::GreedyMatching,
@@ -643,7 +673,6 @@ impl Manifest {
                     };
                 }
                 "model" => {
-                    once(line, "model")?;
                     manifest.model = match value {
                         "elmore" => DelayModel::Elmore,
                         "two-pole" => DelayModel::TwoPole,
@@ -652,11 +681,9 @@ impl Manifest {
                     };
                 }
                 "large-inverters" => {
-                    once(line, "large-inverters")?;
                     manifest.large_inverters = parse_bool(line, "large-inverters", value)?;
                 }
                 "stages" => {
-                    once(line, "stages")?;
                     let stages = parse_stages(line, value)?;
                     if stages.is_empty() {
                         return Err(ManifestError::EmptyStages { line });
@@ -664,7 +691,6 @@ impl Manifest {
                     manifest.stages = Some(stages);
                 }
                 "skip" => {
-                    once(line, "skip")?;
                     let stages = parse_stages(line, value)?;
                     if stages.iter().any(|s| s == "INITIAL") {
                         return Err(ManifestError::SkipInitial { line });
@@ -672,15 +698,12 @@ impl Manifest {
                     manifest.skip = stages;
                 }
                 "baselines" => {
-                    once(line, "baselines")?;
                     manifest.baselines = parse_baselines(line, value)?;
                 }
                 "threads" => {
-                    once(line, "threads")?;
                     manifest.threads = value.parse::<usize>().map_err(|_| invalid("threads"))?;
                 }
                 "construct-threads" => {
-                    once(line, "construct-threads")?;
                     manifest.construct_threads = Some(
                         value
                             .parse::<usize>()
@@ -688,11 +711,9 @@ impl Manifest {
                     );
                 }
                 "cache-dir" => {
-                    once(line, "cache-dir")?;
                     manifest.cache_dir = Some(value.to_string());
                 }
                 "workers" => {
-                    once(line, "workers")?;
                     let workers = value
                         .parse::<usize>()
                         .ok()
@@ -701,15 +722,12 @@ impl Manifest {
                     manifest.workers = Some(workers);
                 }
                 "corners" => {
-                    once(line, "corners")?;
                     manifest.corners = parse_corners(line, value)?;
                 }
                 "variation" => {
-                    once(line, "variation")?;
                     manifest.variation = parse_variation(line, value)?;
                 }
                 "samples" => {
-                    once(line, "samples")?;
                     samples_line = Some(line);
                     manifest.samples = value
                         .parse::<usize>()
@@ -718,12 +736,10 @@ impl Manifest {
                         .ok_or_else(|| invalid("samples"))?;
                 }
                 "seed" => {
-                    once(line, "seed")?;
                     seed_line = Some(line);
                     manifest.seed = parse_u64(value).ok_or_else(|| invalid("seed"))?;
                 }
                 "dispatch" => {
-                    once(line, "dispatch")?;
                     manifest.dispatch = if value == "local" {
                         DispatchMode::Local
                     } else if let Some(addr) = value.strip_prefix("tcp:") {
@@ -735,12 +751,7 @@ impl Manifest {
                         return Err(invalid("dispatch"));
                     };
                 }
-                _ => {
-                    return Err(ManifestError::UnknownKey {
-                        line,
-                        key: key.to_string(),
-                    })
-                }
+                _ => unreachable!("every key in KEYS has an arm"),
             }
         }
         if manifest.variation.is_none() {
@@ -1047,7 +1058,8 @@ mod tests {
     fn a_full_manifest_parses() {
         let text = "\
 # experiment: ablation over the battery
-suite ispd09            # seven instances
+# (the suite adds seven instances)
+suite ispd09
 instance ti:120
 instance ti:80:0xbeef
 profile fast
@@ -1094,6 +1106,7 @@ threads 4
         let text = "\
 suite ispd09
 instance ti:80:48879
+instance file:runs/bench#1.cts
 technology ti45
 profile fast
 topology h-tree
@@ -1103,12 +1116,17 @@ stages TBSZ,TWSZ
 skip BWSN
 baselines wiresizing-only,dme-no-tuning
 threads 4
-cache-dir /tmp/contango-cache
+cache-dir /tmp/contango-cache#2
 workers 3
 dispatch tcp:127.0.0.1:7979
 ";
         let m = Manifest::parse(text).expect("parses");
-        assert_eq!(m.cache_dir.as_deref(), Some("/tmp/contango-cache"));
+        // A `#` inside a value is part of the value, not a comment.
+        assert_eq!(
+            m.sources[2],
+            InstanceSource::File("runs/bench#1.cts".to_string())
+        );
+        assert_eq!(m.cache_dir.as_deref(), Some("/tmp/contango-cache#2"));
         assert_eq!(m.workers, Some(3));
         assert_eq!(m.dispatch, DispatchMode::Tcp("127.0.0.1:7979".to_string()));
         assert_eq!(m.to_text(), text);

@@ -71,11 +71,11 @@ impl TableFormat {
         }
     }
 
-    /// Parses a wire/CLI format name.
+    /// Parses a wire/CLI format name (`md` is short for `markdown`).
     pub fn from_label(label: &str) -> Option<TableFormat> {
         match label {
             "text" => Some(TableFormat::Text),
-            "markdown" => Some(TableFormat::Markdown),
+            "markdown" | "md" => Some(TableFormat::Markdown),
             "csv" => Some(TableFormat::Csv),
             _ => None,
         }
@@ -160,6 +160,7 @@ mod tests {
         for format in [TableFormat::Text, TableFormat::Markdown, TableFormat::Csv] {
             assert_eq!(TableFormat::from_label(format.label()), Some(format));
         }
+        assert_eq!(TableFormat::from_label("md"), Some(TableFormat::Markdown));
         assert_eq!(ReportKind::from_label("yaml"), None);
         assert_eq!(TableFormat::from_label("latex"), None);
     }

@@ -4,16 +4,21 @@
 //! functional: it turns an argument vector into a [`Command`] value or a
 //! typed [`ArgError`], so it can be unit-tested without touching the
 //! filesystem or spawning processes.
+//!
+//! The synthesis commands (`run`, `compare`, `suite`) have no value
+//! grammar of their own. Each `--KEY VALUE` whose KEY is a manifest key
+//! ([`KEYS`]) is kept, in argv order, as the manifest line `KEY VALUE` in
+//! the command's [`Settings`], and [`Manifest::parse`] is the one parser
+//! of those values ([`Settings::manifest`]).
+//!
+//! [`Manifest::parse`]: contango_campaign::Manifest::parse
 
-use contango_baselines::BaselineKind;
-use contango_campaign::{ChaosConfig, CornerKind, DispatchMode};
-use contango_core::flow::FlowStage;
-use contango_core::topology::TopologyKind;
-use contango_sim::{DelayModel, VariationModel};
+use contango_campaign::manifest::KEYS;
+use contango_campaign::{ChaosConfig, ManifestError, ReportKind, TableFormat};
 use std::fmt;
 
 /// A problem with the argument vector.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ArgError {
     /// The first argument names no known command.
     UnknownCommand(String),
@@ -21,8 +26,8 @@ pub enum ArgError {
     MissingFlag(&'static str),
     /// A flag that expects a value appeared last.
     MissingValue(String),
-    /// A value flag was given more than once (e.g. `--threads 2 --threads
-    /// 4`); flags are not repeatable, and silently picking one of the
+    /// A value flag was given more than once (e.g. `--input a --input
+    /// b`); flags are not repeatable, and silently picking one of the
     /// values would hide the conflict.
     DuplicateFlag(String),
     /// An argument was neither a known flag nor a flag value.
@@ -38,13 +43,10 @@ pub enum ArgError {
     },
     /// `query` needs exactly one of `--manifest`, `--ping`, `--shutdown`.
     QueryActionConflict,
-    /// `suite --manifest` replaces the flag set; mixing them in is a
-    /// conflict, not a merge.
-    ManifestFlagConflict(String),
     /// A flag's value is not one of its accepted values.
     InvalidValue {
-        /// The flag.
-        flag: &'static str,
+        /// The flag as typed.
+        flag: String,
         /// The rejected value.
         value: String,
     },
@@ -52,14 +54,33 @@ pub enum ArgError {
     GenerateSourceConflict,
     /// `worker` needs exactly one of `--connect` and `--pipe`.
     WorkerTransportConflict,
-    /// `--stages`/`--skip` named something that is not a flow stage.
-    UnknownStage(String),
-    /// `--stages` was given without naming any stage.
-    EmptyStageList,
-    /// `--skip` tried to drop the construction stage.
-    SkipInitial,
-    /// `--samples`/`--seed` without a `--variation` model to sample.
-    VariationRequired(&'static str),
+    /// The manifest parser rejects the line a settings flag stands for,
+    /// for a reason other than its value: an unknown stage, a key that an
+    /// earlier flag or the manifest file already sets, ...
+    Setting {
+        /// The flag as typed.
+        flag: String,
+        /// The manifest parser's error for the flag's line.
+        source: ManifestError,
+    },
+}
+
+impl ArgError {
+    /// The error for a settings flag whose manifest line `source` rejects:
+    /// [`ArgError::InvalidValue`] for a bad value, [`ArgError::Setting`]
+    /// otherwise.
+    pub(crate) fn setting(flag: &str, source: ManifestError) -> Self {
+        match source {
+            ManifestError::InvalidValue { value, .. } => ArgError::InvalidValue {
+                flag: flag.to_string(),
+                value,
+            },
+            source => ArgError::Setting {
+                flag: flag.to_string(),
+                source,
+            },
+        }
+    }
 }
 
 impl fmt::Display for ArgError {
@@ -85,10 +106,6 @@ impl fmt::Display for ArgError {
                     "query needs exactly one of --manifest <file>, --ping or --shutdown"
                 )
             }
-            ArgError::ManifestFlagConflict(flag) => write!(
-                f,
-                "`--manifest` describes the whole suite; it cannot be combined with `{flag}`"
-            ),
             ArgError::InvalidValue { flag, value } => {
                 write!(f, "invalid value `{value}` for `{flag}`")
             }
@@ -101,105 +118,49 @@ impl fmt::Display for ArgError {
                     "worker needs exactly one of --connect HOST:PORT or --pipe"
                 )
             }
-            ArgError::UnknownStage(stage) => write!(
-                f,
-                "unknown stage `{stage}` (expected one of INITIAL, TBSZ, TWSZ, TWSN, BWSN)"
-            ),
-            ArgError::EmptyStageList => write!(f, "`--stages` needs at least one stage"),
-            ArgError::SkipInitial => {
-                write!(f, "the INITIAL construction stage cannot be skipped")
-            }
-            ArgError::VariationRequired(flag) => {
-                write!(f, "`{flag}` needs a `--variation` model to sample")
+            ArgError::Setting { flag, source } => {
+                // The manifest error's `line N: ` counts lines the flags
+                // were spelled into, not lines anyone wrote: keep only the
+                // reason, and name the flag instead.
+                let text = source.to_string();
+                let reason = text.split_once(": ").map_or(text.as_str(), |(_, r)| r);
+                write!(f, "`{flag}`: {reason}")
             }
         }
     }
 }
 
-impl std::error::Error for ArgError {}
-
-/// What `suite` prints: the aggregate tables or the per-job JSON Lines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SuiteReport {
-    /// Aggregate suite tables (summary, per-stage means, run counts).
-    #[default]
-    Table,
-    /// One JSON object per job, streaming-friendly and wall-clock-free.
-    Jsonl,
-    /// The Pareto frontier over (worst-case skew, cap %, wirelength) as a
-    /// table.
-    Pareto,
-    /// The Pareto frontier as JSON Lines.
-    FrontierJsonl,
-}
-
-/// Output format of tabular reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReportFormat {
-    /// Space-aligned plain text.
-    #[default]
-    Text,
-    /// GitHub-flavoured Markdown.
-    Markdown,
-    /// Comma-separated values.
-    Csv,
-}
-
-/// Flow-related options shared by `run` and `compare`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FlowOptions {
-    /// Use the reduced-effort flow configuration.
-    pub fast: bool,
-    /// Use groups of large inverters (scalability-study configuration).
-    pub large_inverters: bool,
-    /// Initial topology.
-    pub topology: TopologyKind,
-    /// Delay model driving the optimization loops.
-    pub model: DelayModel,
-    /// Run only these optimization stages (INITIAL always runs), in
-    /// methodology order; `None` keeps the configuration's stages.
-    pub stages: Option<Vec<String>>,
-    /// Optimization stages to drop from the pipeline.
-    pub skip: Vec<String>,
-    /// Construction-engine worker threads (0 = auto-detect); results are
-    /// bit-identical for every thread count.
-    pub threads: usize,
-    /// Directory of the persistent content-addressed cache store; `None`
-    /// runs fully in memory. Reports are byte-identical with or without
-    /// the store — it only changes how fast they are produced.
-    pub cache_dir: Option<String>,
-    /// Process/voltage corners every finished tree is re-evaluated at
-    /// (`--corners`, suite only). Empty = nominal-only.
-    pub corners: Vec<CornerKind>,
-    /// Monte-Carlo variation model sampled on every finished tree
-    /// (`--variation`, suite only).
-    pub variation: Option<VariationModel>,
-    /// Monte-Carlo samples per job (`--samples`, suite only); `None` keeps
-    /// the manifest default.
-    pub samples: Option<usize>,
-    /// Monte-Carlo sampler seed (`--seed`, suite only); `None` keeps the
-    /// manifest default.
-    pub seed: Option<u64>,
-}
-
-impl Default for FlowOptions {
-    fn default() -> Self {
-        Self {
-            fast: false,
-            large_inverters: false,
-            topology: TopologyKind::Dme,
-            model: DelayModel::Transient,
-            stages: None,
-            skip: Vec::new(),
-            threads: 1,
-            cache_dir: None,
-            corners: Vec::new(),
-            variation: None,
-            samples: None,
-            seed: None,
+impl std::error::Error for ArgError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            ArgError::Setting { source, .. } => Some(source),
+            _ => None,
         }
     }
 }
+
+/// The experiment a synthesis command describes, as manifest lines: the
+/// lines of `suite --manifest FILE`, if given, followed by the line each
+/// settings flag stands for, in argv order. [`Settings::manifest`] parses
+/// them as one manifest, so a key that both the file and a flag set is a
+/// duplicate key.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct Settings {
+    /// The manifest file whose lines come first.
+    pub file: Option<String>,
+    /// Each settings flag as typed, with the manifest line it stands for.
+    pub lines: Vec<(String, String)>,
+}
+
+/// The bare shorthands: flags given without a value that stand for whole
+/// manifest lines.
+const SHORTHANDS: &[(&str, &[&str])] = &[
+    ("--fast", &["profile fast"]),
+    (
+        "--large-inverters",
+        &["technology ti45", "large-inverters true"],
+    ),
+];
 
 /// One fully parsed CLI invocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -221,10 +182,10 @@ pub enum Command {
         input: String,
         /// Optional path to write the synthesized tree to.
         solution_out: Option<String>,
-        /// Flow options.
-        flow: FlowOptions,
+        /// The flow keys and `cache-dir`.
+        settings: Settings,
         /// Report format.
-        format: ReportFormat,
+        format: TableFormat,
     },
     /// Re-evaluate a previously written solution against its instance.
     Evaluate {
@@ -233,38 +194,24 @@ pub enum Command {
         /// Path of the solution file.
         solution: String,
     },
-    /// Run a whole benchmark suite (optionally with baselines) through the
-    /// sharded campaign executor.
+    /// Run a whole experiment through the sharded campaign executor (or
+    /// the distributed coordinator).
     Suite {
-        /// Manifest file describing the whole suite; replaces the flag set
-        /// below (`--report`/`--format` still apply).
-        manifest: Option<String>,
-        /// Suite name (`ispd09`).
-        suite: String,
-        /// Baselines to run next to Contango on every instance.
-        baselines: Vec<BaselineKind>,
-        /// Flow options (applied to the Contango runs).
-        flow: FlowOptions,
-        /// Run the suite through the distributed coordinator with this
-        /// many worker processes (overrides a manifest `workers` key).
-        workers: Option<usize>,
-        /// How the coordinator finds its workers: spawn local pipe
-        /// processes, or listen for TCP connections (overrides a manifest
-        /// `dispatch` key).
-        dispatch: Option<DispatchMode>,
-        /// What to print: aggregate tables or per-job JSONL.
-        report: SuiteReport,
-        /// Report format for the aggregate tables.
-        format: ReportFormat,
+        /// Every manifest key, after the lines of `--manifest FILE`.
+        settings: Settings,
+        /// What to print: aggregate tables, per-job JSONL or a frontier.
+        report: ReportKind,
+        /// Layout of the tables.
+        format: TableFormat,
     },
     /// Run Contango and every baseline on an instance and compare.
     Compare {
-        /// Path of the instance file.
-        input: String,
-        /// Flow options (applied to the Contango run).
-        flow: FlowOptions,
+        /// The flow keys, `threads` and `cache-dir`, then the lines
+        /// `--input FILE` stands for: `instance file:FILE` and
+        /// `baselines all`.
+        settings: Settings,
         /// Report format.
-        format: ReportFormat,
+        format: TableFormat,
     },
     /// Emit a SPICE deck for a previously written solution.
     SpiceDeck {
@@ -322,9 +269,9 @@ pub enum Command {
         /// What to ask for.
         action: QueryAction,
         /// Report to request with `--manifest`.
-        report: SuiteReport,
+        report: ReportKind,
         /// Table format to request with `--manifest`.
-        format: ReportFormat,
+        format: TableFormat,
     },
 }
 
@@ -348,23 +295,12 @@ contango-cts — Contango clock-network synthesis
 
 USAGE:
   contango-cts generate (--suite | --ti <sinks>) --out <path>
-  contango-cts run --input <file> [--solution-out <file>] [--fast]
-                   [--large-inverters] [--topology dme|greedy-matching|h-tree|fishbone]
-                   [--model elmore|two-pole|transient] [--format text|markdown|csv]
-                   [--stages TBSZ,TWSZ,...] [--skip STAGE[,STAGE...]] [--threads N]
-                   [--cache-dir DIR]
+  contango-cts run --input <file> [--solution-out <file>]
+                   [--format text|markdown|csv] [--KEY VALUE ...]
   contango-cts evaluate --instance <file> --solution <file>
-  contango-cts compare --input <file> [--fast] [--format text|markdown|csv]
-                   [--stages TBSZ,TWSZ,...] [--skip STAGE[,STAGE...]] [--threads N]
-                   [--cache-dir DIR]
-  contango-cts suite (--suite ispd09 | --manifest <file>)
-                   [--baselines all|none|LABEL[,LABEL...]]
-                   [--threads N] [--report table|jsonl|pareto|frontier-jsonl]
-                   [--fast] [--format text|markdown|csv] [--stages ...] [--skip ...]
-                   [--cache-dir DIR] [--workers N] [--dispatch local|tcp:HOST:PORT]
-                   [--corners all|none|LABEL[,LABEL...]]
-                   [--variation typical-45nm|none|R,C,B,V,CORR]
-                   [--samples N] [--seed N]
+  contango-cts compare --input <file> [--format text|markdown|csv] [--KEY VALUE ...]
+  contango-cts suite [--manifest <file>] [--report table|jsonl|pareto|frontier-jsonl]
+                   [--format text|markdown|csv] [--KEY VALUE ...]
   contango-cts spice-deck --instance <file> --solution <file> [--low-corner] --out <file>
   contango-cts serve [--addr HOST:PORT] [--workers N] [--queue-capacity N]
                    [--allow-file-instances] [--cache-dir DIR]
@@ -375,21 +311,27 @@ USAGE:
                    [--format text|markdown|csv]
   contango-cts help
 
-  --stages runs only the listed optimization stages, in the order listed
-  (the INITIAL construction always runs first); --skip drops stages from
-  the pipeline. --threads means: for run, fan tree construction out over
-  N worker threads; for compare and suite, run N whole flows concurrently
-  on the campaign executor (construction stays serial inside each job).
-  0 = auto-detect; results are identical for every N either way.
+  run, compare and suite take any manifest key as --KEY VALUE, which means
+  exactly the manifest line `KEY VALUE` (docs/manifest.md lists every key
+  and value). run takes the keys that configure one flow (technology,
+  profile, topology, model, large-inverters, stages, skip,
+  construct-threads) plus cache-dir; compare also takes threads; suite
+  takes every key, including the repeatable sources (--suite ispd09,
+  --instance ti:SINKS) and --baselines, --corners, --variation,
+  --samples, --seed, --workers and --dispatch. --fast is short for
+  --profile fast, and a bare --large-inverters for --technology ti45
+  --large-inverters true. suite --manifest FILE reads the file's lines
+  first and the flags' lines after them, so a key set in both places is a
+  duplicate key.
 
-  suite runs the whole benchmark battery through the sharded campaign
-  executor: --threads N runs N whole flows concurrently (0 = one per
-  core; aggregate output is identical for every N), --baselines adds the
-  stand-in flows (wiresizing-only, weak-buffering, dme-no-tuning) next to
-  Contango, and --report jsonl prints one JSON object per job instead of
-  the aggregate tables. A failing job never aborts the suite — it is
-  reported in the output per job — but the exit status is nonzero when
-  any job failed.
+  compare runs Contango and every baseline on the input (the manifest
+  lines `instance file:INPUT` and `baselines all`). suite runs a whole
+  experiment through the sharded campaign executor: --threads N runs N
+  whole flows concurrently (0 = one per core). A failing job never aborts
+  the suite — it is reported in the output per job — but the exit status
+  is nonzero when any job failed. Every report (table, jsonl, pareto,
+  frontier-jsonl) is byte-identical for every thread count, worker count
+  and cache state.
 
   --cache-dir DIR opens (or creates) a persistent content-addressed cache
   store in DIR and reuses stage, solve and construction results across
@@ -398,40 +340,27 @@ USAGE:
   The per-job hit/miss profile goes to stderr (suite) or the JSONL
   `cache` field, never into the aggregate tables.
 
-  suite --corners re-evaluates every finished tree at the named
-  process/voltage corners (nominal, slow, fast, low-vdd) and adds one
-  skew column per corner to the suite table. --variation adds seeded
-  Monte-Carlo variation sampling (a preset name or five comma-separated
-  sigmas: wire-res,wire-cap,buffer-res,vdd,spatial-correlation);
-  --samples and --seed tune the sampler and need --variation. --report
-  pareto reduces the suite to the Pareto frontier over worst-case skew,
-  capacitance and wirelength (frontier-jsonl for the JSONL form). All
-  four reports are byte-identical for every thread count, worker count
-  and cache state.
-
-  suite --manifest runs a declarative manifest file instead of the flag
-  set (the flags desugar to the same manifest form; see docs/manifest.md).
-  serve starts the synthesis daemon: a pool of warm engine sessions behind
-  a newline-delimited-JSON TCP protocol with bounded-queue backpressure.
-  query talks to a running daemon: --manifest submits a manifest file and
-  prints the response output (byte-identical to the offline suite run),
-  --ping probes it, --shutdown drains and stops it.
-
   suite --workers N runs the suite through the distributed coordinator:
   N worker processes are spawned over pipes (--dispatch local, the
   default) or awaited over TCP (--dispatch tcp:HOST:PORT, where workers
   started with `worker --connect` check in). Dead workers are detected
   by heartbeat and their jobs requeued; aggregate output stays
   byte-identical to a serial in-process run for any worker count or
-  failure pattern. --workers/--dispatch may be combined with --manifest
-  and then override the manifest's own `workers`/`dispatch` keys.
+  failure pattern.
+
+  serve starts the synthesis daemon: a pool of warm engine sessions behind
+  a newline-delimited-JSON TCP protocol with bounded-queue backpressure.
+  query talks to a running daemon: --manifest submits a manifest file and
+  prints the response output (byte-identical to the offline suite run),
+  --ping probes it, --shutdown drains and stops it.
 ";
 
 /// Parses an argument vector (excluding the program name).
 ///
 /// # Errors
 ///
-/// Returns an [`ArgError`] describing the first problem found.
+/// Returns an [`ArgError`] describing the first problem found. Settings
+/// values are checked later, by [`Settings::manifest`].
 pub fn parse_args(args: &[String]) -> Result<Command, ArgError> {
     let mut it = args.iter().map(String::as_str);
     let command = it.next().unwrap_or("help");
@@ -451,42 +380,27 @@ pub fn parse_args(args: &[String]) -> Result<Command, ArgError> {
     }
 }
 
-/// Every flag `suite` accepts. Declared upfront so did-you-mean
-/// suggestions draw on the whole subcommand-valid set — including flags
-/// the parser never got to ask about (e.g. on the `--manifest` early
-/// path) — and nothing outside it (`--queue-capacity` is a serve flag;
-/// suggesting it here would be noise).
-const SUITE_FLAGS: &[&str] = &[
-    "--manifest",
-    "--suite",
-    "--baselines",
-    "--fast",
-    "--large-inverters",
-    "--topology",
-    "--model",
-    "--stages",
-    "--skip",
-    "--threads",
-    "--cache-dir",
-    "--workers",
-    "--dispatch",
-    "--corners",
-    "--variation",
-    "--samples",
-    "--seed",
-    "--report",
-    "--format",
-];
+/// The leading manifest [`KEYS`] up to and including `last` (the list runs
+/// from the narrowest scope to the widest).
+fn keys_through(last: &str) -> &'static [&'static str] {
+    let end = KEYS
+        .iter()
+        .position(|&key| key == last)
+        .expect("a manifest key");
+    &KEYS[..=end]
+}
 
-/// Every flag `worker` accepts.
-const WORKER_FLAGS: &[&str] = &[
-    "--connect",
-    "--pipe",
-    "--threads",
-    "--cache-dir",
-    "--name",
-    "--chaos",
-];
+/// The manifest line `KEY VALUE` a flag stands for. A value with a line
+/// break is refused, so one flag can never become two lines.
+fn setting(flag: &str, key: &str, value: &str) -> Result<(String, String), ArgError> {
+    if value.contains(['\n', '\r']) {
+        return Err(ArgError::InvalidValue {
+            flag: flag.to_string(),
+            value: value.to_string(),
+        });
+    }
+    Ok((flag.to_string(), format!("{key} {value}")))
+}
 
 /// Levenshtein edit distance, used for did-you-mean flag suggestions.
 /// Flag names are short, so the quadratic two-row DP is plenty.
@@ -508,22 +422,22 @@ fn edit_distance(a: &str, b: &str) -> usize {
 
 /// The closest known flag, when it is close enough to plausibly be what
 /// the user meant (at most two edits away).
-fn closest_flag(flag: &str, known: &[&'static str]) -> Option<String> {
+fn closest_flag(flag: &str, known: &[String]) -> Option<String> {
     known
         .iter()
-        .map(|&k| (edit_distance(flag, k), k))
+        .map(|k| (edit_distance(flag, k), k))
         .min()
         .filter(|&(distance, _)| distance <= 2)
-        .map(|(_, k)| k.to_string())
+        .map(|(_, k)| k.clone())
 }
 
 /// A tiny flag/value scanner shared by the per-command parsers. It records
 /// every flag name a parser asks about, so [`Scanner::finish`] can suggest
-/// the nearest known flag for a near-miss.
+/// the nearest flag the command accepts for a near-miss.
 struct Scanner<'a> {
     args: &'a [&'a str],
     used: Vec<bool>,
-    known: Vec<&'static str>,
+    known: Vec<String>,
 }
 
 impl<'a> Scanner<'a> {
@@ -535,26 +449,10 @@ impl<'a> Scanner<'a> {
         }
     }
 
-    fn learn(&mut self, name: &'static str) {
-        if !self.known.contains(&name) {
-            self.known.push(name);
+    fn learn(&mut self, name: &str) {
+        if !self.known.iter().any(|known| known == name) {
+            self.known.push(name.to_string());
         }
-    }
-
-    /// Declares a subcommand's full flag set upfront, so a near-miss
-    /// suggestion can name any flag the command accepts — not just the
-    /// ones the parser happened to ask about before failing — and only
-    /// flags valid for this subcommand.
-    fn declare(&mut self, names: &[&'static str]) {
-        for &name in names {
-            self.learn(name);
-        }
-    }
-
-    /// Whether this flag is one the command accepts (exactly, not as a
-    /// near miss).
-    fn knows(&self, flag: &str) -> bool {
-        self.known.contains(&flag)
     }
 
     /// Returns `true` when the boolean flag is present.
@@ -608,20 +506,68 @@ impl<'a> Scanner<'a> {
         self.value(name)?.ok_or(ArgError::MissingFlag(name))
     }
 
-    /// The first argument that was not consumed, if any.
-    fn first_unused(&self) -> Option<&'a str> {
-        self.args
-            .iter()
-            .enumerate()
-            .find(|&(i, _)| !self.used[i])
-            .map(|(_, &a)| a)
+    /// The value of a label flag (`--report`, `--format`) read by `parse`,
+    /// or the default when the flag is absent.
+    fn label<T: Default>(
+        &mut self,
+        name: &'static str,
+        parse: fn(&str) -> Option<T>,
+    ) -> Result<T, ArgError> {
+        match self.value(name)? {
+            None => Ok(T::default()),
+            Some(value) => parse(&value).ok_or(ArgError::InvalidValue {
+                flag: name.to_string(),
+                value,
+            }),
+        }
+    }
+
+    /// Consumes every settings flag left, in argv order, as the manifest
+    /// lines it stands for: `--KEY VALUE` for a KEY in `keys` is the line
+    /// `KEY VALUE`, and a bare shorthand is its [`SHORTHANDS`] lines. The
+    /// value is the next argument unless that is a flag itself. Values are
+    /// not parsed here (only line breaks are refused): repeats and bad
+    /// values are the manifest parser's to find.
+    fn settings(&mut self, keys: &[&str]) -> Result<Vec<(String, String)>, ArgError> {
+        for key in keys {
+            self.learn(&format!("--{key}"));
+        }
+        for (flag, _) in SHORTHANDS {
+            self.learn(flag);
+        }
+        let mut lines = Vec::new();
+        for i in 0..self.args.len() {
+            let flag = self.args[i];
+            let key = flag.strip_prefix("--").filter(|key| keys.contains(key));
+            let shorthand = SHORTHANDS.iter().find(|(name, _)| *name == flag);
+            if self.used[i] || (key.is_none() && shorthand.is_none()) {
+                continue;
+            }
+            self.used[i] = true;
+            let value = self
+                .args
+                .get(i + 1)
+                .filter(|value| !value.starts_with("--") && !self.used[i + 1]);
+            match (key, value, shorthand) {
+                (Some(key), Some(value), _) => {
+                    lines.push(setting(flag, key, value)?);
+                    self.used[i + 1] = true;
+                }
+                (_, _, Some((_, expansion))) => {
+                    lines.extend(expansion.iter().map(|l| (flag.to_string(), l.to_string())));
+                }
+                _ => return Err(ArgError::MissingValue(flag.to_string())),
+            }
+        }
+        Ok(lines)
     }
 
     /// Errors on any argument that was not consumed: an unknown `--flag`
     /// names itself (with a did-you-mean suggestion for near misses), any
     /// other stray argument is reported verbatim.
     fn finish(&self) -> Result<(), ArgError> {
-        match self.first_unused() {
+        let unused = (0..self.args.len()).find(|&i| !self.used[i]);
+        match unused.map(|i| self.args[i]) {
             Some(arg) if arg.starts_with("--") => Err(ArgError::UnknownFlag {
                 flag: arg.to_string(),
                 suggestion: closest_flag(arg, &self.known),
@@ -632,97 +578,6 @@ impl<'a> Scanner<'a> {
     }
 }
 
-/// Parses a comma-separated stage list, normalizing to upper-case Table-III
-/// acronyms and rejecting anything that is not one of the canonical five.
-fn parse_stage_list(value: &str) -> Result<Vec<String>, ArgError> {
-    let mut stages = Vec::new();
-    for raw in value.split(',') {
-        let token = raw.trim();
-        if token.is_empty() {
-            continue;
-        }
-        let acronym = token.to_ascii_uppercase();
-        if FlowStage::from_acronym(&acronym).is_none() {
-            return Err(ArgError::UnknownStage(token.to_string()));
-        }
-        stages.push(acronym);
-    }
-    Ok(stages)
-}
-
-fn parse_flow_options(scan: &mut Scanner<'_>) -> Result<FlowOptions, ArgError> {
-    let mut flow = FlowOptions {
-        fast: scan.flag("--fast"),
-        large_inverters: scan.flag("--large-inverters"),
-        ..FlowOptions::default()
-    };
-    if let Some(topology) = scan.value("--topology")? {
-        flow.topology = match topology.as_str() {
-            "dme" => TopologyKind::Dme,
-            "greedy-matching" => TopologyKind::GreedyMatching,
-            "h-tree" => TopologyKind::HTree,
-            "fishbone" => TopologyKind::Fishbone,
-            _ => {
-                return Err(ArgError::InvalidValue {
-                    flag: "--topology",
-                    value: topology,
-                })
-            }
-        };
-    }
-    if let Some(model) = scan.value("--model")? {
-        flow.model = match model.as_str() {
-            "elmore" => DelayModel::Elmore,
-            "two-pole" => DelayModel::TwoPole,
-            "transient" => DelayModel::Transient,
-            _ => {
-                return Err(ArgError::InvalidValue {
-                    flag: "--model",
-                    value: model,
-                })
-            }
-        };
-    }
-    if let Some(stages) = scan.value("--stages")? {
-        let parsed = parse_stage_list(&stages)?;
-        if parsed.is_empty() {
-            return Err(ArgError::EmptyStageList);
-        }
-        flow.stages = Some(parsed);
-    }
-    if let Some(skip) = scan.value("--skip")? {
-        let stages = parse_stage_list(&skip)?;
-        if stages.iter().any(|s| s == "INITIAL") {
-            return Err(ArgError::SkipInitial);
-        }
-        flow.skip = stages;
-    }
-    if let Some(threads) = scan.value("--threads")? {
-        flow.threads = threads
-            .parse::<usize>()
-            .map_err(|_| ArgError::InvalidValue {
-                flag: "--threads",
-                value: threads.clone(),
-            })?;
-    }
-    flow.cache_dir = scan.value("--cache-dir")?;
-    Ok(flow)
-}
-
-fn parse_format(scan: &mut Scanner<'_>) -> Result<ReportFormat, ArgError> {
-    Ok(match scan.value("--format")?.as_deref() {
-        None | Some("text") => ReportFormat::Text,
-        Some("markdown") | Some("md") => ReportFormat::Markdown,
-        Some("csv") => ReportFormat::Csv,
-        Some(other) => {
-            return Err(ArgError::InvalidValue {
-                flag: "--format",
-                value: other.to_string(),
-            })
-        }
-    })
-}
-
 fn parse_generate(args: &[&str]) -> Result<Command, ArgError> {
     let mut scan = Scanner::new(args);
     let suite = scan.flag("--suite");
@@ -730,7 +585,7 @@ fn parse_generate(args: &[&str]) -> Result<Command, ArgError> {
         .value("--ti")?
         .map(|v| {
             v.parse::<usize>().map_err(|_| ArgError::InvalidValue {
-                flag: "--ti",
+                flag: "--ti".to_string(),
                 value: v.clone(),
             })
         })
@@ -751,13 +606,13 @@ fn parse_run(args: &[&str]) -> Result<Command, ArgError> {
     let mut scan = Scanner::new(args);
     let input = scan.required("--input")?;
     let solution_out = scan.value("--solution-out")?;
-    let flow = parse_flow_options(&mut scan)?;
-    let format = parse_format(&mut scan)?;
+    let format = scan.label("--format", TableFormat::from_label)?;
+    let lines = scan.settings(keys_through("cache-dir"))?;
     scan.finish()?;
     Ok(Command::Run {
         input,
         solution_out,
-        flow,
+        settings: Settings { file: None, lines },
         format,
     })
 }
@@ -773,241 +628,26 @@ fn parse_evaluate(args: &[&str]) -> Result<Command, ArgError> {
 fn parse_compare(args: &[&str]) -> Result<Command, ArgError> {
     let mut scan = Scanner::new(args);
     let input = scan.required("--input")?;
-    let flow = parse_flow_options(&mut scan)?;
-    let format = parse_format(&mut scan)?;
+    let format = scan.label("--format", TableFormat::from_label)?;
+    let mut lines = scan.settings(keys_through("threads"))?;
     scan.finish()?;
+    lines.push(setting("--input", "instance", &format!("file:{input}"))?);
+    lines.push(setting("--input", "baselines", "all")?);
     Ok(Command::Compare {
-        input,
-        flow,
+        settings: Settings { file: None, lines },
         format,
     })
 }
 
-/// Parses the `--baselines` selection: `all`, `none`, or a comma-separated
-/// list of baseline labels.
-fn parse_baseline_list(value: &str) -> Result<Vec<BaselineKind>, ArgError> {
-    match value {
-        "all" => return Ok(BaselineKind::all().to_vec()),
-        "none" => return Ok(Vec::new()),
-        _ => {}
-    }
-    let mut kinds = Vec::new();
-    for raw in value.split(',') {
-        let token = raw.trim();
-        if token.is_empty() {
-            continue;
-        }
-        let kind = BaselineKind::all()
-            .into_iter()
-            .find(|k| k.label() == token)
-            .ok_or(ArgError::InvalidValue {
-                flag: "--baselines",
-                value: token.to_string(),
-            })?;
-        if !kinds.contains(&kind) {
-            kinds.push(kind);
-        }
-    }
-    Ok(kinds)
-}
-
-fn parse_report(scan: &mut Scanner<'_>) -> Result<SuiteReport, ArgError> {
-    Ok(match scan.value("--report")?.as_deref() {
-        None | Some("table") => SuiteReport::Table,
-        Some("jsonl") => SuiteReport::Jsonl,
-        Some("pareto") => SuiteReport::Pareto,
-        Some("frontier-jsonl") => SuiteReport::FrontierJsonl,
-        Some(other) => {
-            return Err(ArgError::InvalidValue {
-                flag: "--report",
-                value: other.to_string(),
-            })
-        }
-    })
-}
-
-/// Parses the `--corners` value: `all`, `none`, or comma-separated corner
-/// labels — the same accepted set as the manifest `corners` key.
-fn parse_corner_list(value: &str) -> Result<Vec<CornerKind>, ArgError> {
-    match value {
-        "all" => return Ok(CornerKind::all().to_vec()),
-        "none" => return Ok(Vec::new()),
-        _ => {}
-    }
-    let mut corners = Vec::new();
-    for raw in value.split(',') {
-        let token = raw.trim();
-        if token.is_empty() {
-            continue;
-        }
-        let corner = CornerKind::from_label(token).ok_or(ArgError::InvalidValue {
-            flag: "--corners",
-            value: token.to_string(),
-        })?;
-        if !corners.contains(&corner) {
-            corners.push(corner);
-        }
-    }
-    Ok(corners)
-}
-
-/// Parses the `--variation` value: `none`, `typical-45nm`, or five
-/// comma-separated sigmas — the same accepted set as the manifest
-/// `variation` key.
-fn parse_variation_value(value: &str) -> Result<Option<VariationModel>, ArgError> {
-    let invalid = || ArgError::InvalidValue {
-        flag: "--variation",
-        value: value.to_string(),
-    };
-    match value {
-        "none" => return Ok(None),
-        "typical-45nm" => return Ok(Some(VariationModel::typical_45nm())),
-        _ => {}
-    }
-    let parts: Vec<&str> = value.split(',').collect();
-    if parts.len() != 5 {
-        return Err(invalid());
-    }
-    let mut sigmas = [0.0f64; 5];
-    for (slot, raw) in sigmas.iter_mut().zip(&parts) {
-        *slot = raw
-            .trim()
-            .parse::<f64>()
-            .ok()
-            .filter(|v| v.is_finite() && *v >= 0.0)
-            .ok_or_else(invalid)?;
-    }
-    if sigmas[4] > 1.0 {
-        return Err(invalid());
-    }
-    Ok(Some(VariationModel {
-        wire_res_sigma: sigmas[0],
-        wire_cap_sigma: sigmas[1],
-        buffer_res_sigma: sigmas[2],
-        vdd_sigma: sigmas[3],
-        spatial_correlation: sigmas[4],
-    }))
-}
-
-/// Parses the suite-only variation axes (`--corners`, `--variation`,
-/// `--samples`, `--seed`) into `flow`, enforcing that the sampler knobs
-/// come with a model — the same rule the manifest parser applies.
-fn parse_variation_flags(scan: &mut Scanner<'_>, flow: &mut FlowOptions) -> Result<(), ArgError> {
-    if let Some(value) = scan.value("--corners")? {
-        flow.corners = parse_corner_list(&value)?;
-    }
-    if let Some(value) = scan.value("--variation")? {
-        flow.variation = parse_variation_value(&value)?;
-    }
-    if let Some(value) = scan.value("--samples")? {
-        flow.samples = Some(value.parse::<usize>().ok().filter(|&n| n > 0).ok_or(
-            ArgError::InvalidValue {
-                flag: "--samples",
-                value,
-            },
-        )?);
-    }
-    if let Some(value) = scan.value("--seed")? {
-        let parsed = match value.strip_prefix("0x") {
-            Some(hex) => u64::from_str_radix(hex, 16).ok(),
-            None => value.parse::<u64>().ok(),
-        };
-        flow.seed = Some(parsed.ok_or(ArgError::InvalidValue {
-            flag: "--seed",
-            value,
-        })?);
-    }
-    if flow.variation.is_none() {
-        if flow.samples.is_some() {
-            return Err(ArgError::VariationRequired("--samples"));
-        }
-        if flow.seed.is_some() {
-            return Err(ArgError::VariationRequired("--seed"));
-        }
-    }
-    Ok(())
-}
-
-/// Parses the `--dispatch` selection: `local` (spawn pipe workers) or
-/// `tcp:HOST:PORT` (listen for `worker --connect` processes).
-fn parse_dispatch(scan: &mut Scanner<'_>) -> Result<Option<DispatchMode>, ArgError> {
-    match scan.value("--dispatch")? {
-        None => Ok(None),
-        Some(v) if v == "local" => Ok(Some(DispatchMode::Local)),
-        Some(v) => match v.strip_prefix("tcp:") {
-            Some(addr) if !addr.is_empty() => Ok(Some(DispatchMode::Tcp(addr.to_string()))),
-            _ => Err(ArgError::InvalidValue {
-                flag: "--dispatch",
-                value: v,
-            }),
-        },
-    }
-}
-
 fn parse_suite(args: &[&str]) -> Result<Command, ArgError> {
     let mut scan = Scanner::new(args);
-    scan.declare(SUITE_FLAGS);
-    let manifest = scan.value("--manifest")?;
-    let report = parse_report(&mut scan)?;
-    let format = parse_format(&mut scan)?;
-    let workers = scan
-        .value("--workers")?
-        .map(|v| {
-            v.parse::<usize>()
-                .ok()
-                .filter(|&n| n > 0)
-                .ok_or(ArgError::InvalidValue {
-                    flag: "--workers",
-                    value: v,
-                })
-        })
-        .transpose()?;
-    let dispatch = parse_dispatch(&mut scan)?;
-    if let Some(path) = manifest {
-        // The manifest is the whole description; a leftover *suite* flag
-        // is a conflict, not extra configuration to merge in. (The
-        // distribution overrides --workers/--dispatch, consumed above,
-        // are the exception: they layer on top of any manifest.) A flag
-        // the suite command does not accept at all is an unknown flag
-        // with a did-you-mean drawn from the suite flag set.
-        match scan.first_unused() {
-            Some(extra) if extra.starts_with("--") && scan.knows(extra) => {
-                return Err(ArgError::ManifestFlagConflict(extra.to_string()));
-            }
-            _ => scan.finish()?,
-        }
-        return Ok(Command::Suite {
-            manifest: Some(path),
-            suite: String::new(),
-            baselines: Vec::new(),
-            flow: FlowOptions::default(),
-            workers,
-            dispatch,
-            report,
-            format,
-        });
-    }
-    let suite = scan.required("--suite")?;
-    if suite != "ispd09" {
-        return Err(ArgError::InvalidValue {
-            flag: "--suite",
-            value: suite,
-        });
-    }
-    let baselines = match scan.value("--baselines")? {
-        Some(value) => parse_baseline_list(&value)?,
-        None => Vec::new(),
-    };
-    let mut flow = parse_flow_options(&mut scan)?;
-    parse_variation_flags(&mut scan, &mut flow)?;
+    let file = scan.value("--manifest")?;
+    let report = scan.label("--report", ReportKind::from_label)?;
+    let format = scan.label("--format", TableFormat::from_label)?;
+    let lines = scan.settings(KEYS)?;
     scan.finish()?;
     Ok(Command::Suite {
-        manifest: None,
-        suite,
-        baselines,
-        flow,
-        workers,
-        dispatch,
+        settings: Settings { file, lines },
         report,
         format,
     })
@@ -1015,7 +655,6 @@ fn parse_suite(args: &[&str]) -> Result<Command, ArgError> {
 
 fn parse_worker(args: &[&str]) -> Result<Command, ArgError> {
     let mut scan = Scanner::new(args);
-    scan.declare(WORKER_FLAGS);
     let connect = scan.value("--connect")?;
     let pipe = scan.flag("--pipe");
     let threads = parse_usize("--threads", scan.value("--threads")?, 1)?;
@@ -1024,7 +663,7 @@ fn parse_worker(args: &[&str]) -> Result<Command, ArgError> {
     let chaos = match scan.value("--chaos")? {
         None => ChaosConfig::default(),
         Some(spec) => ChaosConfig::parse(&spec).ok_or(ArgError::InvalidValue {
-            flag: "--chaos",
+            flag: "--chaos".to_string(),
             value: spec,
         })?,
     };
@@ -1050,7 +689,7 @@ fn parse_usize(
     match value {
         None => Ok(default),
         Some(v) => v.parse::<usize>().map_err(|_| ArgError::InvalidValue {
-            flag,
+            flag: flag.to_string(),
             value: v.clone(),
         }),
     }
@@ -1081,8 +720,8 @@ fn parse_query(args: &[&str]) -> Result<Command, ArgError> {
     let manifest = scan.value("--manifest")?;
     let ping = scan.flag("--ping");
     let shutdown = scan.flag("--shutdown");
-    let report = parse_report(&mut scan)?;
-    let format = parse_format(&mut scan)?;
+    let report = scan.label("--report", ReportKind::from_label)?;
+    let format = scan.label("--format", TableFormat::from_label)?;
     scan.finish()?;
     let action = match (manifest, ping, shutdown) {
         (Some(manifest), false, false) => QueryAction::Run { manifest },
@@ -1121,61 +760,19 @@ mod tests {
         list.iter().map(|s| s.to_string()).collect()
     }
 
-    #[test]
-    fn threads_flag_parses_and_validates() {
-        let cmd =
-            parse_args(&args(&["run", "--input", "a.cns", "--threads", "4"])).expect("parses");
-        match cmd {
-            Command::Run { flow, .. } => assert_eq!(flow.threads, 4),
-            other => panic!("unexpected command {other:?}"),
-        }
-        // 0 means auto-detect.
-        let cmd =
-            parse_args(&args(&["compare", "--input", "a.cns", "--threads", "0"])).expect("parses");
-        match cmd {
-            Command::Compare { flow, .. } => assert_eq!(flow.threads, 0),
-            other => panic!("unexpected command {other:?}"),
-        }
-        // Default is single-threaded.
-        let cmd = parse_args(&args(&["run", "--input", "a.cns"])).expect("parses");
-        match cmd {
-            Command::Run { flow, .. } => assert_eq!(flow.threads, 1),
-            other => panic!("unexpected command {other:?}"),
-        }
-        assert_eq!(
-            parse_args(&args(&["run", "--input", "a.cns", "--threads", "many"])).unwrap_err(),
-            ArgError::InvalidValue {
-                flag: "--threads",
-                value: "many".to_string()
-            }
-        );
+    fn lines(pairs: &[(&str, &str)]) -> Vec<(String, String)> {
+        pairs
+            .iter()
+            .map(|&(flag, line)| (flag.to_string(), line.to_string()))
+            .collect()
     }
 
-    #[test]
-    fn cache_dir_parses_on_flow_commands_and_defaults_to_none() {
-        let cmd = parse_args(&args(&["run", "--input", "a.cns", "--cache-dir", "store"]))
-            .expect("parses");
-        match cmd {
-            Command::Run { flow, .. } => assert_eq!(flow.cache_dir.as_deref(), Some("store")),
-            other => panic!("unexpected command {other:?}"),
-        }
-        let cmd = parse_args(&args(&[
-            "suite",
-            "--suite",
-            "ispd09",
-            "--cache-dir",
-            "/var/cache/ctg",
-        ]))
-        .expect("parses");
-        match cmd {
-            Command::Suite { flow, .. } => {
-                assert_eq!(flow.cache_dir.as_deref(), Some("/var/cache/ctg"));
-            }
-            other => panic!("unexpected command {other:?}"),
-        }
-        let cmd = parse_args(&args(&["compare", "--input", "a.cns"])).expect("parses");
-        match cmd {
-            Command::Compare { flow, .. } => assert_eq!(flow.cache_dir, None),
+    /// The settings of a parsed synthesis command.
+    fn settings_of(list: &[&str]) -> Settings {
+        match parse_args(&args(list)).expect("parses") {
+            Command::Run { settings, .. }
+            | Command::Compare { settings, .. }
+            | Command::Suite { settings, .. } => settings,
             other => panic!("unexpected command {other:?}"),
         }
     }
@@ -1190,7 +787,7 @@ mod tests {
     }
 
     #[test]
-    fn run_parses_all_options() {
+    fn settings_flags_become_manifest_lines_in_argv_order() {
         let cmd = parse_args(&args(&[
             "run",
             "--input",
@@ -1200,102 +797,146 @@ mod tests {
             "--fast",
             "--topology",
             "h-tree",
+            "--format",
+            "md",
             "--model",
             "two-pole",
-            "--format",
-            "csv",
         ]))
         .expect("parses");
-        match cmd {
-            Command::Run {
-                input,
-                solution_out,
-                flow,
-                format,
-            } => {
-                assert_eq!(input, "bench.txt");
-                assert_eq!(solution_out.as_deref(), Some("sol.tree"));
-                assert!(flow.fast);
-                assert!(!flow.large_inverters);
-                assert_eq!(flow.topology, TopologyKind::HTree);
-                assert_eq!(flow.model, DelayModel::TwoPole);
-                assert_eq!(flow.stages, None);
-                assert!(flow.skip.is_empty());
-                assert_eq!(format, ReportFormat::Csv);
-            }
-            other => panic!("unexpected command {other:?}"),
-        }
-    }
-
-    #[test]
-    fn stages_parse_as_normalized_acronym_lists() {
-        let cmd = parse_args(&args(&[
-            "run",
-            "--input",
-            "b.txt",
-            "--stages",
-            "tbsz,TWSZ",
-            "--skip",
-            "bwsn",
-        ]))
-        .expect("parses");
-        match cmd {
-            Command::Run { flow, .. } => {
-                assert_eq!(
-                    flow.stages,
-                    Some(vec!["TBSZ".to_string(), "TWSZ".to_string()])
-                );
-                assert_eq!(flow.skip, vec!["BWSN".to_string()]);
-            }
-            other => panic!("unexpected command {other:?}"),
-        }
-    }
-
-    #[test]
-    fn stage_lists_tolerate_spaces_and_empty_items() {
         assert_eq!(
-            parse_stage_list("TBSZ, twsn,,").expect("parses"),
-            vec!["TBSZ".to_string(), "TWSN".to_string()]
+            cmd,
+            Command::Run {
+                input: "bench.txt".to_string(),
+                solution_out: Some("sol.tree".to_string()),
+                settings: Settings {
+                    file: None,
+                    lines: lines(&[
+                        ("--fast", "profile fast"),
+                        ("--topology", "topology h-tree"),
+                        ("--model", "model two-pole"),
+                    ]),
+                },
+                format: TableFormat::Markdown,
+            }
+        );
+        // Source keys repeat, and their order is the report's row order.
+        let cmd = parse_args(&args(&[
+            "suite",
+            "--instance",
+            "ti:60",
+            "--threads",
+            "4",
+            "--report",
+            "jsonl",
+            "--instance",
+            "ti:90:7",
+            "--large-inverters",
+            "--baselines",
+            "all",
+        ]))
+        .expect("parses");
+        assert_eq!(
+            cmd,
+            Command::Suite {
+                settings: Settings {
+                    file: None,
+                    lines: lines(&[
+                        ("--instance", "instance ti:60"),
+                        ("--threads", "threads 4"),
+                        ("--instance", "instance ti:90:7"),
+                        ("--large-inverters", "technology ti45"),
+                        ("--large-inverters", "large-inverters true"),
+                        ("--baselines", "baselines all"),
+                    ]),
+                },
+                report: ReportKind::Jsonl,
+                format: TableFormat::Text,
+            }
         );
     }
 
     #[test]
-    fn wholly_empty_stage_list_is_rejected() {
-        for value in ["", ",", " , "] {
-            let err = parse_args(&args(&["run", "--input", "b", "--stages", value])).unwrap_err();
-            assert_eq!(err, ArgError::EmptyStageList, "value: {value:?}");
+    fn a_shorthand_is_only_taken_bare() {
+        // `--large-inverters VALUE` is the manifest key; only the bare flag
+        // is the shorthand.
+        assert_eq!(
+            settings_of(&["run", "--input", "a", "--large-inverters", "false"]).lines,
+            lines(&[("--large-inverters", "large-inverters false")])
+        );
+        assert_eq!(
+            settings_of(&["run", "--input", "a", "--large-inverters", "--fast"]).lines,
+            lines(&[
+                ("--large-inverters", "technology ti45"),
+                ("--large-inverters", "large-inverters true"),
+                ("--fast", "profile fast"),
+            ])
+        );
+        // `--fast` is no key, so it never takes a value.
+        let err = parse_args(&args(&["run", "--input", "a", "--fast", "yes"])).unwrap_err();
+        assert_eq!(err, ArgError::Unrecognized("yes".to_string()));
+    }
+
+    #[test]
+    fn compare_input_stands_for_a_file_source_and_every_baseline() {
+        assert_eq!(
+            settings_of(&["compare", "--input", "b.cts", "--threads", "2"]).lines,
+            lines(&[
+                ("--threads", "threads 2"),
+                ("--input", "instance file:b.cts"),
+                ("--input", "baselines all"),
+            ])
+        );
+    }
+
+    #[test]
+    fn each_command_takes_its_scope_of_keys() {
+        let accepts = |command: &[&str], flag: &str| {
+            let mut list = command.to_vec();
+            list.extend([flag, "1"]);
+            parse_args(&args(&list)).is_ok()
+        };
+        let run = ["run", "--input", "a.cns"];
+        let compare = ["compare", "--input", "a.cns"];
+        for key in KEYS {
+            assert!(accepts(&["suite"], &format!("--{key}")), "suite --{key}");
         }
-        // An empty --skip is a harmless no-op, not an error.
-        assert!(parse_args(&args(&["run", "--input", "b", "--skip", ""])).is_ok());
+        for flag in [
+            "--technology",
+            "--stages",
+            "--construct-threads",
+            "--cache-dir",
+        ] {
+            assert!(accepts(&run, flag) && accepts(&compare, flag), "{flag}");
+        }
+        assert!(!accepts(&run, "--threads") && accepts(&compare, "--threads"));
+        for flag in [
+            "--suite",
+            "--instance",
+            "--baselines",
+            "--corners",
+            "--variation",
+            "--samples",
+            "--seed",
+            "--workers",
+            "--dispatch",
+        ] {
+            assert!(!accepts(&run, flag) && !accepts(&compare, flag), "{flag}");
+        }
     }
 
     #[test]
-    fn unknown_stages_are_rejected() {
-        let err = parse_args(&args(&["run", "--input", "b", "--stages", "TBSZ,MESH"])).unwrap_err();
-        assert_eq!(err, ArgError::UnknownStage("MESH".to_string()));
-        assert!(err.to_string().contains("MESH"));
-        let err = parse_args(&args(&["compare", "--input", "b", "--skip", "wat"])).unwrap_err();
-        assert_eq!(err, ArgError::UnknownStage("wat".to_string()));
-    }
-
-    #[test]
-    fn skipping_initial_is_rejected() {
-        let err = parse_args(&args(&["run", "--input", "b", "--skip", "INITIAL"])).unwrap_err();
-        assert_eq!(err, ArgError::SkipInitial);
-        // ...but selecting it via --stages is fine (it always runs anyway).
-        assert!(parse_args(&args(&["run", "--input", "b", "--stages", "INITIAL,TWSZ"])).is_ok());
-    }
-
-    #[test]
-    fn compare_accepts_stage_flags() {
-        let cmd = parse_args(&args(&["compare", "--input", "b.txt", "--stages", "TWSZ"]))
-            .expect("parses");
-        match cmd {
-            Command::Compare { flow, .. } => {
-                assert_eq!(flow.stages, Some(vec!["TWSZ".to_string()]));
+    fn a_flag_value_never_spans_two_manifest_lines() {
+        let value = "store\nthreads 8";
+        let err = parse_args(&args(&["suite", "--cache-dir", value])).unwrap_err();
+        assert_eq!(
+            err,
+            ArgError::InvalidValue {
+                flag: "--cache-dir".to_string(),
+                value: value.to_string()
             }
-            other => panic!("unexpected command {other:?}"),
-        }
+        );
+        let err = parse_args(&args(&["compare", "--input", "a.cts\r\nworkers 2"])).unwrap_err();
+        assert!(matches!(err, ArgError::InvalidValue { ref flag, .. } if flag == "--input"));
     }
 
     #[test]
@@ -1327,15 +968,6 @@ mod tests {
                 suggestion: None
             }
         );
-        let err = parse_args(&args(&["run", "--input", "x", "--topology", "ring"])).unwrap_err();
-        assert_eq!(
-            err,
-            ArgError::InvalidValue {
-                flag: "--topology",
-                value: "ring".to_string()
-            }
-        );
-        assert!(err.to_string().contains("topology"));
         let err = parse_args(&args(&["frobnicate"])).unwrap_err();
         assert_eq!(err, ArgError::UnknownCommand("frobnicate".to_string()));
         assert!(err.to_string().contains("unknown command"));
@@ -1382,28 +1014,21 @@ mod tests {
 
     #[test]
     fn duplicate_value_flags_are_rejected_with_a_clear_error() {
-        let err = parse_args(&args(&[
-            "run",
-            "--input",
-            "a.cns",
-            "--threads",
-            "2",
-            "--threads",
-            "4",
-        ]))
-        .unwrap_err();
-        assert_eq!(err, ArgError::DuplicateFlag("--threads".to_string()));
-        assert!(err.to_string().contains("more than once"));
-        // Duplicates are caught even when the second pair comes first in
-        // scanning order or for a different flag family.
         let err =
             parse_args(&args(&["run", "--input", "a", "--input", "b", "--fast"])).unwrap_err();
         assert_eq!(err, ArgError::DuplicateFlag("--input".to_string()));
+        assert!(err.to_string().contains("more than once"));
         let err = parse_args(&args(&[
             "compare", "--input", "a", "--format", "csv", "--format", "text",
         ]))
         .unwrap_err();
         assert_eq!(err, ArgError::DuplicateFlag("--format".to_string()));
+        // A repeated settings flag is two manifest lines; the manifest
+        // parser rejects the repeat (see the lib tests).
+        assert_eq!(
+            settings_of(&["suite", "--threads", "2", "--threads", "4"]).lines,
+            lines(&[("--threads", "threads 2"), ("--threads", "threads 4")])
+        );
     }
 
     #[test]
@@ -1427,244 +1052,23 @@ mod tests {
     }
 
     #[test]
-    fn suite_parses_baselines_report_and_flow_options() {
-        let cmd = parse_args(&args(&[
-            "suite",
-            "--suite",
-            "ispd09",
-            "--baselines",
-            "all",
-            "--threads",
-            "4",
-            "--report",
-            "jsonl",
-            "--fast",
-        ]))
-        .expect("parses");
-        match cmd {
-            Command::Suite {
-                manifest,
-                suite,
-                baselines,
-                flow,
-                workers,
-                dispatch,
-                report,
-                format,
-            } => {
-                assert_eq!(manifest, None);
-                assert_eq!(suite, "ispd09");
-                assert_eq!(baselines, BaselineKind::all().to_vec());
-                assert_eq!(flow.threads, 4);
-                assert!(flow.fast);
-                assert_eq!(workers, None);
-                assert_eq!(dispatch, None);
-                assert_eq!(report, SuiteReport::Jsonl);
-                assert_eq!(format, ReportFormat::Text);
-            }
-            other => panic!("unexpected command {other:?}"),
-        }
-    }
-
-    #[test]
-    fn suite_defaults_and_label_lists() {
-        let cmd = parse_args(&args(&["suite", "--suite", "ispd09"])).expect("parses");
-        match cmd {
-            Command::Suite {
-                baselines, report, ..
-            } => {
-                assert!(baselines.is_empty());
-                assert_eq!(report, SuiteReport::Table);
-            }
-            other => panic!("unexpected command {other:?}"),
-        }
-        let cmd = parse_args(&args(&[
-            "suite",
-            "--suite",
-            "ispd09",
-            "--baselines",
-            "dme-no-tuning, wiresizing-only,dme-no-tuning",
-        ]))
-        .expect("parses");
-        match cmd {
-            Command::Suite { baselines, .. } => {
-                assert_eq!(
-                    baselines,
-                    vec![BaselineKind::DmeNoTuning, BaselineKind::WiresizingOnly]
-                );
-            }
-            other => panic!("unexpected command {other:?}"),
-        }
-    }
-
-    #[test]
-    fn suite_rejects_unknown_suites_baselines_and_reports() {
-        let err = parse_args(&args(&["suite", "--suite", "ispd10"])).unwrap_err();
+    fn report_and_format_labels_are_validated() {
+        let err = parse_args(&args(&["suite", "--report", "xml"])).unwrap_err();
         assert_eq!(
             err,
             ArgError::InvalidValue {
-                flag: "--suite",
-                value: "ispd10".to_string()
-            }
-        );
-        let err = parse_args(&args(&[
-            "suite",
-            "--suite",
-            "ispd09",
-            "--baselines",
-            "ntu2009",
-        ]))
-        .unwrap_err();
-        assert_eq!(
-            err,
-            ArgError::InvalidValue {
-                flag: "--baselines",
-                value: "ntu2009".to_string()
-            }
-        );
-        let err =
-            parse_args(&args(&["suite", "--suite", "ispd09", "--report", "xml"])).unwrap_err();
-        assert_eq!(
-            err,
-            ArgError::InvalidValue {
-                flag: "--report",
+                flag: "--report".to_string(),
                 value: "xml".to_string()
             }
         );
-        let err = parse_args(&args(&["suite"])).unwrap_err();
-        assert_eq!(err, ArgError::MissingFlag("--suite"));
-    }
-
-    #[test]
-    fn suite_parses_the_variation_axes() {
-        let cmd = parse_args(&args(&[
-            "suite",
-            "--suite",
-            "ispd09",
-            "--corners",
-            "slow, low-vdd,slow",
-            "--variation",
-            "typical-45nm",
-            "--samples",
-            "3",
-            "--seed",
-            "0xBEEF",
-        ]))
-        .expect("parses");
-        match cmd {
-            Command::Suite { flow, report, .. } => {
-                assert_eq!(flow.corners, vec![CornerKind::Slow, CornerKind::LowVdd]);
-                assert_eq!(flow.variation, Some(VariationModel::typical_45nm()));
-                assert_eq!(flow.samples, Some(3));
-                assert_eq!(flow.seed, Some(0xBEEF));
-                assert_eq!(report, SuiteReport::Table);
-            }
-            other => panic!("unexpected command {other:?}"),
-        }
-        // Explicit sigmas, `all`/`none` shorthands, and the new reports.
-        let cmd = parse_args(&args(&[
-            "suite",
-            "--suite",
-            "ispd09",
-            "--corners",
-            "all",
-            "--variation",
-            "0.1,0.2,0.3,0.04,1",
-            "--report",
-            "pareto",
-        ]))
-        .expect("parses");
-        match cmd {
-            Command::Suite { flow, report, .. } => {
-                assert_eq!(flow.corners, CornerKind::all().to_vec());
-                let model = flow.variation.expect("model");
-                assert_eq!(model.wire_res_sigma, 0.1);
-                assert_eq!(model.spatial_correlation, 1.0);
-                assert_eq!(report, SuiteReport::Pareto);
-            }
-            other => panic!("unexpected command {other:?}"),
-        }
-        let cmd = parse_args(&args(&[
-            "suite",
-            "--suite",
-            "ispd09",
-            "--corners",
-            "none",
-            "--variation",
-            "none",
-            "--report",
-            "frontier-jsonl",
-        ]))
-        .expect("parses");
-        match cmd {
-            Command::Suite { flow, report, .. } => {
-                assert!(flow.corners.is_empty());
-                assert_eq!(flow.variation, None);
-                assert_eq!(report, SuiteReport::FrontierJsonl);
-            }
-            other => panic!("unexpected command {other:?}"),
-        }
-    }
-
-    #[test]
-    fn suite_rejects_malformed_variation_axes() {
-        let err = parse_args(&args(&[
-            "suite",
-            "--suite",
-            "ispd09",
-            "--corners",
-            "typical",
-        ]))
-        .unwrap_err();
+        let err = parse_args(&args(&["run", "--input", "a", "--format", "latex"])).unwrap_err();
         assert_eq!(
             err,
             ArgError::InvalidValue {
-                flag: "--corners",
-                value: "typical".to_string()
+                flag: "--format".to_string(),
+                value: "latex".to_string()
             }
         );
-        // Wrong arity, negative sigma, correlation above one.
-        for value in ["0.1,0.2", "-0.1,0.2,0.3,0.4,0.5", "0.1,0.2,0.3,0.4,1.5"] {
-            let err = parse_args(&args(&["suite", "--suite", "ispd09", "--variation", value]))
-                .unwrap_err();
-            assert_eq!(
-                err,
-                ArgError::InvalidValue {
-                    flag: "--variation",
-                    value: value.to_string()
-                },
-                "value: {value:?}"
-            );
-        }
-        let err = parse_args(&args(&["suite", "--suite", "ispd09", "--samples", "0"])).unwrap_err();
-        assert_eq!(
-            err,
-            ArgError::InvalidValue {
-                flag: "--samples",
-                value: "0".to_string()
-            }
-        );
-    }
-
-    #[test]
-    fn sampler_knobs_require_a_variation_model() {
-        let err = parse_args(&args(&["suite", "--suite", "ispd09", "--samples", "4"])).unwrap_err();
-        assert_eq!(err, ArgError::VariationRequired("--samples"));
-        assert!(err.to_string().contains("--variation"));
-        let err = parse_args(&args(&["suite", "--suite", "ispd09", "--seed", "7"])).unwrap_err();
-        assert_eq!(err, ArgError::VariationRequired("--seed"));
-        // `--variation none` counts as no model, matching the manifest rule.
-        let err = parse_args(&args(&[
-            "suite",
-            "--suite",
-            "ispd09",
-            "--variation",
-            "none",
-            "--seed",
-            "7",
-        ]))
-        .unwrap_err();
-        assert_eq!(err, ArgError::VariationRequired("--seed"));
     }
 
     #[test]
@@ -1672,11 +1076,19 @@ mod tests {
         let err = parse_args(&args(&["run", "--input"])).unwrap_err();
         assert_eq!(err, ArgError::MissingValue("--input".to_string()));
         assert!(err.to_string().contains("expects a value"));
+        // A settings flag's value is never another flag.
+        for list in [
+            &["suite", "--threads"][..],
+            &["suite", "--threads", "--fast"],
+        ] {
+            let err = parse_args(&args(list)).unwrap_err();
+            assert_eq!(err, ArgError::MissingValue("--threads".to_string()));
+        }
     }
 
     #[test]
     fn near_miss_flags_get_a_did_you_mean_suggestion() {
-        let err = parse_args(&args(&["run", "--input", "a.cns", "--thread", "4"])).unwrap_err();
+        let err = parse_args(&args(&["compare", "--input", "a", "--thread", "4"])).unwrap_err();
         assert_eq!(
             err,
             ArgError::UnknownFlag {
@@ -1688,8 +1100,7 @@ mod tests {
             err.to_string().contains("did you mean `--threads`?"),
             "{err}"
         );
-        let err =
-            parse_args(&args(&["suite", "--suite", "ispd09", "--basslines", "all"])).unwrap_err();
+        let err = parse_args(&args(&["suite", "--basslines", "all"])).unwrap_err();
         assert_eq!(
             err,
             ArgError::UnknownFlag {
@@ -1723,141 +1134,35 @@ mod tests {
     }
 
     #[test]
-    fn suite_accepts_a_manifest_file_and_rejects_mixed_flags() {
-        let cmd = parse_args(&args(&[
-            "suite",
-            "--manifest",
-            "exp.manifest",
-            "--report",
-            "jsonl",
-            "--format",
-            "csv",
-        ]))
-        .expect("parses");
-        match cmd {
-            Command::Suite {
-                manifest,
-                report,
-                format,
-                ..
-            } => {
-                assert_eq!(manifest.as_deref(), Some("exp.manifest"));
-                assert_eq!(report, SuiteReport::Jsonl);
-                assert_eq!(format, ReportFormat::Csv);
-            }
-            other => panic!("unexpected command {other:?}"),
-        }
-        let err = parse_args(&args(&["suite", "--manifest", "m", "--fast"])).unwrap_err();
-        assert_eq!(err, ArgError::ManifestFlagConflict("--fast".to_string()));
-        assert!(err.to_string().contains("--fast"));
-        let err =
-            parse_args(&args(&["suite", "--manifest", "m", "--suite", "ispd09"])).unwrap_err();
-        assert_eq!(err, ArgError::ManifestFlagConflict("--suite".to_string()));
-    }
-
-    #[test]
-    fn suite_workers_and_dispatch_parse_and_validate() {
-        let cmd =
-            parse_args(&args(&["suite", "--suite", "ispd09", "--workers", "4"])).expect("parses");
-        match cmd {
-            Command::Suite {
-                workers, dispatch, ..
-            } => {
-                assert_eq!(workers, Some(4));
-                assert_eq!(dispatch, None);
-            }
-            other => panic!("unexpected command {other:?}"),
-        }
-        let cmd = parse_args(&args(&[
-            "suite",
-            "--suite",
-            "ispd09",
-            "--dispatch",
-            "tcp:127.0.0.1:7979",
-        ]))
-        .expect("parses");
-        match cmd {
-            Command::Suite { dispatch, .. } => {
-                assert_eq!(
-                    dispatch,
-                    Some(DispatchMode::Tcp("127.0.0.1:7979".to_string()))
-                );
-            }
-            other => panic!("unexpected command {other:?}"),
-        }
-        let cmd = parse_args(&args(&[
-            "suite",
-            "--suite",
-            "ispd09",
-            "--dispatch",
-            "local",
-        ]))
-        .expect("parses");
-        match cmd {
-            Command::Suite { dispatch, .. } => assert_eq!(dispatch, Some(DispatchMode::Local)),
-            other => panic!("unexpected command {other:?}"),
-        }
-        for bad in ["0", "two"] {
-            let err =
-                parse_args(&args(&["suite", "--suite", "ispd09", "--workers", bad])).unwrap_err();
-            assert_eq!(
-                err,
-                ArgError::InvalidValue {
-                    flag: "--workers",
-                    value: bad.to_string()
-                }
-            );
-        }
-        for bad in ["tcp:", "carrier-pigeon"] {
-            let err =
-                parse_args(&args(&["suite", "--suite", "ispd09", "--dispatch", bad])).unwrap_err();
-            assert_eq!(
-                err,
-                ArgError::InvalidValue {
-                    flag: "--dispatch",
-                    value: bad.to_string()
-                }
-            );
-        }
-    }
-
-    #[test]
-    fn distribution_overrides_combine_with_a_manifest() {
-        // --workers/--dispatch are overrides layered on top of any
-        // manifest, so they are exempt from the manifest/flag conflict.
+    fn suite_takes_a_manifest_file_and_flags_together() {
         let cmd = parse_args(&args(&[
             "suite",
             "--manifest",
             "exp.manifest",
             "--workers",
             "3",
-            "--dispatch",
-            "tcp:127.0.0.1:4781",
+            "--report",
+            "jsonl",
+            "--format",
+            "csv",
+            "--fast",
         ]))
         .expect("parses");
-        match cmd {
+        assert_eq!(
+            cmd,
             Command::Suite {
-                manifest,
-                workers,
-                dispatch,
-                ..
-            } => {
-                assert_eq!(manifest.as_deref(), Some("exp.manifest"));
-                assert_eq!(workers, Some(3));
-                assert_eq!(
-                    dispatch,
-                    Some(DispatchMode::Tcp("127.0.0.1:4781".to_string()))
-                );
+                settings: Settings {
+                    file: Some("exp.manifest".to_string()),
+                    lines: lines(&[("--workers", "workers 3"), ("--fast", "profile fast")]),
+                },
+                report: ReportKind::Jsonl,
+                format: TableFormat::Csv,
             }
-            other => panic!("unexpected command {other:?}"),
-        }
+        );
     }
 
     #[test]
     fn suggestions_are_scoped_to_the_subcommand_flag_set() {
-        // A typo'd distribution flag next to --manifest is an unknown
-        // flag with a suggestion, not a manifest conflict (the real
-        // `--workers` is allowed there, so suggesting it is actionable).
         let err = parse_args(&args(&["suite", "--manifest", "m", "--workes", "2"])).unwrap_err();
         assert_eq!(
             err,
@@ -1944,7 +1249,7 @@ mod tests {
         assert_eq!(
             err,
             ArgError::InvalidValue {
-                flag: "--chaos",
+                flag: "--chaos".to_string(),
                 value: "explode:9".to_string()
             }
         );
@@ -1990,7 +1295,7 @@ mod tests {
         assert_eq!(
             err,
             ArgError::InvalidValue {
-                flag: "--workers",
+                flag: "--workers".to_string(),
                 value: "lots".to_string()
             }
         );
@@ -2015,8 +1320,8 @@ mod tests {
                 action: QueryAction::Run {
                     manifest: "m.txt".to_string()
                 },
-                report: SuiteReport::Jsonl,
-                format: ReportFormat::Text,
+                report: ReportKind::Jsonl,
+                format: TableFormat::Text,
             }
         );
         let cmd = parse_args(&args(&["query", "--addr", "h:1", "--ping"])).expect("parses");

@@ -8,9 +8,9 @@
 //! * `evaluate` — re-evaluate a previously written solution;
 //! * `compare` — run Contango and the baseline flows side by side (the
 //!   four whole flows shard across `--threads` campaign workers);
-//! * `suite` — run a whole benchmark battery (optionally × baselines)
-//!   through the sharded campaign executor and print the aggregate suite
-//!   report, or stream per-job JSONL;
+//! * `suite` — run a whole experiment (instances × baselines × analysis
+//!   axes) through the sharded campaign executor and print the aggregate
+//!   suite report, per-job JSONL or the Pareto frontier;
 //! * `spice-deck` — emit a transient SPICE deck for external validation;
 //! * `serve` — run the synthesis daemon (warm engine sessions behind an
 //!   NDJSON TCP protocol, [`contango_campaign::serve`]);
@@ -21,46 +21,43 @@
 //!   shut it down.
 //!
 //! All I/O goes through [`execute`], which returns the report text, so the
-//! whole tool is unit-testable without spawning processes. Synthesis is
-//! driven through the [`Pipeline`] API: `--stages`/`--skip` trim the
-//! default pass list, and a [`FlowObserver`] streams per-stage progress to
-//! stderr while the flow runs.
+//! whole tool is unit-testable without spawning processes. `run` streams
+//! per-stage progress to stderr through a [`FlowObserver`]
+//! ([`StderrProgress`]) while the flow runs.
 //!
-//! Experiment descriptions go through one path: the `suite` flags (and the
-//! `run`/`compare` flow flags) desugar into a
-//! [`Manifest`], `suite --manifest FILE` loads
-//! the same form from a file, and the daemon accepts the same manifest text
-//! over the wire — so `suite`, `query --manifest` and library callers all
-//! compile through `Manifest -> Campaign` and render through
-//! [`contango_campaign::output::suite_output`], making their outputs
-//! byte-identical for the same description.
+//! Experiment descriptions have one grammar, the [`Manifest`]: on `run`,
+//! `compare` and `suite`, `--KEY VALUE` means exactly the manifest line
+//! `KEY VALUE` ([`args::Settings`]), `suite --manifest FILE` reads the same
+//! lines from a file, and the daemon accepts the same text over the wire.
+//! Jobs are built only by [`Manifest::job_for`] and [`Manifest::compile`],
+//! and campaigns render through
+//! [`contango_campaign::output::suite_output`], so every spelling of one
+//! description gives byte-identical output.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod args;
 
-use args::{Command, FlowOptions, QueryAction, ReportFormat, SuiteReport};
-use contango_baselines::BaselineKind;
+use args::{ArgError, Command, QueryAction, Settings};
 use contango_benchmarks::error::ParseError;
 use contango_benchmarks::format::{parse_instance, write_instance};
 use contango_benchmarks::generator::{ispd09_suite, make_instance, ti_instance};
-use contango_benchmarks::report::{stage_table, Table};
+use contango_benchmarks::report::stage_table;
 use contango_benchmarks::solution::{parse_solution, write_solution};
 use contango_campaign::dist::{self, DistConfig, DistError};
-use contango_campaign::manifest::{InstanceSource, Profile, TechnologyKind};
-use contango_campaign::output::suite_output;
+use contango_campaign::output::{render_table, suite_output};
 use contango_campaign::worker::{run_worker, WorkerConnection, WorkerError};
 use contango_campaign::{
-    Campaign, ChaosConfig, Client, ClientError, DispatchMode, Job, JobRecord, Manifest,
+    CampaignResult, ChaosConfig, Client, ClientError, DispatchMode, JobRecord, Manifest,
     ManifestError, ReportKind, Response, ServeConfig, Server, TableFormat, WorkerConfig,
 };
 use contango_core::error::CoreError;
-use contango_core::flow::{ContangoFlow, FlowConfig, FlowResult, StageSnapshot};
+use contango_core::flow::{ContangoFlow, FlowResult, StageSnapshot};
 use contango_core::instance::ClockNetInstance;
 use contango_core::lower::to_netlist;
 use contango_core::opt::PassOutcome;
-use contango_core::pipeline::{FlowObserver, Pass, Pipeline};
+use contango_core::pipeline::{FlowObserver, Pass};
 use contango_sim::spice::{write_deck, DeckOptions};
 use contango_sim::{CacheStore, Evaluator, StoreError};
 use contango_tech::Technology;
@@ -75,10 +72,10 @@ pub use args::{parse_args, USAGE};
 
 /// Any failure of a CLI command.
 ///
-/// Argument-vector problems are reported separately, as
-/// [`ArgError`](args::ArgError) from [`parse_args`], because the binary
-/// distinguishes usage errors (exit code 2) from runtime errors (exit
-/// code 1).
+/// Argument-vector problems are reported separately, as [`ArgError`]
+/// from [`parse_args`], because the binary distinguishes usage errors
+/// (exit code 2) from runtime errors (exit code 1); a settings flag the
+/// manifest parser rejects is [`CliError::Usage`], also exit code 2.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CliError {
     /// A file could not be read, written, created or opened.
@@ -119,10 +116,12 @@ pub enum CliError {
         /// The report text that would have been printed on success.
         output: String,
     },
+    /// A settings flag the manifest parser rejects. Flag values are
+    /// checked when the command runs, after any manifest file's lines.
+    Usage(ArgError),
     /// A manifest failed to parse or compile.
     Manifest {
-        /// The manifest file, when one was loaded (flag desugaring has no
-        /// path).
+        /// The manifest file, when one was given.
         path: Option<String>,
         /// The underlying manifest problem.
         source: ManifestError,
@@ -168,6 +167,7 @@ impl fmt::Display for CliError {
             CliError::SuiteFailures { failed, total, .. } => {
                 write!(f, "{failed} of {total} suite jobs failed")
             }
+            CliError::Usage(e) => e.fmt(f),
             CliError::Manifest { path, source } => match path {
                 Some(path) => write!(f, "{path}: {source}"),
                 None => source.fmt(f),
@@ -188,6 +188,7 @@ impl std::error::Error for CliError {
         match self {
             CliError::Parse { source, .. } => Some(source),
             CliError::Flow(e) => Some(e),
+            CliError::Usage(e) => Some(e),
             CliError::Manifest { source, .. } => Some(source),
             CliError::Io { .. }
             | CliError::SinkMismatch { .. }
@@ -262,34 +263,16 @@ pub fn execute(command: &Command) -> Result<String, CliError> {
         Command::Run {
             input,
             solution_out,
-            flow,
+            settings,
             format,
-        } => run(input, solution_out.as_deref(), flow, *format),
+        } => run(input, solution_out.as_deref(), settings, *format),
         Command::Evaluate { instance, solution } => evaluate(instance, solution),
         Command::Suite {
-            manifest,
-            suite: name,
-            baselines,
-            flow,
-            workers,
-            dispatch,
+            settings,
             report,
             format,
-        } => suite(
-            manifest.as_deref(),
-            name,
-            baselines,
-            flow,
-            *workers,
-            dispatch.as_ref(),
-            *report,
-            *format,
-        ),
-        Command::Compare {
-            input,
-            flow,
-            format,
-        } => compare(input, flow, *format),
+        } => suite(settings, *report, *format),
+        Command::Compare { settings, format } => compare(settings, *format),
         Command::SpiceDeck {
             instance,
             solution,
@@ -332,64 +315,6 @@ pub fn execute(command: &Command) -> Result<String, CliError> {
     }
 }
 
-/// Builds the flow configuration implied by the CLI options — the manifest
-/// desugaring ([`manifest_from_options`]) plus the `run` command's
-/// construction fan-out: a direct `run` spends `--threads` inside tree
-/// construction, whereas campaign-backed commands shard whole flows and
-/// keep construction serial (the manifest default).
-pub fn flow_config(options: &FlowOptions) -> FlowConfig {
-    let mut config = manifest_from_options(options).flow_config();
-    config.parallel = contango_core::ParallelConfig::with_threads(options.threads);
-    config
-}
-
-/// Builds the pipeline implied by the CLI options: the default pipeline of
-/// the configuration, restricted to `--stages` in the order the user listed
-/// them (INITIAL always runs first), and with every `--skip` stage removed.
-pub fn build_pipeline(options: &FlowOptions) -> Pipeline {
-    Pipeline::contango(&flow_config(options))
-        .with_stage_selection(options.stages.as_deref(), &options.skip)
-}
-
-/// Desugars the CLI flow flags into the equivalent [`Manifest`] (with no
-/// sources or baselines — callers add those). This is THE flags-to-manifest
-/// mapping: every synthesis command goes through it, so a flag invocation
-/// and the manifest file spelling the same options are interchangeable.
-pub fn manifest_from_options(options: &FlowOptions) -> Manifest {
-    Manifest {
-        sources: Vec::new(),
-        technology: if options.large_inverters {
-            TechnologyKind::Ti45
-        } else {
-            TechnologyKind::Ispd09
-        },
-        profile: if options.fast {
-            Profile::Fast
-        } else {
-            Profile::Default
-        },
-        topology: options.topology,
-        model: options.model,
-        large_inverters: options.large_inverters,
-        stages: options.stages.clone(),
-        skip: options.skip.clone(),
-        baselines: Vec::new(),
-        threads: options.threads,
-        construct_threads: None,
-        cache_dir: options.cache_dir.clone(),
-        workers: None,
-        dispatch: DispatchMode::Local,
-        corners: options.corners.clone(),
-        variation: options.variation,
-        samples: options
-            .samples
-            .unwrap_or(contango_campaign::manifest::DEFAULT_SAMPLES),
-        seed: options
-            .seed
-            .unwrap_or(contango_campaign::manifest::DEFAULT_VARIATION_SEED),
-    }
-}
-
 /// Opens the persistent cache store at `dir`, creating the directory if
 /// needed.
 fn open_store(dir: &str) -> Result<Arc<CacheStore>, CliError> {
@@ -401,10 +326,6 @@ fn open_store(dir: &str) -> Result<Arc<CacheStore>, CliError> {
             message,
         }),
     }
-}
-
-fn technology_for(options: &FlowOptions) -> Technology {
-    manifest_from_options(options).technology()
 }
 
 fn io_error(action: &'static str, path: impl Into<String>) -> impl FnOnce(io::Error) -> CliError {
@@ -429,11 +350,58 @@ fn write(path: &str, contents: &str) -> Result<(), CliError> {
     fs::write(path, contents).map_err(io_error("write", path))
 }
 
-fn render(table: &Table, format: ReportFormat) -> String {
-    match format {
-        ReportFormat::Text => table.to_text(),
-        ReportFormat::Markdown => table.to_markdown(),
-        ReportFormat::Csv => table.to_csv(),
+/// The line a manifest parse error points at.
+fn error_line(error: &ManifestError) -> Option<usize> {
+    match error {
+        ManifestError::MissingValue { line, .. }
+        | ManifestError::UnknownKey { line, .. }
+        | ManifestError::DuplicateKey { line, .. }
+        | ManifestError::InvalidValue { line, .. }
+        | ManifestError::UnknownStage { line, .. }
+        | ManifestError::UnknownSuite { line, .. }
+        | ManifestError::VariationRequired { line, .. }
+        | ManifestError::EmptyStages { line }
+        | ManifestError::SkipInitial { line } => Some(*line),
+        _ => None,
+    }
+}
+
+impl Settings {
+    /// The manifest these settings describe: the lines of the manifest
+    /// file, if any, followed by the line each flag stands for, parsed by
+    /// [`Manifest::parse`] as one text.
+    ///
+    /// # Errors
+    ///
+    /// [`CliError::Usage`] naming the flag as typed when a flag's line is
+    /// at fault, [`CliError::Manifest`] with the file's own line number
+    /// when a file line is, and [`CliError::Io`] when the file cannot be
+    /// read.
+    pub fn manifest(&self) -> Result<Manifest, CliError> {
+        let mut text = match &self.file {
+            Some(path) => read(path)?,
+            None => String::new(),
+        };
+        let file_lines = text.lines().count();
+        if !text.is_empty() && !text.ends_with('\n') {
+            text.push('\n');
+        }
+        for (_, line) in &self.lines {
+            text.push_str(line);
+            text.push('\n');
+        }
+        Manifest::parse(&text).map_err(|source| {
+            let flag = error_line(&source)
+                .and_then(|line| line.checked_sub(file_lines + 1))
+                .and_then(|index| self.lines.get(index));
+            match flag {
+                Some((flag, _)) => CliError::Usage(ArgError::setting(flag, source)),
+                None => CliError::Manifest {
+                    path: self.file.clone(),
+                    source,
+                },
+            }
+        })
     }
 }
 
@@ -474,22 +442,6 @@ fn load_solution(path: &str, tech: &Technology) -> Result<contango_core::ClockTr
     })
 }
 
-fn run_flow(instance: &ClockNetInstance, options: &FlowOptions) -> Result<FlowResult, CliError> {
-    let flow = ContangoFlow::new(technology_for(options), flow_config(options));
-    let pipeline = build_pipeline(options);
-    let mut progress = StderrProgress::new(instance.name.clone());
-    match &options.cache_dir {
-        None => Ok(flow.run_pipeline(&pipeline, instance, &mut progress)?),
-        Some(dir) => {
-            // Same result as the cold path, but stage/solve/construction
-            // results are served from (and written back to) the store.
-            let mut session = flow.session();
-            session.attach_cache(open_store(dir)?);
-            Ok(flow.run_in(&mut session, &pipeline, instance, &mut progress)?)
-        }
-    }
-}
-
 fn summary_block(instance: &ClockNetInstance, result: &FlowResult) -> String {
     format!(
         "benchmark {}\nsinks {}\nclr_ps {:.3}\nskew_ps {:.3}\nmax_latency_ps {:.3}\n\
@@ -509,17 +461,35 @@ fn summary_block(instance: &ClockNetInstance, result: &FlowResult) -> String {
     )
 }
 
+/// Runs the one Contango job the settings imply for the input, streaming
+/// per-stage progress to stderr. Construction fans out over
+/// `construct-threads` workers (serial by default); the result is
+/// bit-identical for every count.
 fn run(
     input: &str,
     solution_out: Option<&str>,
-    options: &FlowOptions,
-    format: ReportFormat,
+    settings: &Settings,
+    format: TableFormat,
 ) -> Result<String, CliError> {
+    let manifest = settings.manifest()?;
     let instance = load_instance(input)?;
-    let result = run_flow(&instance, options)?;
+    let job = manifest.job_for(&instance);
+    let pipeline = job.pipeline();
+    let flow = ContangoFlow::new(job.tech, job.config);
+    let mut progress = StderrProgress::new(instance.name.clone());
+    let result = match &manifest.cache_dir {
+        None => flow.run_pipeline(&pipeline, &instance, &mut progress)?,
+        Some(dir) => {
+            // Same result as the cold path, but stage/solve/construction
+            // results are served from (and written back to) the store.
+            let mut session = flow.session();
+            session.attach_cache(open_store(dir)?);
+            flow.run_in(&mut session, &pipeline, &instance, &mut progress)?
+        }
+    };
     let mut out = summary_block(&instance, &result);
     out.push('\n');
-    out.push_str(&render(&stage_table(&instance.name, &result), format));
+    out.push_str(&render_table(&stage_table(&instance.name, &result), format));
     if let Some(path) = solution_out {
         write(path, &write_solution(&result.tree))?;
         out.push_str(&format!("\nsolution written to {path}\n"));
@@ -578,123 +548,50 @@ fn campaign_progress(label: &str, total: usize) -> impl FnMut(&JobRecord) + Send
     }
 }
 
-/// The Contango job implied by the CLI flow options (same pipeline
-/// semantics as [`build_pipeline`]), built through the one
-/// [`Manifest::job_for`] path. Construction stays serial inside the job:
-/// under the campaign executor `--threads` shards whole flows, so N
-/// workers use N cores instead of oversubscribing them with a nested
-/// construction fan-out (results are bit-identical either way).
-fn contango_job(instance: &ClockNetInstance, options: &FlowOptions) -> Job {
-    manifest_from_options(options).job_for(instance)
-}
-
-fn compare(input: &str, options: &FlowOptions, format: ReportFormat) -> Result<String, CliError> {
-    let instance = load_instance(input)?;
-    let tech = technology_for(options);
-    // Contango and the three baselines are independent whole flows; the
-    // campaign executor runs them concurrently under `--threads`, and its
-    // fixed-order reduction keeps the report rows in the order the serial
-    // loop produced them.
-    let mut campaign = Campaign::new()
-        .threads(options.threads)
-        .push(contango_job(&instance, options));
-    if let Some(dir) = &options.cache_dir {
-        campaign = campaign.with_cache(open_store(dir)?);
-    }
-    for kind in BaselineKind::all() {
-        campaign = campaign.push(Job::baseline(kind, &tech, &instance));
-    }
+/// Runs Contango and every baseline on one instance: the manifest lines
+/// `instance file:INPUT` and `baselines all` after the flow settings.
+fn compare(settings: &Settings, format: TableFormat) -> Result<String, CliError> {
+    let campaign = settings
+        .manifest()?
+        .compile()
+        .map_err(|source| CliError::Manifest { path: None, source })?;
+    // The four whole flows run concurrently under `threads`; the
+    // campaign's fixed-order reduction keeps the rows in submission order.
     let total = campaign.len();
-    let result = campaign.run_streaming(campaign_progress(&instance.name, total));
+    let result = campaign.run_streaming(campaign_progress("compare", total));
     if let Some((_, error)) = result.failures().first() {
         return Err(CliError::Flow((*error).clone()));
     }
-    Ok(render(&result.comparison_table(), format))
+    Ok(render_table(&result.comparison_table(), format))
 }
 
-/// The [`ReportKind`] matching a CLI `--report` choice.
-fn report_kind(report: SuiteReport) -> ReportKind {
-    match report {
-        SuiteReport::Table => ReportKind::Table,
-        SuiteReport::Jsonl => ReportKind::Jsonl,
-        SuiteReport::Pareto => ReportKind::Pareto,
-        SuiteReport::FrontierJsonl => ReportKind::FrontierJsonl,
-    }
-}
-
-/// The [`TableFormat`] matching a CLI `--format` choice.
-fn table_format(format: ReportFormat) -> TableFormat {
-    match format {
-        ReportFormat::Text => TableFormat::Text,
-        ReportFormat::Markdown => TableFormat::Markdown,
-        ReportFormat::Csv => TableFormat::Csv,
-    }
-}
-
-/// The manifest a `suite` invocation describes: either the file named by
-/// `--manifest`, or the flag set desugared through
-/// [`manifest_from_options`]. Both spellings hit the same
-/// `Manifest -> Campaign -> suite_output` path from here on.
-fn suite_manifest(
-    manifest_path: Option<&str>,
-    name: &str,
-    baselines: &[BaselineKind],
-    options: &FlowOptions,
-) -> Result<Manifest, CliError> {
-    match manifest_path {
-        Some(path) => Manifest::parse(&read(path)?).map_err(|source| CliError::Manifest {
-            path: Some(path.to_string()),
+/// Runs the experiment the settings describe — in process, or through the
+/// distributed coordinator when `workers` or `dispatch` is set — and
+/// renders the requested report.
+fn suite(settings: &Settings, report: ReportKind, format: TableFormat) -> Result<String, CliError> {
+    let manifest = settings.manifest()?;
+    let path = settings.file.as_deref();
+    let label = path.unwrap_or("suite");
+    let result = if manifest.workers.is_some() || manifest.dispatch != DispatchMode::Local {
+        suite_distributed(&manifest, path, label)?
+    } else {
+        let campaign = manifest.compile().map_err(|source| CliError::Manifest {
+            path: path.map(str::to_string),
             source,
-        }),
-        None => {
-            let mut manifest = manifest_from_options(options);
-            manifest.sources = vec![InstanceSource::Suite(name.to_string())];
-            manifest.baselines = baselines.to_vec();
-            Ok(manifest)
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn suite(
-    manifest_path: Option<&str>,
-    name: &str,
-    baselines: &[BaselineKind],
-    options: &FlowOptions,
-    workers: Option<usize>,
-    dispatch: Option<&DispatchMode>,
-    report: SuiteReport,
-    format: ReportFormat,
-) -> Result<String, CliError> {
-    let mut manifest = suite_manifest(manifest_path, name, baselines, options)?;
-    // The CLI distribution flags layer on top of whatever the manifest
-    // says (they are the only suite flags allowed next to --manifest).
-    if let Some(n) = workers {
-        manifest.workers = Some(n);
-    }
-    if let Some(mode) = dispatch {
-        manifest.dispatch = mode.clone();
-    }
-    let label = manifest_path.unwrap_or(name);
-    if manifest.workers.is_some() || manifest.dispatch != DispatchMode::Local {
-        return suite_distributed(&manifest, manifest_path, label, report, format);
-    }
-    let campaign = manifest.compile().map_err(|source| CliError::Manifest {
-        path: manifest_path.map(str::to_string),
-        source,
-    })?;
-    let total = campaign.len();
-    let result = campaign.run_streaming(campaign_progress(label, total));
+        })?;
+        let total = campaign.len();
+        campaign.run_streaming(campaign_progress(label, total))
+    };
     // The hit/miss profile goes to stderr so the aggregate tables on
     // stdout stay byte-identical between cold and warm runs of the same
-    // suite (JSONL carries it as a per-job `cache` field instead).
+    // suite (JSONL carries it as a per-job `cache` field instead). Memory
+    // telemetry is advisory and allocation-history dependent (and only
+    // the coordinator's own under dist), so it stays off stdout too.
     if result.records.iter().any(|r| r.cache.is_some()) {
         eprint!("{}", result.cache_table().to_text());
     }
-    // Memory telemetry is advisory and allocation-history dependent, so
-    // like the cache profile it stays off stdout.
     eprintln!("[{label}] memory: {}", result.memory.display_line());
-    let output = suite_output(&result, report_kind(report), table_format(format));
+    let output = suite_output(&result, report, format);
     // The campaign reports failures per job and never aborts, but the
     // process exit status must still tell scripts something failed; the
     // binary prints `output` either way.
@@ -702,7 +599,7 @@ fn suite(
     if failed > 0 {
         return Err(CliError::SuiteFailures {
             failed,
-            total,
+            total: result.records.len(),
             output,
         });
     }
@@ -712,17 +609,15 @@ fn suite(
 /// Runs a suite through the distributed coordinator
 /// ([`contango_campaign::dist`]): local pipe workers are re-executions of
 /// this very binary as `worker --pipe`; `dispatch tcp:ADDR` listens for
-/// `worker --connect` processes instead. Output is byte-identical to the
-/// in-process path above for any worker count or failure pattern.
+/// `worker --connect` processes instead. The result is byte-identical to
+/// the in-process path for any worker count or failure pattern.
 fn suite_distributed(
     manifest: &Manifest,
-    manifest_path: Option<&str>,
+    path: Option<&str>,
     label: &str,
-    report: SuiteReport,
-    format: ReportFormat,
-) -> Result<String, CliError> {
+) -> Result<CampaignResult, CliError> {
     let manifest_error = |source| CliError::Manifest {
-        path: manifest_path.map(str::to_string),
+        path: path.map(str::to_string),
         source,
     };
     let mut config = DistConfig::default();
@@ -763,22 +658,7 @@ fn suite_distributed(
         lost = summary.workers_lost,
         requeues = summary.requeues,
     );
-    if result.records.iter().any(|r| r.cache.is_some()) {
-        eprint!("{}", result.cache_table().to_text());
-    }
-    // Coordinator-local memory telemetry (the workers are separate
-    // processes); advisory, so off stdout like the cache profile.
-    eprintln!("[{label}] memory: {}", result.memory.display_line());
-    let output = suite_output(&result, report_kind(report), table_format(format));
-    let failed = result.failures().len();
-    if failed > 0 {
-        return Err(CliError::SuiteFailures {
-            failed,
-            total,
-            output,
-        });
-    }
-    Ok(output)
+    Ok(result)
 }
 
 /// Runs one worker process until its coordinator drains it or the
@@ -915,8 +795,8 @@ fn query_response(response: Response) -> Result<String, CliError> {
 fn query(
     addr: &str,
     action: &QueryAction,
-    report: SuiteReport,
-    format: ReportFormat,
+    report: ReportKind,
+    format: TableFormat,
 ) -> Result<String, CliError> {
     let mut client = Client::connect(addr).map_err(|e| CliError::Connection {
         addr: addr.to_string(),
@@ -926,7 +806,7 @@ fn query(
         QueryAction::Run { manifest } => {
             let text = read(manifest)?;
             client
-                .run_manifest(&text, report_kind(report), table_format(format))
+                .run_manifest(&text, report, format)
                 .map_err(connection_error(addr))?
         }
         QueryAction::Ping => client.ping().map_err(connection_error(addr))?,
@@ -963,8 +843,8 @@ fn spice_deck(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use contango_core::topology::TopologyKind;
-    use contango_sim::DelayModel;
+    use contango_baselines::BaselineKind;
+    use contango_campaign::manifest::KEYS;
     use std::path::PathBuf;
 
     /// A scratch directory under the target dir, unique per test.
@@ -984,77 +864,189 @@ mod tests {
         path.to_string_lossy().into_owned()
     }
 
-    fn fast_options() -> FlowOptions {
-        FlowOptions {
-            fast: true,
-            ..FlowOptions::default()
+    fn command(list: &[&str]) -> Command {
+        let args: Vec<String> = list.iter().map(|s| s.to_string()).collect();
+        parse_args(&args).expect("parses")
+    }
+
+    /// The manifest a synthesis command's settings describe.
+    fn manifest_of(list: &[&str]) -> Result<Manifest, CliError> {
+        match command(list) {
+            Command::Run { settings, .. }
+            | Command::Compare { settings, .. }
+            | Command::Suite { settings, .. } => settings.manifest(),
+            other => panic!("unexpected command {other:?}"),
+        }
+    }
+
+    /// A valid and an invalid sample value for every manifest key. A key
+    /// added to the manifest without samples here fails the table test.
+    const SAMPLES: &[(&str, &str, &str)] = &[
+        ("technology", "ti45", "ti7"),
+        ("profile", "scalability", "slow"),
+        ("topology", "fishbone", "ring"),
+        ("model", "two-pole", "spice"),
+        ("large-inverters", "false", "maybe"),
+        ("stages", "twsn,TBSZ", "TBSZ,MESH"),
+        ("skip", "BWSN", "INITIAL"),
+        ("construct-threads", "0", "many"),
+        ("cache-dir", "store#1", ""),
+        ("threads", "4", "-1"),
+        ("suite", "ispd09", "ispd10"),
+        ("instance", "stress:500:7:ring", "socket:9"),
+        ("baselines", "dme-no-tuning,wiresizing-only", "ntu2009"),
+        ("corners", "slow,low-vdd", "typical"),
+        ("variation", "0.1,0.2,0.3,0.04,1", "0.1,0.2"),
+        ("samples", "3", "0"),
+        ("seed", "0xBEEF", "-3"),
+        ("workers", "2", "0"),
+        ("dispatch", "tcp:127.0.0.1:7979", "carrier-pigeon"),
+    ];
+
+    #[test]
+    fn every_manifest_key_as_a_flag_is_its_manifest_line() {
+        for key in KEYS {
+            let &(_, valid, invalid) = SAMPLES
+                .iter()
+                .find(|(sampled, ..)| sampled == key)
+                .unwrap_or_else(|| panic!("no sample values for manifest key `{key}`"));
+            let flag = format!("--{key}");
+            // `samples` and `seed` need a model to sample, so every key
+            // but `variation` itself is given one.
+            let (context, prefix): (&[&str], &str) = if *key == "variation" {
+                (&[], "")
+            } else {
+                (&["--variation", "typical-45nm"], "variation typical-45nm\n")
+            };
+            let mut list = vec!["suite"];
+            list.extend(context);
+            list.extend([flag.as_str(), valid]);
+            assert_eq!(
+                manifest_of(&list).expect("valid sample"),
+                Manifest::parse(&format!("{prefix}{key} {valid}\n")).expect("valid line"),
+                "{key}"
+            );
+            let err = manifest_of(&["suite", &flag, invalid]).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{key}: {err:?}");
+            assert!(
+                err.to_string().contains(&format!("`{flag}`")),
+                "{key}: {err}"
+            );
         }
     }
 
     #[test]
-    fn flow_config_reflects_cli_options() {
-        let options = FlowOptions {
-            fast: true,
-            large_inverters: true,
-            topology: TopologyKind::GreedyMatching,
-            model: DelayModel::TwoPole,
-            threads: 8,
-            ..FlowOptions::default()
-        };
-        let config = flow_config(&options);
-        assert!(config.use_large_inverters);
-        assert_eq!(config.topology, TopologyKind::GreedyMatching);
-        assert_eq!(config.model, DelayModel::TwoPole);
+    fn value_errors_name_the_flag_not_a_line() {
+        let err = manifest_of(&["compare", "--input", "a", "--threads", "many"]).unwrap_err();
+        assert_eq!(err.to_string(), "invalid value `many` for `--threads`");
+        // Where the old flag parser disagreed, the manifest rule wins: an
+        // empty value is a missing one.
+        let err = manifest_of(&["run", "--input", "a", "--skip", ""]).unwrap_err();
+        assert_eq!(err.to_string(), "`--skip`: key `skip` has no value");
+        let err = manifest_of(&["suite", "--threads", "2", "--threads", "4"]).unwrap_err();
         assert_eq!(
-            config.parallel,
-            contango_core::ParallelConfig::with_threads(8)
+            err.to_string(),
+            "`--threads`: key `threads` is given more than once"
         );
+        let err = manifest_of(&["suite", "--fast", "--profile", "default"]).unwrap_err();
+        assert!(err.to_string().starts_with("`--profile`:"), "{err}");
+        let err = manifest_of(&["suite", "--seed", "7"]).unwrap_err();
         assert_eq!(
-            config.wiresizing_rounds,
-            FlowConfig::fast().wiresizing_rounds
+            err.to_string(),
+            "`--seed`: `seed` needs a `variation` model to sample"
         );
     }
 
     #[test]
-    fn pipeline_reflects_stage_selection() {
-        let options = FlowOptions {
-            stages: Some(vec!["TBSZ".to_string(), "TWSZ".to_string()]),
-            ..fast_options()
-        };
+    fn shorthands_stand_for_their_manifest_lines() {
+        let manifest =
+            manifest_of(&["run", "--input", "a", "--fast", "--large-inverters"]).expect("parses");
         assert_eq!(
-            build_pipeline(&options).acronyms(),
-            ["INITIAL", "TBSZ", "TWSZ"]
+            manifest,
+            Manifest::parse("profile fast\ntechnology ti45\nlarge-inverters true\n")
+                .expect("parses")
         );
-        let options = FlowOptions {
-            skip: vec!["TWSN".to_string(), "BWSN".to_string()],
-            ..fast_options()
-        };
-        assert_eq!(
-            build_pipeline(&options).acronyms(),
-            ["INITIAL", "TBSZ", "TWSZ"]
-        );
-        assert_eq!(
-            build_pipeline(&fast_options()).acronyms(),
-            ["INITIAL", "TBSZ", "TWSZ", "TWSN", "BWSN"]
-        );
+        assert!(manifest.flow_config().use_large_inverters);
     }
 
     #[test]
-    fn stage_selection_honors_the_listed_order() {
-        let options = FlowOptions {
-            stages: Some(vec!["TWSN".to_string(), "TWSZ".to_string()]),
-            ..fast_options()
+    fn stage_flags_select_the_pipeline_in_the_listed_order() {
+        let instance = make_instance(&ispd09_suite()[6]);
+        let pipeline = |list: &[&str]| {
+            let mut full = vec!["run", "--input", "a", "--fast"];
+            full.extend(list);
+            let manifest = manifest_of(&full).expect("parses");
+            let pipeline = manifest.job_for(&instance).pipeline();
+            pipeline.acronyms().join(",")
         };
-        assert_eq!(
-            build_pipeline(&options).acronyms(),
-            ["INITIAL", "TWSN", "TWSZ"]
-        );
+        assert_eq!(pipeline(&[]), "INITIAL,TBSZ,TWSZ,TWSN,BWSN");
+        assert_eq!(pipeline(&["--stages", "TWSN,TWSZ"]), "INITIAL,TWSN,TWSZ");
+        assert_eq!(pipeline(&["--skip", "TWSN,BWSN"]), "INITIAL,TBSZ,TWSZ");
         // Listing INITIAL explicitly neither duplicates nor moves it.
-        let options = FlowOptions {
-            stages: Some(vec!["BWSN".to_string(), "INITIAL".to_string()]),
-            ..fast_options()
-        };
-        assert_eq!(build_pipeline(&options).acronyms(), ["INITIAL", "BWSN"]);
+        assert_eq!(pipeline(&["--stages", "BWSN,INITIAL"]), "INITIAL,BWSN");
+    }
+
+    #[test]
+    fn manifest_file_lines_come_before_flag_lines() {
+        let dir = scratch("append");
+        let file = dir.join("exp.manifest");
+        let path = file.to_string_lossy().into_owned();
+        fs::write(&file, "# two workers\ninstance ti:6\nworkers 2\n").expect("write manifest");
+        // Flags add the keys the file leaves out, and their sources come
+        // after the file's.
+        assert_eq!(
+            manifest_of(&[
+                "suite",
+                "--manifest",
+                &path,
+                "--instance",
+                "ti:9",
+                "--dispatch",
+                "tcp:127.0.0.1:7979",
+            ])
+            .expect("parses"),
+            Manifest::parse(
+                "instance ti:6\nworkers 2\ninstance ti:9\ndispatch tcp:127.0.0.1:7979\n"
+            )
+            .expect("parses")
+        );
+        // A key set in both places is the manifest's duplicate-key error,
+        // reported against the flag and as a usage error.
+        let err = manifest_of(&["suite", "--manifest", &path, "--workers", "3"]).unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                CliError::Usage(ArgError::Setting {
+                    flag,
+                    source: ManifestError::DuplicateKey { .. },
+                }) if flag == "--workers"
+            ),
+            "{err:?}"
+        );
+        // An error in the file keeps the file's path and line number, with
+        // or without a final newline.
+        for text in [
+            "instance ti:6\nthreads many\n",
+            "instance ti:6\nthreads many",
+        ] {
+            fs::write(&file, text).expect("write manifest");
+            let err = manifest_of(&["suite", "--manifest", &path, "--fast"]).unwrap_err();
+            assert_eq!(
+                err,
+                CliError::Manifest {
+                    path: Some(path.clone()),
+                    source: ManifestError::InvalidValue {
+                        line: 2,
+                        key: "threads".to_string(),
+                        value: "many".to_string(),
+                    },
+                }
+            );
+        }
+        fs::write(&file, "instance ti:6").expect("write manifest");
+        let err = manifest_of(&["suite", "--manifest", &path, "--topology", "ring"]).unwrap_err();
+        assert_eq!(err.to_string(), "invalid value `ring` for `--topology`");
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1062,8 +1054,8 @@ mod tests {
         let out = execute(&Command::Help).expect("help");
         assert!(out.contains("contango-cts"));
         assert!(out.contains("spice-deck"));
-        assert!(out.contains("--stages"));
-        assert!(out.contains("suite (--suite ispd09 | --manifest <file>)"));
+        assert!(out.contains("--KEY VALUE"));
+        assert!(out.contains("suite [--manifest <file>]"));
         assert!(out.contains("--baselines"));
         assert!(out.contains("serve"));
         assert!(out.contains("query --addr"));
@@ -1076,12 +1068,14 @@ mod tests {
         let solution_path = dir.join("small.tree").to_string_lossy().into_owned();
 
         // run
-        let run_out = execute(&Command::Run {
-            input: instance_path.clone(),
-            solution_out: Some(solution_path.clone()),
-            flow: fast_options(),
-            format: ReportFormat::Text,
-        })
+        let run_out = execute(&command(&[
+            "run",
+            "--input",
+            &instance_path,
+            "--solution-out",
+            &solution_path,
+            "--fast",
+        ]))
         .expect("run succeeds");
         assert!(run_out.contains("clr_ps"));
         assert!(run_out.contains("INITIAL"));
@@ -1117,15 +1111,14 @@ mod tests {
     fn run_with_stage_selection_reports_only_those_stages() {
         let dir = scratch("stage-selection");
         let instance_path = small_instance_file(&dir);
-        let out = execute(&Command::Run {
-            input: instance_path,
-            solution_out: None,
-            flow: FlowOptions {
-                stages: Some(vec!["TWSZ".to_string()]),
-                ..fast_options()
-            },
-            format: ReportFormat::Text,
-        })
+        let out = execute(&command(&[
+            "run",
+            "--input",
+            &instance_path,
+            "--fast",
+            "--stages",
+            "TWSZ",
+        ]))
         .expect("run succeeds");
         assert!(out.contains("INITIAL"));
         assert!(out.contains("TWSZ"));
@@ -1155,11 +1148,16 @@ mod tests {
     fn compare_reports_contango_and_every_baseline() {
         let dir = scratch("compare");
         let instance_path = small_instance_file(&dir);
-        let out = execute(&Command::Compare {
-            input: instance_path,
-            flow: fast_options(),
-            format: ReportFormat::Csv,
-        })
+        let out = execute(&command(&[
+            "compare",
+            "--input",
+            &instance_path,
+            "--fast",
+            "--threads",
+            "2",
+            "--format",
+            "csv",
+        ]))
         .expect("compare succeeds");
         assert!(out.contains("contango"));
         for kind in BaselineKind::all() {
@@ -1169,70 +1167,36 @@ mod tests {
     }
 
     #[test]
-    fn variation_flags_desugar_to_the_manifest_spelling() {
-        use contango_campaign::CornerKind;
-        use contango_sim::VariationModel;
-        let dir = scratch("desugar");
-        let flow = FlowOptions {
-            fast: true,
-            corners: vec![CornerKind::Slow, CornerKind::LowVdd],
-            variation: Some(VariationModel::typical_45nm()),
-            samples: Some(2),
-            seed: Some(0xBEEF),
-            ..FlowOptions::default()
-        };
-        let flagged =
-            suite_manifest(None, "ispd09", &[BaselineKind::DmeNoTuning], &flow).expect("desugars");
-        let path = dir.join("suite.manifest");
-        fs::write(&path, flagged.to_text()).expect("write manifest");
-        let path = path.to_string_lossy().into_owned();
-        let parsed = suite_manifest(Some(&path), "", &[], &FlowOptions::default()).expect("parses");
-        // Identical manifests compile identical campaigns, so the two
-        // invocation spellings produce byte-identical reports from here on.
-        assert_eq!(parsed, flagged);
-        assert_eq!(parsed.to_text(), flagged.to_text());
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn multi_corner_reports_are_byte_identical_across_threads() {
         let dir = scratch("pareto-cli");
-        let axes = "baselines dme-no-tuning\ncorners slow,low-vdd\nvariation typical-45nm\n\
-                    samples 2\nseed 7\n";
-        let run = |name: &str, threads: usize, report: SuiteReport| {
-            let text = format!(
-                "instance ti:6\nprofile fast\nmodel elmore\nskip BWSN\nthreads {threads}\n{axes}"
-            );
-            let path = dir.join(name);
-            fs::write(&path, text).expect("write manifest");
-            let path = path.to_string_lossy().into_owned();
-            suite(
-                Some(&path),
-                "",
-                &[],
-                &FlowOptions::default(),
-                None,
-                None,
+        let file = dir.join("axes.manifest");
+        fs::write(
+            &file,
+            "instance ti:6\nprofile fast\nmodel elmore\nskip BWSN\nbaselines dme-no-tuning\n\
+             corners slow,low-vdd\nvariation typical-45nm\nsamples 2\nseed 7\n",
+        )
+        .expect("write manifest");
+        let path = file.to_string_lossy().into_owned();
+        let run = |threads: &str, report: &str| {
+            execute(&command(&[
+                "suite",
+                "--manifest",
+                &path,
+                "--threads",
+                threads,
+                "--report",
                 report,
-                ReportFormat::Text,
-            )
+            ]))
             .expect("suite runs")
         };
-        for report in [
-            SuiteReport::Table,
-            SuiteReport::Jsonl,
-            SuiteReport::Pareto,
-            SuiteReport::FrontierJsonl,
-        ] {
-            let serial = run("t1.manifest", 1, report);
-            let sharded = run("t2.manifest", 2, report);
-            assert_eq!(serial, sharded, "report {report:?}");
+        for report in ["table", "jsonl", "pareto", "frontier-jsonl"] {
+            assert_eq!(run("1", report), run("2", report), "report {report}");
         }
-        let table = run("t1.manifest", 1, SuiteReport::Table);
+        let table = run("1", "table");
         assert!(table.contains("skew@slow (ps)"), "table: {table}");
         assert!(table.contains("skew@low-vdd (ps)"), "table: {table}");
         assert!(table.contains("MC worst skew (ps)"), "table: {table}");
-        let frontier = run("t1.manifest", 1, SuiteReport::FrontierJsonl);
+        let frontier = run("1", "frontier-jsonl");
         assert!(frontier.contains("\"worst_skew_ps\":"), "jsonl: {frontier}");
         assert!(frontier.ends_with('\n'), "jsonl: {frontier}");
         fs::remove_dir_all(&dir).ok();
@@ -1240,14 +1204,14 @@ mod tests {
 
     #[test]
     fn missing_files_are_reported() {
-        let err = execute(&Command::Run {
-            input: "/nonexistent/bench.cts".to_string(),
-            solution_out: None,
-            flow: fast_options(),
-            format: ReportFormat::Text,
-        })
-        .unwrap_err();
-        assert!(err.to_string().contains("cannot read"));
+        for list in [
+            &["run", "--input", "/nonexistent/bench.cts"][..],
+            &["compare", "--input", "/nonexistent/bench.cts"],
+            &["suite", "--manifest", "/nonexistent/exp.manifest"],
+        ] {
+            let err = execute(&command(list)).unwrap_err();
+            assert!(err.to_string().contains("cannot read"), "{list:?}: {err}");
+        }
         let err = execute(&Command::Evaluate {
             instance: "/nonexistent/bench.cts".to_string(),
             solution: "/nonexistent/sol.tree".to_string(),

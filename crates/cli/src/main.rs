@@ -17,6 +17,11 @@ fn main() -> ExitCode {
             print!("{output}");
             ExitCode::SUCCESS
         }
+        // A settings flag the manifest parser rejects is a usage error too.
+        Err(CliError::Usage(error)) => {
+            eprintln!("{error}");
+            ExitCode::from(2)
+        }
         // Per-job suite failures still produced a report: print it, then
         // fail so scripts notice.
         Err(error @ CliError::SuiteFailures { .. }) => {
