@@ -9,8 +9,9 @@
 //! the aggregate reports are byte-identical to a serial in-process run for
 //! any worker count, placement, failure pattern, or cache state.
 //!
-//! Dispatch is longest-job-first ([`crate::job::Job::cost`]), the same
-//! policy as the in-process pool. Worker death is detected three ways —
+//! Dispatch is longest-job-first ([`crate::job::Job::cost`]), in the
+//! order the in-process pool uses; a requeued job goes back to its place
+//! in that order. Worker death is detected three ways —
 //! closed transport, malformed frame, heartbeat timeout — and the dead
 //! worker's in-flight jobs are requeued against a bounded per-job retry
 //! budget. A job that exhausts the budget fails the whole run with
@@ -24,11 +25,11 @@
 
 use crate::job::Job;
 use crate::manifest::{Manifest, ManifestError};
-use crate::protocol::{CoordFrame, WorkerFrame, DIST_PROTOCOL};
-use crate::runner::{CampaignResult, JobRecord, MemoryProfile};
+use crate::protocol::{read_line, write_line, CoordFrame, WorkerFrame, DIST_PROTOCOL};
+use crate::runner::{dispatch_order, CampaignResult, JobRecord, MemoryProfile};
 use std::collections::HashMap;
 use std::fmt;
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::TcpListener;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -195,18 +196,8 @@ enum Event {
 /// coordinator treats a worker that stops speaking the protocol as dead).
 fn pump_frames(id: usize, reader: impl Read, events: &Sender<Event>) {
     let mut reader = BufReader::new(reader);
-    loop {
-        let mut line = String::new();
-        match reader.read_line(&mut line) {
-            Ok(0) | Err(_) => break,
-            Ok(_) if !line.ends_with('\n') => break,
-            Ok(_) => {}
-        }
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        let Ok(frame) = WorkerFrame::decode(trimmed) else {
+    while let Ok(Some(line)) = read_line(&mut reader) {
+        let Ok(frame) = WorkerFrame::decode(&line) else {
             break;
         };
         if events.send(Event::Frame(id, frame)).is_err() {
@@ -214,13 +205,6 @@ fn pump_frames(id: usize, reader: impl Read, events: &Sender<Event>) {
         }
     }
     let _ = events.send(Event::Gone(id));
-}
-
-fn write_frame(writer: &mut dyn Write, frame: &CoordFrame) -> io::Result<()> {
-    let mut line = frame.encode();
-    line.push('\n');
-    writer.write_all(line.as_bytes())?;
-    writer.flush()
 }
 
 /// Runs the manifest's campaign across worker processes and reduces the
@@ -314,12 +298,18 @@ where
         }
     }
 
+    let order = dispatch_order(&jobs);
+    let mut rank = vec![0; jobs.len()];
+    for (r, &ji) in order.iter().enumerate() {
+        rank[ji] = r;
+    }
     let mut coordinator = Coordinator {
         jobs: &jobs,
         config,
         on_record: &mut on_record,
         workers: HashMap::new(),
-        pending: dispatch_order(&jobs),
+        pending: order.into_iter().rev().collect(),
+        rank,
         attempts: vec![0; jobs.len()],
         done: vec![false; jobs.len()],
         records: (0..jobs.len()).map(|_| None).collect(),
@@ -337,7 +327,7 @@ where
     // stop accepting, and let detached reader threads exit on EOF.
     stop_accepting.store(true, Ordering::Relaxed);
     for (_, state) in coordinator.workers.iter_mut() {
-        let _ = write_frame(state.writer.as_mut(), &CoordFrame::Drain);
+        let _ = write_line(state.writer.as_mut(), CoordFrame::Drain.encode());
     }
     for (_, mut state) in coordinator.workers.drain() {
         if outcome.is_ok() {
@@ -378,16 +368,6 @@ where
 
     let (result, summary) = outcome?;
     Ok((result, summary))
-}
-
-/// The initial dispatch queue: job indices sorted so `pop()` yields the
-/// highest-cost job, ties broken by lowest submission index — the same
-/// longest-first policy as the in-process pool.
-fn dispatch_order(jobs: &[Job]) -> Vec<usize> {
-    let costs: Vec<u64> = jobs.iter().map(Job::cost).collect();
-    let mut order: Vec<usize> = (0..jobs.len()).collect();
-    order.sort_by_key(|&i| (costs[i], std::cmp::Reverse(i)));
-    order
 }
 
 fn spawn_pipe_worker(
@@ -465,9 +445,11 @@ struct Coordinator<'a> {
     config: &'a DistConfig,
     on_record: &'a mut dyn FnMut(&JobRecord),
     workers: HashMap<usize, WorkerState>,
-    /// Pending job indices, sorted ascending by (cost, reverse index) so
-    /// `pop()` is longest-first.
+    /// Pending job indices in reverse dispatch order, so `pop()` yields
+    /// the next job.
     pending: Vec<usize>,
+    /// Each job's position in the dispatch order.
+    rank: Vec<usize>,
     attempts: Vec<usize>,
     done: Vec<bool>,
     records: Vec<Option<JobRecord>>,
@@ -559,7 +541,7 @@ impl Coordinator<'_> {
                     protocol: DIST_PROTOCOL,
                     manifest: self.manifest_text.clone(),
                 };
-                if write_frame(state.writer.as_mut(), &init).is_err() {
+                if write_line(state.writer.as_mut(), init.encode()).is_err() {
                     return self.remove_worker(id);
                 }
                 state.ready = true;
@@ -649,11 +631,8 @@ impl Coordinator<'_> {
             }
             self.summary.requeues += 1;
         }
-        let costs_key = |&i: &usize| (self.jobs[i].cost(), std::cmp::Reverse(i));
-        let at = self
-            .pending
-            .binary_search_by_key(&costs_key(&ji), costs_key)
-            .unwrap_or_else(|pos| pos);
+        let rank = &self.rank;
+        let at = self.pending.partition_point(|&i| rank[i] > rank[ji]);
         self.pending.insert(at, ji);
         Ok(())
     }
@@ -685,7 +664,7 @@ impl Coordinator<'_> {
             self.next_seq += 1;
             let frame = CoordFrame::Assign { seq, job: ji };
             let state = self.workers.get_mut(&id).expect("checked above");
-            if write_frame(state.writer.as_mut(), &frame).is_ok() {
+            if write_line(state.writer.as_mut(), frame.encode()).is_ok() {
                 state.in_flight.insert(seq, ji);
             } else {
                 // The worker died before receiving the assignment: the job
@@ -700,29 +679,6 @@ impl Coordinator<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn dispatch_order_is_longest_first_with_submission_tiebreak() {
-        let manifest = Manifest::parse(
-            "instance ti:6\ninstance ti:30\ninstance ti:9\nbaselines dme-no-tuning\n",
-        )
-        .expect("parses");
-        let jobs = manifest.compile().expect("compiles").jobs().to_vec();
-        let mut order = dispatch_order(&jobs);
-        // pop() order: strictly non-increasing cost; equal costs keep
-        // submission order.
-        let mut last: Option<(u64, usize)> = None;
-        while let Some(ji) = order.pop() {
-            let cost = jobs[ji].cost();
-            if let Some((prev_cost, prev_ji)) = last {
-                assert!(cost <= prev_cost);
-                if cost == prev_cost {
-                    assert!(ji > prev_ji);
-                }
-            }
-            last = Some((cost, ji));
-        }
-    }
 
     #[test]
     fn empty_manifests_need_no_workers() {

@@ -27,7 +27,9 @@ pub enum JsonValue {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number.
+    /// A non-negative integer literal that fits a `u64`, kept exact.
+    Integer(u64),
+    /// Any other JSON number.
     Number(f64),
     /// A string literal, unescaped.
     String(String),
@@ -82,20 +84,20 @@ impl JsonValue {
         }
     }
 
-    /// The numeric payload, if this is a number.
+    /// The numeric payload, if this is a number (integers round to the
+    /// nearest `f64`, exactly as parsing their literal would).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            JsonValue::Integer(n) => Some(*n as f64),
             JsonValue::Number(n) => Some(*n),
             _ => None,
         }
     }
 
-    /// The numeric payload as a non-negative integer, if it is one exactly.
+    /// The exact value of a non-negative integer literal.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            JsonValue::Number(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
+            JsonValue::Integer(n) => Some(*n),
             _ => None,
         }
     }
@@ -401,8 +403,10 @@ impl<'a> Parser<'a> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .expect("number bytes are ASCII digits and punctuation");
-        text.parse::<f64>()
-            .map(JsonValue::Number)
+        // `u64` parsing accepts exactly the digit-only literals that fit.
+        text.parse()
+            .map(JsonValue::Integer)
+            .or_else(|_| text.parse().map(JsonValue::Number))
             .map_err(|_| JsonError {
                 offset: start,
                 kind: JsonErrorKind::InvalidNumber,
@@ -427,6 +431,21 @@ mod tests {
             JsonValue::parse("\"a\\n\\\"b\\\"\"").unwrap(),
             JsonValue::String("a\n\"b\"".to_string())
         );
+    }
+
+    #[test]
+    fn integers_above_2_pow_53_decode_exactly() {
+        for n in [(1_u64 << 53) + 1, u64::MAX] {
+            let value = JsonValue::parse(&n.to_string()).unwrap();
+            assert_eq!(value.as_u64(), Some(n));
+            assert_eq!(value.as_f64(), Some(n as f64));
+        }
+        // Past u64::MAX, and anything signed or fractional, is a float.
+        let past = JsonValue::parse("18446744073709551616").unwrap();
+        assert_eq!(past, JsonValue::Number(18446744073709551616.0));
+        for text in ["-1", "-0", "1.0", "1e3"] {
+            assert_eq!(JsonValue::parse(text).unwrap().as_u64(), None, "{text}");
+        }
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! One line per job. Only deterministic fields are emitted — wall-clock
 //! runtime is deliberately absent — so the JSONL stream from the same job
 //! matrix is bit-identical for any worker count, and two streams differ
-//! only in line order (sort lines for a canonical comparison).
+//! only in line order (sort lines for a canonical comparison). The same
+//! encoder writes the dist protocol's wire record ([`crate::protocol`]),
+//! which adds the fields reports leave out.
 //!
 //! The workspace's vendored `serde` is a no-op stand-in, so the encoder is
 //! hand-rolled; floats use Rust's shortest round-trip `Display`, which is
@@ -56,7 +58,7 @@ pub(crate) fn variation_model_into(out: &mut String, model: &VariationModel) {
 
 /// Encodes the per-corner metrics array (omitted entirely when empty, so
 /// corner-less records stay byte-identical to older streams).
-pub(crate) fn corners_into(out: &mut String, corners: &[CornerMetrics]) {
+fn corners_into(out: &mut String, corners: &[CornerMetrics]) {
     if corners.is_empty() {
         return;
     }
@@ -78,7 +80,7 @@ pub(crate) fn corners_into(out: &mut String, corners: &[CornerMetrics]) {
 
 /// Encodes the Monte-Carlo variation block (omitted when the job carried no
 /// variation axis).
-pub(crate) fn variation_into(out: &mut String, variation: &VariationMetrics) {
+fn variation_into(out: &mut String, variation: &VariationMetrics) {
     out.push_str(",\"variation\":{\"model\":");
     variation_model_into(out, &variation.model);
     let _ = write!(
@@ -99,13 +101,25 @@ pub(crate) fn variation_into(out: &mut String, variation: &VariationMetrics) {
     );
 }
 
-/// Renders one job record as a single JSON object (no trailing newline).
+/// Renders one job record as its report line: a single JSON object (no
+/// trailing newline) of deterministic fields only.
 pub fn record_line(record: &JobRecord) -> String {
     let mut out = String::new();
+    record_into(&mut out, record, false);
+    out
+}
+
+/// Encodes a job record as one JSON object. The report form is
+/// [`record_line`]; the `wire` form (the dist protocol's `job-done`
+/// record) adds the fields reports leave out — wall-clock `runtime_s`
+/// after `spice_runs`, and per stage `max_latency_ps`, `total_cap`,
+/// `wirelength_um` and `slew_violation` — so the record survives the wire
+/// bit for bit.
+pub(crate) fn record_into(out: &mut String, record: &JobRecord, wire: bool) {
     out.push('{');
-    push_str_field(&mut out, "benchmark", &record.benchmark);
+    push_str_field(out, "benchmark", &record.benchmark);
     out.push(',');
-    push_str_field(&mut out, "tool", &record.tool);
+    push_str_field(out, "tool", &record.tool);
     let _ = write!(out, ",\"sinks\":{}", record.sinks);
     match &record.outcome {
         Ok(metrics) => {
@@ -116,28 +130,43 @@ pub fn record_line(record: &JobRecord) -> String {
                  \"cap_pct\":{},\"wirelength_um\":{},\"buffers\":{},\"spice_runs\":{}",
                 s.clr, s.skew, s.max_latency, s.cap_pct, s.wirelength, s.buffers, s.spice_runs
             );
+            if wire {
+                let _ = write!(out, ",\"runtime_s\":{}", s.runtime_s);
+            }
             out.push_str(",\"stages\":[");
             for (i, snapshot) in metrics.snapshots.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
                 out.push('{');
-                push_str_field(&mut out, "stage", &snapshot.stage);
+                push_str_field(out, "stage", &snapshot.stage);
                 let _ = write!(
                     out,
-                    ",\"clr_ps\":{},\"skew_ps\":{}}}",
+                    ",\"clr_ps\":{},\"skew_ps\":{}",
                     snapshot.clr, snapshot.skew
                 );
+                if wire {
+                    let _ = write!(
+                        out,
+                        ",\"max_latency_ps\":{},\"total_cap\":{},\"wirelength_um\":{},\
+                         \"slew_violation\":{}",
+                        snapshot.max_latency,
+                        snapshot.total_cap,
+                        snapshot.wirelength,
+                        snapshot.slew_violation
+                    );
+                }
+                out.push('}');
             }
             out.push(']');
-            corners_into(&mut out, &metrics.corners);
+            corners_into(out, &metrics.corners);
             if let Some(variation) = &metrics.variation {
-                variation_into(&mut out, variation);
+                variation_into(out, variation);
             }
         }
         Err(error) => {
             out.push_str(",\"status\":\"error\",");
-            push_str_field(&mut out, "error", &error.to_string());
+            push_str_field(out, "error", &error.to_string());
         }
     }
     if let Some(cache) = &record.cache {
@@ -148,7 +177,6 @@ pub fn record_line(record: &JobRecord) -> String {
         );
     }
     out.push('}');
-    out
 }
 
 #[cfg(test)]

@@ -34,7 +34,7 @@
 //! Worker → coordinator ([`WorkerFrame`]):
 //!
 //! ```text
-//! {"frame":"hello","protocol":1,"slots":2,"name":"w0"}
+//! {"frame":"hello","protocol":2,"slots":2,"name":"w0"}
 //! {"frame":"job-done","seq":12,"record":{"benchmark":"r1","tool":"contango",...}}
 //! {"frame":"job-failed","seq":12,"message":"assignment references job 99 of 28"}
 //! {"frame":"heartbeat"}
@@ -43,23 +43,29 @@
 //! Coordinator → worker ([`CoordFrame`]):
 //!
 //! ```text
-//! {"frame":"init","protocol":1,"manifest":"suite ispd09\n..."}
+//! {"frame":"init","protocol":2,"manifest":"suite ispd09\n..."}
 //! {"frame":"assign","seq":12,"job":3}
 //! {"frame":"drain"}
 //! ```
 //!
-//! `job-done` carries the **full-fidelity** job record — every summary and
-//! stage field including wall-clock `runtime_s`, unlike the deliberately
-//! wall-clock-free report JSONL of [`crate::jsonl`]. All floats are encoded
-//! with Rust's shortest-round-trip `Display` and parsed back with
-//! `str::parse::<f64>`, so a record survives the wire bit-identically and
-//! the coordinator's aggregate reports match a serial in-process run byte
-//! for byte. Job-level flow errors cross as their rendered message and are
-//! reconstructed as [`CoreError::Remote`], whose `Display` is the message
-//! verbatim — failure tables and JSONL stay byte-identical too.
+//! `job-done` carries the report JSONL record of [`crate::jsonl`] plus the
+//! fields reports leave out: wall-clock `runtime_s` after `spice_runs`,
+//! and per stage `max_latency_ps`, `total_cap`, `wirelength_um` and
+//! `slew_violation`. All floats are encoded with Rust's
+//! shortest-round-trip `Display` and parsed back with `str::parse::<f64>`,
+//! and integers decode exactly, so a record survives the wire
+//! bit-identically and the coordinator's aggregate reports match a serial
+//! in-process run byte for byte. Job-level flow errors cross as their
+//! rendered message and are reconstructed as [`CoreError::Remote`], whose
+//! `Display` is the message verbatim — failure tables and JSONL stay
+//! byte-identical too.
+//!
+//! Every dist peer and the serve client frame their streams the same way:
+//! one frame per `\n`-terminated line, blank lines skipped, and a final
+//! line without its `\n` is a torn frame that ends the stream.
 
 use crate::json::{JsonError, JsonValue};
-use crate::jsonl::{corners_into, escape_into, variation_into};
+use crate::jsonl::{escape_into, record_into};
 use crate::manifest::ManifestError;
 use crate::output::{ReportKind, TableFormat};
 use crate::runner::{CornerMetrics, JobMetrics, JobRecord, VariationMetrics};
@@ -69,6 +75,7 @@ use contango_core::flow::StageSnapshot;
 use contango_sim::{CacheCounters, VariationModel};
 use std::fmt;
 use std::fmt::Write as _;
+use std::io::{self, BufRead, Write};
 
 /// A client-chosen request correlator, echoed verbatim in the response.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -189,16 +196,34 @@ pub struct RequestError {
     pub error: ServerError,
 }
 
+/// Reads the next non-blank NDJSON frame line. `Ok(None)` means the stream
+/// ended: EOF, or a torn final line without its `\n`.
+pub(crate) fn read_line(reader: &mut impl BufRead) -> io::Result<Option<String>> {
+    loop {
+        let mut line = String::new();
+        if reader.read_line(&mut line)? == 0 || !line.ends_with('\n') {
+            return Ok(None);
+        }
+        if !line.trim().is_empty() {
+            return Ok(Some(line));
+        }
+    }
+}
+
+/// Writes one encoded frame as a line and flushes it.
+pub(crate) fn write_line(writer: &mut (impl Write + ?Sized), mut frame: String) -> io::Result<()> {
+    frame.push('\n');
+    writer.write_all(frame.as_bytes())?;
+    writer.flush()
+}
+
 /// Reads an `id` field as a [`RequestId`].
 fn decode_id(value: &JsonValue) -> Result<RequestId, ServerError> {
     match value {
         JsonValue::String(s) => Ok(RequestId::Text(s.clone())),
-        JsonValue::Number(_) => value.as_u64().map(RequestId::Number).ok_or_else(|| {
+        _ => value.as_u64().map(RequestId::Number).ok_or_else(|| {
             ServerError::Invalid("`id` must be a non-negative integer or a string".to_string())
         }),
-        _ => Err(ServerError::Invalid(
-            "`id` must be a non-negative integer or a string".to_string(),
-        )),
     }
 }
 
@@ -516,7 +541,7 @@ fn decode_cache_field(frame: &JsonValue) -> Result<Option<CacheCounters>, Server
 /// Version of the distributed-campaign frame protocol. Workers announce it
 /// in `hello`, the coordinator in `init`; either side drops a mismatched
 /// peer instead of guessing.
-pub const DIST_PROTOCOL: u64 = 1;
+pub const DIST_PROTOCOL: u64 = 2;
 
 fn require_u64(frame: &JsonValue, key: &str, kind: &str) -> Result<u64, ServerError> {
     frame.get(key).and_then(JsonValue::as_u64).ok_or_else(|| {
@@ -532,76 +557,9 @@ fn require_f64(obj: &JsonValue, key: &str, kind: &str) -> Result<f64, ServerErro
         .ok_or_else(|| ServerError::Invalid(format!("`{kind}` needs a numeric `{key}`")))
 }
 
-/// Encodes a [`JobRecord`] at full fidelity (every summary and stage field,
-/// including wall-clock `runtime_s`). Floats use shortest-round-trip
-/// `Display`, so `decode_record(encode) == original` bit for bit.
-fn encode_record_into(out: &mut String, record: &JobRecord) {
-    out.push_str("{\"benchmark\":\"");
-    escape_into(out, &record.benchmark);
-    out.push_str("\",\"tool\":\"");
-    escape_into(out, &record.tool);
-    let _ = write!(out, "\",\"sinks\":{}", record.sinks);
-    match &record.outcome {
-        Ok(metrics) => {
-            let s = &metrics.summary;
-            let _ = write!(
-                out,
-                ",\"status\":\"ok\",\"summary\":{{\"clr\":{},\"skew\":{},\
-                 \"max_latency\":{},\"cap_pct\":{},\"wirelength\":{},\
-                 \"buffers\":{},\"spice_runs\":{},\"runtime_s\":{}}}",
-                s.clr,
-                s.skew,
-                s.max_latency,
-                s.cap_pct,
-                s.wirelength,
-                s.buffers,
-                s.spice_runs,
-                s.runtime_s
-            );
-            out.push_str(",\"stages\":[");
-            for (i, snap) in metrics.snapshots.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str("{\"stage\":\"");
-                escape_into(out, &snap.stage);
-                let _ = write!(
-                    out,
-                    "\",\"clr\":{},\"skew\":{},\"max_latency\":{},\"total_cap\":{},\
-                     \"wirelength\":{},\"slew_violation\":{}}}",
-                    snap.clr,
-                    snap.skew,
-                    snap.max_latency,
-                    snap.total_cap,
-                    snap.wirelength,
-                    snap.slew_violation
-                );
-            }
-            out.push(']');
-            corners_into(out, &metrics.corners);
-            if let Some(variation) = &metrics.variation {
-                variation_into(out, variation);
-            }
-        }
-        Err(error) => {
-            out.push_str(",\"status\":\"error\",\"error\":\"");
-            escape_into(out, &error.to_string());
-            out.push('"');
-        }
-    }
-    if let Some(c) = &record.cache {
-        let _ = write!(
-            out,
-            ",\"cache\":{{\"mem_hits\":{},\"disk_hits\":{},\"misses\":{},\
-             \"evictions\":{}}}",
-            c.mem_hits, c.disk_hits, c.misses, c.evictions
-        );
-    }
-    out.push('}');
-}
-
-/// Decodes a full-fidelity [`JobRecord`]. Flow errors come back as
-/// [`CoreError::Remote`] carrying the original rendered message.
+/// Decodes the wire form of a [`JobRecord`] ([`record_into`]). Flow errors
+/// come back as [`CoreError::Remote`] carrying the original rendered
+/// message.
 fn decode_record(obj: &JsonValue) -> Result<JobRecord, ServerError> {
     if !matches!(obj, JsonValue::Object(_)) {
         return Err(ServerError::Invalid(
@@ -613,23 +571,17 @@ fn decode_record(obj: &JsonValue) -> Result<JobRecord, ServerError> {
     let sinks = require_u64(obj, "sinks", "record")? as usize;
     let outcome = match require_str(obj, "status", "record")? {
         "ok" => {
-            let s = obj
-                .get("summary")
-                .filter(|v| matches!(v, JsonValue::Object(_)))
-                .ok_or_else(|| {
-                    ServerError::Invalid("`record` needs a `summary` object".to_string())
-                })?;
             let summary = RunSummary {
                 benchmark: benchmark.clone(),
                 tool: tool.clone(),
-                clr: require_f64(s, "clr", "summary")?,
-                skew: require_f64(s, "skew", "summary")?,
-                max_latency: require_f64(s, "max_latency", "summary")?,
-                cap_pct: require_f64(s, "cap_pct", "summary")?,
-                wirelength: require_f64(s, "wirelength", "summary")?,
-                buffers: require_u64(s, "buffers", "summary")? as usize,
-                spice_runs: require_u64(s, "spice_runs", "summary")? as usize,
-                runtime_s: require_f64(s, "runtime_s", "summary")?,
+                clr: require_f64(obj, "clr_ps", "record")?,
+                skew: require_f64(obj, "skew_ps", "record")?,
+                max_latency: require_f64(obj, "max_latency_ps", "record")?,
+                cap_pct: require_f64(obj, "cap_pct", "record")?,
+                wirelength: require_f64(obj, "wirelength_um", "record")?,
+                buffers: require_u64(obj, "buffers", "record")? as usize,
+                spice_runs: require_u64(obj, "spice_runs", "record")? as usize,
+                runtime_s: require_f64(obj, "runtime_s", "record")?,
             };
             let stages = obj
                 .get("stages")
@@ -641,11 +593,11 @@ fn decode_record(obj: &JsonValue) -> Result<JobRecord, ServerError> {
             for snap in stages {
                 snapshots.push(StageSnapshot {
                     stage: require_str(snap, "stage", "stage")?.to_string(),
-                    clr: require_f64(snap, "clr", "stage")?,
-                    skew: require_f64(snap, "skew", "stage")?,
-                    max_latency: require_f64(snap, "max_latency", "stage")?,
+                    clr: require_f64(snap, "clr_ps", "stage")?,
+                    skew: require_f64(snap, "skew_ps", "stage")?,
+                    max_latency: require_f64(snap, "max_latency_ps", "stage")?,
                     total_cap: require_f64(snap, "total_cap", "stage")?,
-                    wirelength: require_f64(snap, "wirelength", "stage")?,
+                    wirelength: require_f64(snap, "wirelength_um", "stage")?,
                     slew_violation: snap
                         .get("slew_violation")
                         .and_then(JsonValue::as_bool)
@@ -815,7 +767,7 @@ impl WorkerFrame {
             }
             WorkerFrame::JobDone { seq, record } => {
                 let _ = write!(out, "{{\"frame\":\"job-done\",\"seq\":{seq},\"record\":");
-                encode_record_into(&mut out, record);
+                record_into(&mut out, record, true);
                 out.push('}');
             }
             WorkerFrame::JobFailed { seq, message } => {
@@ -1193,6 +1145,38 @@ mod tests {
     }
 
     #[test]
+    fn integers_above_2_pow_53_cross_the_wire_exactly() {
+        for big in [(1_u64 << 53) + 1, u64::MAX] {
+            let mut record = sample_ok_record();
+            if let Ok(metrics) = &mut record.outcome {
+                metrics.variation.as_mut().expect("sample samples").seed = big;
+            }
+            let done = WorkerFrame::JobDone {
+                seq: big,
+                record: Box::new(record),
+            };
+            assert_eq!(WorkerFrame::decode(&done.encode()).expect("decodes"), done);
+            let request = Request {
+                id: RequestId::Number(big),
+                body: RequestBody::Ping,
+            };
+            assert_eq!(
+                Request::decode(&request.encode()).expect("decodes"),
+                request
+            );
+            let response = Response::Pong {
+                id: RequestId::Number(big),
+                workers: 1,
+                queue_capacity: 1,
+            };
+            assert_eq!(
+                Response::decode(&response.encode()).expect("decodes"),
+                response
+            );
+        }
+    }
+
+    #[test]
     fn coord_frames_round_trip() {
         let frames = [
             CoordFrame::Init {
@@ -1220,8 +1204,9 @@ mod tests {
             r#"{"frame":"job-done","seq":1}"#,
             r#"{"frame":"job-done","seq":1,"record":{"benchmark":"b","tool":"t","sinks":1,"status":"what"}}"#,
             r#"{"frame":"job-done","seq":1,"record":{"benchmark":"b","tool":"t","sinks":1,"status":"ok"}}"#,
-            r#"{"frame":"job-done","seq":1,"record":{"benchmark":"b","tool":"t","sinks":1,"status":"ok","summary":{"clr":1,"skew":1,"max_latency":1,"cap_pct":1,"wirelength":1,"buffers":1,"spice_runs":1,"runtime_s":1},"stages":[],"corners":7}}"#,
-            r#"{"frame":"job-done","seq":1,"record":{"benchmark":"b","tool":"t","sinks":1,"status":"ok","summary":{"clr":1,"skew":1,"max_latency":1,"cap_pct":1,"wirelength":1,"buffers":1,"spice_runs":1,"runtime_s":1},"stages":[],"variation":{"samples":1}}}"#,
+            r#"{"frame":"job-done","seq":1,"record":{"benchmark":"b","tool":"t","sinks":1,"status":"ok","clr_ps":1,"skew_ps":1,"max_latency_ps":1,"cap_pct":1,"wirelength_um":1,"buffers":1,"spice_runs":1,"runtime_s":1,"stages":[],"corners":7}}"#,
+            r#"{"frame":"job-done","seq":1,"record":{"benchmark":"b","tool":"t","sinks":1,"status":"ok","clr_ps":1,"skew_ps":1,"max_latency_ps":1,"cap_pct":1,"wirelength_um":1,"buffers":1,"spice_runs":1,"runtime_s":1,"stages":[],"variation":{"samples":1}}}"#,
+            r#"{"frame":"job-done","seq":1,"record":{"benchmark":"b","tool":"t","sinks":1,"status":"ok","clr_ps":1,"skew_ps":1,"max_latency_ps":1,"cap_pct":1,"wirelength_um":1,"buffers":1,"spice_runs":1,"stages":[]}}"#,
         ] {
             assert!(WorkerFrame::decode(line).is_err(), "{line}");
         }

@@ -1,10 +1,14 @@
-//! The deterministic campaign executor and its results.
+//! The deterministic campaign executor, the one job pool and the results.
 //!
-//! Scheduling model: jobs are sorted **longest-first** by [`Job::cost`]
-//! (ties keep submission order) into a dispatch queue; `N` workers pop from
-//! the queue through a shared atomic cursor. Each worker owns one
-//! [`EngineSession`] for its whole lifetime, retargeted per job, so
-//! evaluator caches and construction arenas stay warm across jobs.
+//! Scheduling model: `dispatch_order` sorts jobs **longest-first** by
+//! [`Job::cost`] (ties keep submission order) into one bounded, closable
+//! FIFO (`JobQueue`), and `run_pool` runs `N` workers over it with the
+//! calling thread as worker 0. Each worker owns one [`EngineSession`] for
+//! its whole lifetime, retargeted per job, so evaluator caches and
+//! construction arenas stay warm across jobs. The serve daemon
+//! ([`crate::serve`]) and the dist worker ([`crate::worker`]) run their
+//! items through the same pool, and the dist coordinator ([`crate::dist`])
+//! takes its order from `dispatch_order`.
 //!
 //! Reduction model: each job's record lands in a slot indexed by its
 //! submission position, and [`CampaignResult::records`] is that fixed
@@ -28,8 +32,8 @@ use contango_sim::{
     monte_carlo_samples, scaled_netlist, scaled_technology, CacheCounters, CacheStore, Evaluator,
     Netlist, VariationModel,
 };
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::collections::VecDeque;
+use std::sync::{Arc, Condvar, Mutex};
 
 /// A campaign: a job matrix plus a worker-pool width, built fluently and
 /// executed with [`Campaign::run`] or [`Campaign::run_streaming`].
@@ -113,7 +117,7 @@ impl Campaign {
     /// [`CampaignResult::records`] are always in submission order). The
     /// callback is serialized behind a lock, so it may write to a shared
     /// stream (a JSONL file, stderr progress) without interleaving.
-    pub fn run_streaming<F>(self, mut on_record: F) -> CampaignResult
+    pub fn run_streaming<F>(self, on_record: F) -> CampaignResult
     where
         F: FnMut(&JobRecord) + Send,
     {
@@ -121,83 +125,133 @@ impl Campaign {
         let workers = ParallelConfig::with_threads(self.threads)
             .resolved()
             .min(n.max(1));
-        // Longest-first dispatch order; stable sort keeps submission order
-        // among equal costs. Costs are precomputed — Job::cost builds the
-        // job's pipeline, which should happen once per job, not per
-        // comparison.
-        let costs: Vec<u64> = self.jobs.iter().map(Job::cost).collect();
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(costs[i]));
-
-        if workers <= 1 {
-            let mut session: Option<EngineSession> = None;
-            let mut slots: Vec<Option<JobRecord>> = (0..n).map(|_| None).collect();
-            for &ji in &order {
-                let record = run_job(&self.jobs[ji], &mut session, self.cache.as_ref());
-                on_record(&record);
-                slots[ji] = Some(record);
-            }
-            let peak_arena = session
-                .as_ref()
-                .map_or(0, |s| s.arena_watermark().total_bytes());
-            return CampaignResult {
-                records: slots
-                    .into_iter()
-                    .map(|r| r.expect("every job ran"))
-                    .collect(),
-                threads: 1,
-                memory: MemoryProfile::capture(peak_arena),
-            };
+        let queue = JobQueue::new(n);
+        for ji in dispatch_order(&self.jobs) {
+            queue.push(ji).expect("the queue holds every job");
         }
-
-        let jobs = &self.jobs;
-        let order = &order;
-        let cache = self.cache.as_ref();
-        let cursor = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<JobRecord>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let sink = Mutex::new(&mut on_record);
-        // Arena watermarks are max-reduced across workers before each
-        // session drops; the reduction order cannot matter for a max.
-        let peak_arena = std::sync::atomic::AtomicU64::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let mut session: Option<EngineSession> = None;
-                    loop {
-                        let k = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(&ji) = order.get(k) else { break };
-                        let record = run_job(&jobs[ji], &mut session, cache);
-                        {
-                            let mut cb = sink.lock().expect("record sink lock");
-                            (*cb)(&record);
-                        }
-                        *slots[ji].lock().expect("record slot lock") = Some(record);
-                    }
-                    if let Some(s) = &session {
-                        peak_arena.fetch_max(s.arena_watermark().total_bytes(), Ordering::Relaxed);
-                    }
-                });
-            }
+        queue.close();
+        let sink = Mutex::new((on_record, vec![None; n]));
+        let peak_arena = run_pool(workers, &queue, |ji, session| {
+            let record = run_job(&self.jobs[ji], session, self.cache.as_ref());
+            let (on_record, slots) = &mut *sink.lock().expect("record sink lock");
+            on_record(&record);
+            slots[ji] = Some(record);
         });
+        let (_, slots) = sink.into_inner().expect("record sink lock");
         CampaignResult {
             records: slots
                 .into_iter()
-                .map(|slot| {
-                    slot.into_inner()
-                        .expect("record slot lock")
-                        .expect("every job ran")
-                })
+                .map(|r| r.expect("every job ran"))
                 .collect(),
             threads: workers,
-            memory: MemoryProfile::capture(peak_arena.into_inner()),
+            memory: MemoryProfile::capture(peak_arena),
         }
     }
 }
 
+/// The longest-first dispatch order: job indices by descending
+/// [`Job::cost`], ties in submission order. Each cost is computed once —
+/// `Job::cost` builds the job's pipeline.
+pub(crate) fn dispatch_order(jobs: &[Job]) -> Vec<usize> {
+    let costs: Vec<u64> = jobs.iter().map(Job::cost).collect();
+    let mut order: Vec<usize> = (0..jobs.len()).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(costs[i]));
+    order
+}
+
+/// Why [`JobQueue::push`] refused an item.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Refused {
+    /// The queue already holds its capacity.
+    Full,
+    /// The queue was closed.
+    Closed,
+}
+
+/// The pool's bounded, closable FIFO. Closing refuses further pushes, but
+/// the items already queued still pop.
+pub(crate) struct JobQueue<T> {
+    /// The queued items and whether the queue is closed.
+    state: Mutex<(VecDeque<T>, bool)>,
+    ready: Condvar,
+    capacity: usize,
+}
+
+impl<T> JobQueue<T> {
+    pub(crate) fn new(capacity: usize) -> Self {
+        Self {
+            state: Mutex::new((VecDeque::new(), false)),
+            ready: Condvar::new(),
+            capacity,
+        }
+    }
+
+    /// Appends an item, unless the queue is full or closed.
+    pub(crate) fn push(&self, item: T) -> Result<(), Refused> {
+        let (items, closed) = &mut *self.state.lock().expect("job queue lock");
+        if *closed {
+            return Err(Refused::Closed);
+        }
+        if items.len() >= self.capacity {
+            return Err(Refused::Full);
+        }
+        items.push_back(item);
+        self.ready.notify_one();
+        Ok(())
+    }
+
+    /// Blocks until an item arrives, or returns `None` once the queue is
+    /// closed and drained.
+    pub(crate) fn pop(&self) -> Option<T> {
+        let state = self.state.lock().expect("job queue lock");
+        let mut state = self
+            .ready
+            .wait_while(state, |(items, closed)| items.is_empty() && !*closed)
+            .expect("job queue lock");
+        state.0.pop_front()
+    }
+
+    /// Refuses every later push and wakes every waiting worker.
+    pub(crate) fn close(&self) {
+        self.state.lock().expect("job queue lock").1 = true;
+        self.ready.notify_all();
+    }
+
+    /// Whether the queue has been closed.
+    pub(crate) fn is_closed(&self) -> bool {
+        self.state.lock().expect("job queue lock").1
+    }
+}
+
+/// Runs `workers` workers over `queue` until it is closed and drained: the
+/// calling thread is worker 0, the rest are scoped threads. Each worker
+/// owns one [`EngineSession`] for its lifetime and lends it to `work` with
+/// every item. Returns the largest arena watermark among the sessions.
+pub(crate) fn run_pool<T: Send>(
+    workers: usize,
+    queue: &JobQueue<T>,
+    work: impl Fn(T, &mut Option<EngineSession>) + Sync,
+) -> u64 {
+    let worker = || {
+        let mut session: Option<EngineSession> = None;
+        while let Some(item) = queue.pop() {
+            work(item, &mut session);
+        }
+        session.map_or(0, |s| s.arena_watermark().total_bytes())
+    };
+    std::thread::scope(|scope| {
+        let others: Vec<_> = (1..workers).map(|_| scope.spawn(worker)).collect();
+        let caller = worker();
+        others
+            .into_iter()
+            .map(|h| h.join().expect("pool worker"))
+            .fold(caller, u64::max)
+    })
+}
+
 /// Runs one job inside the worker's session, creating or retargeting the
-/// session as needed. Shared with the serve daemon's workers
-/// ([`crate::serve`]), which run each request's jobs through the same
-/// per-job path a single-threaded campaign uses.
+/// session as needed. Every pool item ends here: a campaign job, each job
+/// of a served request, and each job a dist worker is assigned.
 pub(crate) fn run_job(
     job: &Job,
     session: &mut Option<EngineSession>,
@@ -623,5 +677,57 @@ impl CampaignResult {
             out.push('\n');
         }
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Manifest;
+
+    #[test]
+    fn dispatch_order_is_longest_first_with_submission_tiebreak() {
+        let manifest = Manifest::parse(
+            "instance ti:6\ninstance ti:30\ninstance ti:9\nbaselines dme-no-tuning\n",
+        )
+        .expect("parses");
+        let jobs = manifest.compile().expect("compiles").jobs().to_vec();
+        let order = dispatch_order(&jobs);
+        // Strictly non-increasing cost; equal costs keep submission order.
+        let mut last: Option<(u64, usize)> = None;
+        for &ji in &order {
+            let cost = jobs[ji].cost();
+            if let Some((prev_cost, prev_ji)) = last {
+                assert!(cost <= prev_cost);
+                if cost == prev_cost {
+                    assert!(ji > prev_ji);
+                }
+            }
+            last = Some((cost, ji));
+        }
+        assert_eq!(order.len(), jobs.len());
+    }
+
+    #[test]
+    fn zero_capacity_queues_refuse_every_push() {
+        let queue = JobQueue::new(0);
+        assert_eq!(queue.push(1), Err(Refused::Full));
+        assert!(!queue.is_closed());
+    }
+
+    #[test]
+    fn queues_are_fifo_and_drain_after_close() {
+        let queue = JobQueue::new(3);
+        for i in 0..3 {
+            queue.push(i).expect("room for three");
+        }
+        assert_eq!(queue.push(3), Err(Refused::Full));
+        assert_eq!(queue.pop(), Some(0));
+        queue.close();
+        assert!(queue.is_closed());
+        assert_eq!(queue.push(4), Err(Refused::Closed));
+        assert_eq!(queue.pop(), Some(1));
+        assert_eq!(queue.pop(), Some(2));
+        assert_eq!(queue.pop(), None);
     }
 }

@@ -1,13 +1,13 @@
 //! The `contango serve` daemon: clock synthesis as a long-running service.
 //!
-//! The server owns a pool of worker threads, each holding one warm
-//! [`EngineSession`] for its whole lifetime — the PR-5 engine/run split
-//! cashed in: evaluator caches and construction arenas persist across
-//! requests, and the job runner retargets the session only when a request
-//! changes technology or delay model. Requests arrive over TCP as NDJSON
-//! frames ([`crate::protocol`]), each carrying a manifest
-//! ([`crate::manifest`]); a request's jobs run serially inside one worker's
-//! session, which is exactly a single-threaded
+//! The server runs requests through the campaign job pool
+//! ([`crate::runner`]): each worker holds one warm [`EngineSession`] for
+//! its whole lifetime — evaluator caches and construction arenas persist
+//! across requests, and the job runner retargets the session only when a
+//! request changes technology or delay model. Requests arrive over TCP as
+//! NDJSON frames ([`crate::protocol`]), each carrying a manifest
+//! ([`crate::manifest`]); a request's jobs run serially inside one
+//! worker's session, which is exactly a single-threaded
 //! [`Campaign`](crate::runner::Campaign) — so responses are bit-identical
 //! to offline runs for any pool size.
 //!
@@ -15,9 +15,9 @@
 //!            ┌────────────┐   accept    ┌──────────────┐  1 thread/conn
 //!  clients ──► TcpListener├────────────►│ reader threads│  decode, compile,
 //!            └────────────┘             └──────┬───────┘  answer errors
-//!                                              │ enqueue (bounded)
+//!                                              │ push (bounded)
 //!                                     ┌────────▼────────┐
-//!                                     │  VecDeque queue │  full → Overloaded
+//!                                     │ the pool's FIFO │  full → Overloaded
 //!                                     └────────┬────────┘
 //!                                              │ pop
 //!                      ┌───────────────────────┼───────────────────────┐
@@ -33,29 +33,30 @@
 //! `overloaded` error instead of being buffered without bound — every
 //! request gets exactly one response, nothing is silently dropped.
 //!
-//! Shutdown: a `shutdown` request flips a flag. The acceptor stops taking
-//! connections, readers stop accepting new work (`shutting-down` errors),
-//! and workers drain the queue — every job already accepted still runs and
-//! answers — before [`Server::run`] joins them and returns the summary.
+//! Shutdown: a `shutdown` request closes the queue. The acceptor stops
+//! taking connections, readers stop accepting new work (`shutting-down`
+//! errors), and the pool drains the queue — every job already accepted
+//! still runs and answers — before [`Server::run`] returns the summary.
 
 use crate::manifest::Manifest;
 use crate::output::{suite_output, ReportKind, TableFormat};
-use crate::protocol::{Request, RequestBody, RequestId, Response, ServerError};
-use crate::runner::{run_job, CampaignResult, MemoryProfile};
+use crate::protocol::{
+    read_line, write_line, Request, RequestBody, RequestId, Response, ServerError,
+};
+use crate::runner::{run_job, run_pool, CampaignResult, JobQueue, MemoryProfile, Refused};
 use crate::Job;
 use contango_core::construct::ParallelConfig;
 use contango_core::session::EngineSession;
 use contango_sim::{CacheCounters, CacheStore, StoreError};
-use std::collections::VecDeque;
 use std::fmt;
-use std::io::{self, BufRead, BufReader, Write as _};
+use std::io::{self, BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// How long blocking reads and condvar waits sleep before re-checking the
-/// shutdown flag.
+/// How long blocking reads sleep before re-checking whether the queue
+/// closed.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
 
 /// How long the nonblocking acceptor sleeps when no connection is pending.
@@ -139,9 +140,8 @@ struct WorkItem {
 }
 
 struct Shared {
-    queue: Mutex<VecDeque<WorkItem>>,
-    available: Condvar,
-    shutdown: AtomicBool,
+    /// The pool's queue; `shutdown` closes it.
+    queue: JobQueue<WorkItem>,
     queue_capacity: usize,
     workers: usize,
     allow_file_instances: bool,
@@ -155,20 +155,13 @@ struct Shared {
     jobs_run: AtomicU64,
 }
 
-impl Shared {
-    fn shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
-    }
-}
-
 /// Writes one response frame to a connection. Write errors are swallowed:
 /// the client is gone, and the request was already accounted.
 fn write_response(conn: &Mutex<TcpStream>, response: &Response) {
-    let mut line = response.encode();
-    line.push('\n');
-    let mut stream = conn.lock().expect("connection writer lock");
-    let _ = stream.write_all(line.as_bytes());
-    let _ = stream.flush();
+    let _ = write_line(
+        &mut *conn.lock().expect("connection writer lock"),
+        response.encode(),
+    );
 }
 
 /// The `contango serve` daemon. Bind, then [`Server::run`] until a
@@ -226,10 +219,8 @@ impl Server {
                 )),
             })?)),
         };
-        let shared = Arc::new(Shared {
-            queue: Mutex::new(VecDeque::new()),
-            available: Condvar::new(),
-            shutdown: AtomicBool::new(false),
+        let shared = Shared {
+            queue: JobQueue::new(self.config.queue_capacity),
             queue_capacity: self.config.queue_capacity,
             workers,
             allow_file_instances: self.config.allow_file_instances,
@@ -239,47 +230,35 @@ impl Server {
             rejected: AtomicU64::new(0),
             errors: AtomicU64::new(0),
             jobs_run: AtomicU64::new(0),
-        });
-
-        let mut pool = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let shared = Arc::clone(&shared);
-            pool.push(std::thread::spawn(move || worker_loop(&shared)));
-        }
-
-        let mut readers = Vec::new();
-        while !shared.shutting_down() {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    let shared = Arc::clone(&shared);
-                    readers.push(std::thread::spawn(move || connection_loop(stream, &shared)));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_INTERVAL);
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    // Fatal listener failure: stop the pool before bailing.
-                    shared.shutdown.store(true, Ordering::SeqCst);
-                    shared.available.notify_all();
-                    for handle in pool {
-                        let _ = handle.join();
+        };
+        let (listener, shared) = (&self.listener, &shared);
+        std::thread::scope(|scope| {
+            let acceptor = scope.spawn(move || {
+                while !shared.queue.is_closed() {
+                    match listener.accept() {
+                        Ok((stream, _)) => {
+                            scope.spawn(move || connection_loop(stream, shared));
+                        }
+                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                            std::thread::sleep(ACCEPT_INTERVAL);
+                        }
+                        Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                        Err(e) => {
+                            // Fatal listener failure: stop the pool too.
+                            shared.queue.close();
+                            return Err(e);
+                        }
                     }
-                    return Err(e);
                 }
-            }
-        }
-
-        // Drain: workers finish everything already accepted, then exit.
-        shared.available.notify_all();
-        for handle in pool {
-            let _ = handle.join();
-        }
-        // Readers exit on their own within a poll interval of the flag
-        // flipping (their reads time out).
-        for handle in readers {
-            let _ = handle.join();
-        }
+                Ok(())
+            });
+            // Returns once `shutdown` closed the queue and the pool drained
+            // it; readers exit within a poll interval (their reads time out).
+            run_pool(workers, &shared.queue, |item, session| {
+                run_item(shared, item, session);
+            });
+            acceptor.join().expect("accept loop")
+        })?;
         Ok(ServeSummary {
             accepted: shared.accepted.load(Ordering::SeqCst),
             completed: shared.completed.load(Ordering::SeqCst),
@@ -290,66 +269,47 @@ impl Server {
     }
 }
 
-/// One worker: owns one warm session, pops queued requests, runs their jobs
-/// serially (exactly a single-threaded [`Campaign`], hence bit-identical to
-/// offline runs), and writes the response to the request's connection.
-fn worker_loop(shared: &Shared) {
-    let mut session: Option<EngineSession> = None;
-    loop {
-        let item = {
-            let mut queue = shared.queue.lock().expect("request queue lock");
-            loop {
-                if let Some(item) = queue.pop_front() {
-                    break Some(item);
-                }
-                if shared.shutting_down() {
-                    break None;
-                }
-                queue = shared
-                    .available
-                    .wait_timeout(queue, POLL_INTERVAL)
-                    .expect("request queue lock")
-                    .0;
-            }
-        };
-        let Some(item) = item else { break };
-        // A request's own manifest store wins; otherwise the daemon store.
-        let store = item.store.as_ref().or(shared.store.as_ref());
-        let records = item
-            .jobs
-            .iter()
-            .map(|job| run_job(job, &mut session, store))
-            .collect::<Vec<_>>();
-        let failed = records.iter().filter(|r| r.outcome.is_err()).count();
-        let cache = store.map(|_| {
-            let mut total = CacheCounters::default();
-            for record in &records {
-                total.absorb(record.cache.unwrap_or_default());
-            }
-            total
-        });
-        let result = CampaignResult {
-            records,
-            threads: 1,
-            memory: MemoryProfile::capture(
-                session
-                    .as_ref()
-                    .map_or(0, |s| s.arena_watermark().total_bytes()),
-            ),
-        };
-        let response = Response::RunOk {
-            id: item.id,
-            jobs: item.jobs.len(),
-            failed,
-            output: suite_output(&result, item.report, item.format),
-            cache,
-        };
-        write_response(&item.conn, &response);
-        shared
-            .jobs_run
-            .fetch_add(item.jobs.len() as u64, Ordering::SeqCst);
-        shared.completed.fetch_add(1, Ordering::SeqCst);
-    }
+/// Runs one accepted request's jobs serially in the worker's session
+/// (exactly a single-threaded [`Campaign`](crate::runner::Campaign), hence
+/// bit-identical to offline runs) and writes the response to the
+/// request's connection.
+fn run_item(shared: &Shared, item: WorkItem, session: &mut Option<EngineSession>) {
+    // A request's own manifest store wins; otherwise the daemon store.
+    let store = item.store.as_ref().or(shared.store.as_ref());
+    let records = item
+        .jobs
+        .iter()
+        .map(|job| run_job(job, session, store))
+        .collect::<Vec<_>>();
+    let failed = records.iter().filter(|r| r.outcome.is_err()).count();
+    let cache = store.map(|_| {
+        let mut total = CacheCounters::default();
+        for record in &records {
+            total.absorb(record.cache.unwrap_or_default());
+        }
+        total
+    });
+    let result = CampaignResult {
+        records,
+        threads: 1,
+        memory: MemoryProfile::capture(
+            session
+                .as_ref()
+                .map_or(0, |s| s.arena_watermark().total_bytes()),
+        ),
+    };
+    let response = Response::RunOk {
+        id: item.id,
+        jobs: item.jobs.len(),
+        failed,
+        output: suite_output(&result, item.report, item.format),
+        cache,
+    };
+    write_response(&item.conn, &response);
+    shared
+        .jobs_run
+        .fetch_add(item.jobs.len() as u64, Ordering::SeqCst);
+    shared.completed.fetch_add(1, Ordering::SeqCst);
 }
 
 /// One connection: reads NDJSON frames until EOF or shutdown, answering
@@ -396,7 +356,7 @@ fn connection_loop(stream: TcpStream, shared: &Shared) {
             {
                 // Keep any partial frame in `line` and retry, unless the
                 // server is draining.
-                if shared.shutting_down() {
+                if shared.queue.is_closed() {
                     return;
                 }
             }
@@ -442,8 +402,7 @@ fn handle_frame(raw: &[u8], conn: &Arc<Mutex<TcpStream>>, shared: &Shared) {
             );
         }
         RequestBody::Shutdown => {
-            shared.shutdown.store(true, Ordering::SeqCst);
-            shared.available.notify_all();
+            shared.queue.close();
             write_response(
                 conn,
                 &Response::ShutdownAck {
@@ -456,7 +415,7 @@ fn handle_frame(raw: &[u8], conn: &Arc<Mutex<TcpStream>>, shared: &Shared) {
             report,
             format,
         } => {
-            if shared.shutting_down() {
+            if shared.queue.is_closed() {
                 refuse(ServerError::ShuttingDown);
                 return;
             }
@@ -477,25 +436,14 @@ fn handle_frame(raw: &[u8], conn: &Arc<Mutex<TcpStream>>, shared: &Shared) {
                 store: campaign.cache().cloned(),
                 conn: Arc::clone(conn),
             };
-            let enqueued = {
-                let mut queue = shared.queue.lock().expect("request queue lock");
-                if shared.shutting_down() {
-                    Err(ServerError::ShuttingDown)
-                } else if queue.len() >= shared.queue_capacity {
-                    Err(ServerError::Overloaded {
-                        capacity: shared.queue_capacity,
-                    })
-                } else {
-                    queue.push_back(item);
-                    Ok(())
-                }
-            };
-            match enqueued {
+            match shared.queue.push(item) {
                 Ok(()) => {
                     shared.accepted.fetch_add(1, Ordering::SeqCst);
-                    shared.available.notify_one();
                 }
-                Err(error) => refuse(error),
+                Err(Refused::Full) => refuse(ServerError::Overloaded {
+                    capacity: shared.queue_capacity,
+                }),
+                Err(Refused::Closed) => refuse(ServerError::ShuttingDown),
             }
         }
     }
@@ -682,32 +630,18 @@ impl Client {
     ///
     /// Propagates socket write failures.
     pub fn send(&mut self, request: &Request) -> Result<(), ClientError> {
-        let mut line = request.encode();
-        line.push('\n');
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.flush()?;
-        Ok(())
+        Ok(write_line(&mut self.writer, request.encode())?)
     }
 
     /// Receives one response frame (blocking).
     ///
     /// # Errors
     ///
-    /// [`ClientError::Closed`] on EOF, [`ClientError::Protocol`] on an
-    /// undecodable frame.
+    /// [`ClientError::Closed`] on EOF or a torn final frame,
+    /// [`ClientError::Protocol`] on an undecodable frame.
     pub fn recv(&mut self) -> Result<Response, ClientError> {
-        let mut line = String::new();
-        loop {
-            line.clear();
-            if self.reader.read_line(&mut line)? == 0 {
-                return Err(ClientError::Closed);
-            }
-            if line.trim().is_empty() {
-                continue;
-            }
-            return Response::decode(line.trim_end_matches(['\n', '\r']))
-                .map_err(ClientError::Protocol);
-        }
+        let line = read_line(&mut self.reader)?.ok_or(ClientError::Closed)?;
+        Response::decode(&line).map_err(ClientError::Protocol)
     }
 
     /// Runs a manifest on the server and returns the response (either
@@ -765,6 +699,7 @@ impl Client {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Write as _;
 
     /// Starts a server on a free port and returns its address plus the
     /// thread that will yield the summary after shutdown.

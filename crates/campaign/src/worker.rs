@@ -4,9 +4,10 @@
 //! [`crate::dist`] coordinator, introduces itself with a `hello` frame,
 //! receives the campaign manifest in `init`, compiles it to the same job
 //! list the coordinator holds, and then runs whatever job indices the
-//! coordinator assigns — each runner thread holding one warm
-//! [`EngineSession`] across jobs,
-//! exactly like the in-process executor ([`crate::runner`]).
+//! coordinator assigns through the campaign job pool ([`crate::runner`]):
+//! the dispatch loop pushes assignments into the pool's queue, and each
+//! pool worker holds one warm
+//! [`EngineSession`](contango_core::session::EngineSession) across jobs.
 //!
 //! The worker sends no per-job progress to stderr: completed records flow
 //! back to the coordinator as `job-done` frames and the coordinator alone
@@ -17,10 +18,9 @@
 //! code path for thread-based test workers and real processes.
 
 use crate::manifest::Manifest;
-use crate::protocol::{CoordFrame, ServerError, WorkerFrame, DIST_PROTOCOL};
-use crate::runner::run_job;
+use crate::protocol::{read_line, write_line, CoordFrame, ServerError, WorkerFrame, DIST_PROTOCOL};
+use crate::runner::{run_job, run_pool, JobQueue};
 use contango_core::construct::ParallelConfig;
-use contango_core::session::EngineSession;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -71,7 +71,7 @@ impl ChaosConfig {
 /// injection.
 #[derive(Debug, Clone)]
 pub struct WorkerConfig {
-    /// Runner threads, each with one warm session (0 = one per core).
+    /// Pool workers, each with one warm session (0 = one per core).
     pub slots: usize,
     /// Display name announced in `hello`.
     pub name: String,
@@ -176,7 +176,7 @@ impl WorkerConnection {
     }
 }
 
-/// The worker side's shared transmit state: runner threads, the heartbeat
+/// The worker side's shared transmit state: pool workers, the heartbeat
 /// thread and the chaos hooks all write through here.
 struct Outbox {
     writer: Mutex<Option<Box<dyn Write + Send>>>,
@@ -196,11 +196,7 @@ impl Outbox {
         let Some(writer) = guard.as_mut() else {
             return Ok(());
         };
-        let mut line = frame.encode();
-        line.push('\n');
-        let result = writer
-            .write_all(line.as_bytes())
-            .and_then(|()| writer.flush());
+        let result = write_line(writer.as_mut(), frame.encode());
         if result.is_err() {
             *guard = None;
         }
@@ -275,106 +271,77 @@ pub fn run_worker(
     let store = campaign.cache().cloned();
     let jobs = campaign.jobs().to_vec();
 
-    let (assign_tx, assign_rx) = mpsc::channel::<(u64, usize)>();
-    let assign_rx = Mutex::new(assign_rx);
+    let queue = JobQueue::new(usize::MAX);
     let (stop_tx, stop_rx) = mpsc::channel::<()>();
-    let mut drained = false;
-
-    std::thread::scope(|scope| -> Result<(), WorkerError> {
-        // Liveness: one heartbeat per interval until the worker winds down
-        // (`stop_tx` drops below) or the transport dies. The receiver must
-        // move into the thread (`Receiver` is `!Sync`); everything else is
-        // captured by reference.
-        let heartbeat_outbox = &outbox;
+    let drained = std::thread::scope(|scope| {
+        // Liveness: one heartbeat per interval until the dispatch loop ends
+        // (`stop_tx` drops) or the transport dies.
+        let outbox = &outbox;
         let heartbeat_interval = config.heartbeat;
         scope.spawn(move || {
             while let Err(mpsc::RecvTimeoutError::Timeout) =
                 stop_rx.recv_timeout(heartbeat_interval)
             {
-                if heartbeat_outbox.send(&WorkerFrame::Heartbeat).is_err() {
+                if outbox.send(&WorkerFrame::Heartbeat).is_err() {
                     break;
                 }
             }
         });
-        // Runner threads: each owns a warm session for its lifetime and
-        // pulls assignments off the shared channel. Holding the receiver
-        // lock only while *waiting* (never while running a job) keeps the
-        // pool work-conserving.
-        for _ in 0..slots {
-            scope.spawn(|| {
-                let mut session: Option<EngineSession> = None;
-                loop {
-                    let next = {
-                        let rx = assign_rx.lock().expect("assign channel lock");
-                        rx.recv()
-                    };
-                    let Ok((seq, job_index)) = next else { break };
-                    let Some(job) = jobs.get(job_index) else {
-                        let _ = outbox.send(&WorkerFrame::JobFailed {
-                            seq,
-                            message: format!(
-                                "assignment references job {job_index} of {}",
-                                jobs.len()
-                            ),
-                        });
-                        continue;
-                    };
-                    let record = run_job(job, &mut session, store.as_ref());
-                    let n_done = outbox.done.fetch_add(1, Ordering::Relaxed) + 1;
-                    if chaos.stall_after.is_some_and(|k| n_done > k) {
-                        outbox.silenced.store(true, Ordering::Relaxed);
-                        continue;
+        // Dispatch loop: feed assignments to the pool until drain,
+        // disconnect, injected connection drop or a protocol error, then
+        // close the queue so the pool finishes what it holds and returns.
+        let queue = &queue;
+        let dispatch = scope.spawn(move || {
+            let mut assigns_received = 0usize;
+            let outcome = loop {
+                match read_frame(&mut reader) {
+                    Ok(Some(CoordFrame::Assign { seq, job })) => {
+                        assigns_received += 1;
+                        if chaos.drop_after.is_some_and(|k| assigns_received > k) {
+                            outbox.kill();
+                            break Ok(false);
+                        }
+                        queue
+                            .push((seq, job))
+                            .expect("only this loop closes the unbounded queue");
                     }
-                    let _ = outbox.send(&WorkerFrame::JobDone {
-                        seq,
-                        record: Box::new(record),
-                    });
-                    if chaos.kill_after.is_some_and(|k| n_done == k) {
-                        outbox.kill();
+                    Ok(Some(CoordFrame::Drain)) => break Ok(true),
+                    Ok(None) => break Ok(false),
+                    Ok(Some(CoordFrame::Init { .. })) => {
+                        break Err(WorkerError::Protocol(ServerError::Invalid(
+                            "coordinator sent a second `init`".to_string(),
+                        )))
                     }
-                }
-            });
-        }
-        // Dispatch loop on the caller's thread: feed assignments to the
-        // runners until drain, disconnect, or injected connection drop.
-        let mut assigns_received = 0usize;
-        loop {
-            let frame = match read_frame(&mut reader) {
-                Ok(Some(frame)) => frame,
-                Ok(None) => break,
-                Err(e) => {
-                    drop(assign_tx);
-                    drop(stop_tx);
-                    return Err(e);
+                    Err(e) => break Err(e),
                 }
             };
-            match frame {
-                CoordFrame::Assign { seq, job } => {
-                    assigns_received += 1;
-                    if chaos.drop_after.is_some_and(|k| assigns_received > k) {
-                        outbox.kill();
-                        break;
-                    }
-                    if assign_tx.send((seq, job)).is_err() {
-                        break;
-                    }
-                }
-                CoordFrame::Drain => {
-                    drained = true;
-                    break;
-                }
-                CoordFrame::Init { .. } => {
-                    drop(assign_tx);
-                    drop(stop_tx);
-                    return Err(WorkerError::Protocol(ServerError::Invalid(
-                        "coordinator sent a second `init`".to_string(),
-                    )));
-                }
+            queue.close();
+            drop(stop_tx);
+            outcome
+        });
+        run_pool(slots, queue, |(seq, job_index), session| {
+            let Some(job) = jobs.get(job_index) else {
+                let _ = outbox.send(&WorkerFrame::JobFailed {
+                    seq,
+                    message: format!("assignment references job {job_index} of {}", jobs.len()),
+                });
+                return;
+            };
+            let record = run_job(job, session, store.as_ref());
+            let n_done = outbox.done.fetch_add(1, Ordering::Relaxed) + 1;
+            if chaos.stall_after.is_some_and(|k| n_done > k) {
+                outbox.silenced.store(true, Ordering::Relaxed);
+                return;
             }
-        }
-        drop(assign_tx);
-        drop(stop_tx);
-        Ok(())
+            let _ = outbox.send(&WorkerFrame::JobDone {
+                seq,
+                record: Box::new(record),
+            });
+            if chaos.kill_after.is_some_and(|k| n_done == k) {
+                outbox.kill();
+            }
+        });
+        dispatch.join().expect("dispatch loop")
     })?;
 
     Ok(WorkerSummary {
@@ -386,24 +353,11 @@ pub fn run_worker(
 /// Reads and decodes one coordinator frame. `Ok(None)` means the
 /// connection closed (EOF, a torn tail, or a read error after shutdown) —
 /// a normal worker exit, not a protocol violation.
-fn read_frame(
-    reader: &mut BufReader<Box<dyn Read + Send>>,
-) -> Result<Option<CoordFrame>, WorkerError> {
-    loop {
-        let mut line = String::new();
-        match reader.read_line(&mut line) {
-            Ok(0) | Err(_) => return Ok(None),
-            Ok(_) if !line.ends_with('\n') => return Ok(None),
-            Ok(_) => {}
-        }
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        return CoordFrame::decode(trimmed)
-            .map(Some)
-            .map_err(WorkerError::Protocol);
-    }
+fn read_frame(reader: &mut impl BufRead) -> Result<Option<CoordFrame>, WorkerError> {
+    let line = read_line(reader).ok().flatten();
+    line.map(|line| CoordFrame::decode(&line))
+        .transpose()
+        .map_err(WorkerError::Protocol)
 }
 
 #[cfg(test)]

@@ -333,3 +333,60 @@ fn responses_bit_identical_across_pool_sizes_and_offline() {
         assert_eq!(summary.jobs_run, 4);
     }
 }
+
+/// Shutdown drains the queue: four `run` requests pipelined ahead of a
+/// `shutdown` on one connection to a one-worker daemon all complete, though
+/// most of them are still queued when `shutdown` closes the queue.
+#[test]
+fn shutdown_drains_pipelined_requests_still_queued() {
+    let server = Server::bind(serve_config(1)).expect("bind serve port");
+    let addr = server.local_addr();
+    let daemon = thread::spawn(move || server.run());
+    let stream = TcpStream::connect(addr).expect("connect");
+    // A dropped request would leave its response unwritten: fail, not hang.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let mut writer = stream.try_clone().expect("clone stream");
+    let mut frames = String::new();
+    for id in 1..=4 {
+        let run = Request {
+            id: RequestId::Number(id),
+            body: RequestBody::Run {
+                manifest: MANIFEST.to_string(),
+                report: ReportKind::Jsonl,
+                format: TableFormat::Text,
+            },
+        };
+        frames += &(run.encode() + "\n");
+    }
+    let shutdown = Request {
+        id: RequestId::Number(5),
+        body: RequestBody::Shutdown,
+    };
+    frames += &(shutdown.encode() + "\n");
+    writer.write_all(frames.as_bytes()).expect("send frames");
+    writer.flush().expect("flush");
+
+    let mut reader = BufReader::new(stream);
+    let mut completed = Vec::new();
+    for _ in 0..5 {
+        let mut line = String::new();
+        reader
+            .read_line(&mut line)
+            .expect("response before the timeout");
+        match Response::decode(line.trim_end()).expect("decodable response") {
+            Response::RunOk { id, failed: 0, .. } => completed.push(id),
+            Response::ShutdownAck { .. } => {}
+            other => panic!("unexpected response {other:?}"),
+        }
+    }
+    // One worker pops the FIFO in submission order.
+    let ids: Vec<RequestId> = (1..=4).map(RequestId::Number).collect();
+    assert_eq!(completed, ids);
+    let summary = daemon
+        .join()
+        .expect("daemon thread")
+        .expect("daemon exits cleanly");
+    assert_eq!((summary.accepted, summary.completed), (4, 4));
+}
