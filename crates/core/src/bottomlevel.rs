@@ -7,11 +7,10 @@
 //! fraction of the remaining skew. When skew drops below a few picoseconds,
 //! rise/fall divergence limits further improvement.
 
-use crate::opt::{OptContext, PassOutcome};
-use crate::slack::SlackAnalysis;
-use crate::tree::{ClockTree, NodeKind};
+use crate::opt::{OptContext, PassOutcome, Scope, IMPROVEMENT_MARGIN};
+use crate::tree::ClockTree;
 use crate::wiresizing::{iterative_wiresizing, WireSizingConfig};
-use crate::wiresnaking::{iterative_wiresnaking, WireSnakingConfig};
+use crate::wiresnaking::{iterative_wiresnaking, snake, SnakeStep, WireSnakingConfig};
 use serde::Serialize;
 
 /// Configuration of the bottom-level fine-tuning pass.
@@ -19,92 +18,65 @@ use serde::Serialize;
 pub struct BottomLevelConfig {
     /// Maximum number of sizing+snaking sweeps.
     pub max_rounds: usize,
-    /// Snake unit length for per-sink fine snaking, µm.
-    pub fine_unit: f64,
 }
 
 impl Default for BottomLevelConfig {
     fn default() -> Self {
-        Self {
-            max_rounds: 4,
-            fine_unit: 5.0,
-        }
+        Self { max_rounds: 4 }
     }
 }
 
+/// The final per-sink micro-snake: bottom-level units, at most 8 per sink,
+/// spending 80% of each sink's own slack.
+const MICRO_SNAKE: SnakeStep = SnakeStep {
+    max_units: 8,
+    usage: 0.8,
+    ..Scope::BottomLevel.snake_step()
+};
+
 /// Runs bottom-level wiresizing and wiresnaking until the skew stops
-/// improving.
+/// improving, then one micro-snaking round.
 pub fn bottom_level_tuning(
     tree: &mut ClockTree,
     ctx: &OptContext<'_>,
     config: BottomLevelConfig,
 ) -> PassOutcome {
     let initial = ctx.evaluate(tree);
-    let initial_skew = initial.skew();
-    let initial_clr = initial.clr();
-    let mut best_skew = initial_skew;
+    let mut best_skew = initial.skew();
     let mut rounds = 0;
 
     for _ in 0..config.max_rounds {
         let sizing_cfg = WireSizingConfig {
             max_rounds: 2,
-            bottom_level_only: true,
-            slack_usage: 0.9,
+            scope: Scope::BottomLevel,
         };
         let snaking_cfg = WireSnakingConfig {
             max_rounds: 2,
-            unit_length: config.fine_unit,
-            max_units_per_edge: 10,
-            slack_usage: 0.9,
-            bottom_level_only: true,
+            scope: Scope::BottomLevel,
         };
         let a = iterative_wiresizing(tree, ctx, sizing_cfg);
         let b = iterative_wiresnaking(tree, ctx, snaking_cfg);
         let new_skew = b.skew_after.min(a.skew_after);
-        if new_skew + 1e-9 >= best_skew {
+        if new_skew + IMPROVEMENT_MARGIN >= best_skew {
             break;
         }
         best_skew = new_skew;
         rounds += 1;
     }
 
-    // Final per-sink micro-snaking: slow down each fast sink individually by
-    // the amount its own slack allows, one careful round.
-    let before = ctx.evaluate(tree);
-    let saved = tree.clone();
-    let slacks = SlackAnalysis::compute(tree, &before);
-    let twn = crate::wiresnaking::estimate_twn(tree, ctx, &before, config.fine_unit);
-    let mut touched = 0;
-    for id in tree.preorder() {
-        if !matches!(tree.node(id).kind, NodeKind::Sink(_)) {
-            continue;
-        }
-        if twn <= 1e-12 {
-            break;
-        }
-        let units = ((slacks.edge_slow[id] * 0.8 / twn).floor() as usize).min(8);
-        if units > 0 {
-            tree.node_mut(id).wire.extra_length += units as f64 * config.fine_unit;
-            touched += 1;
-        }
-    }
-    let mut final_report = before.clone();
-    if touched > 0 {
-        let after = ctx.evaluate(tree);
-        if after.skew() < before.skew() - 1e-9 && !ctx.violates(tree, &after) {
-            final_report = after;
-            rounds += 1;
-        } else {
-            *tree = saved;
-        }
-    }
-
+    // Slow down each fast sink individually by the amount its own slack
+    // allows, in one careful round.
+    let micro_cfg = WireSnakingConfig {
+        max_rounds: 1,
+        scope: Scope::BottomLevel,
+    };
+    let micro = snake(tree, ctx, micro_cfg, MICRO_SNAKE);
     PassOutcome {
-        rounds,
-        skew_before: initial_skew,
-        skew_after: final_report.skew().min(best_skew),
-        clr_before: initial_clr,
-        clr_after: final_report.clr(),
+        rounds: rounds + micro.rounds,
+        skew_before: initial.skew(),
+        skew_after: micro.skew_after.min(best_skew),
+        clr_before: initial.clr(),
+        clr_after: micro.clr_after,
     }
 }
 

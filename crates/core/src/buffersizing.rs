@@ -7,16 +7,18 @@
 //! whose subtree still contains every sink — because upsizing them affects
 //! all sinks equally and therefore barely disturbs skew, while the trunk
 //! accounts for a third to a half of the insertion delay. Sizing proceeds
-//! iteratively, by at most `100/(i+3)` percent in iteration `i`, while
-//! results improve and no slew violation appears. Buffers immediately below
-//! the trunk can also be upsized with *capacitance borrowing*: bottom-level
-//! buffers are downsized to pay for the extra capacitance. When upsizing a
-//! buffer would overload its upstream wire, the buffer *slides* toward its
-//! parent to shed upstream wire capacitance.
+//! iteratively, by at most `100/(i+3)` percent in iteration `i`, one IVC
+//! round (see [`crate::opt`]) per iteration. Buffers immediately below
+//! the trunk can also be upsized with *capacitance borrowing*:
+//! bottom-level buffers are downsized to pay for the extra capacitance.
+//! When upsizing a buffer would overload its upstream wire, the buffer
+//! *slides* toward its parent to shed upstream wire capacitance.
 
 use crate::buffering::buffered_nodes;
-use crate::opt::{OptContext, PassOutcome};
+use crate::opt::{Objective, OptContext, PassOutcome, RoundDriver};
 use crate::tree::{ClockTree, NodeId, NodeKind};
+use contango_sim::EvalReport;
+use contango_tech::CompositeBuffer;
 use serde::Serialize;
 
 /// Configuration of the buffer-sizing pass.
@@ -24,23 +26,21 @@ use serde::Serialize;
 pub struct BufferSizingConfig {
     /// Maximum number of trunk-sizing iterations.
     pub max_iterations: usize,
-    /// Number of buffer levels below the trunk eligible for
-    /// capacitance-borrowing upsizing.
-    pub branch_levels: usize,
-    /// Fraction of an edge to slide a buffer upward when its upstream slew
-    /// degrades after upsizing.
-    pub slide_fraction: f64,
 }
 
 impl Default for BufferSizingConfig {
     fn default() -> Self {
-        Self {
-            max_iterations: 5,
-            branch_levels: 4,
-            slide_fraction: 0.3,
-        }
+        Self { max_iterations: 5 }
     }
 }
+
+/// Number of buffer levels below the trunk eligible for
+/// capacitance-borrowing upsizing.
+const BRANCH_LEVELS: usize = 4;
+
+/// Fraction of its edge an upsized trunk buffer slides toward its parent
+/// when the upsizing left a slew violation.
+const RESCUE_SLIDE: f64 = 0.3;
 
 /// The trunk of a buffered tree: buffered nodes whose subtree contains every
 /// sink, ordered from the root downward.
@@ -127,78 +127,58 @@ pub fn iterative_buffer_sizing(
     ctx: &OptContext<'_>,
     config: BufferSizingConfig,
 ) -> PassOutcome {
-    let mut current = ctx.evaluate(tree);
-    let initial_skew = current.skew();
-    let initial_clr = current.clr();
-    let mut rounds = 0;
+    let mut pass = RoundDriver::open(ctx, tree, Objective::Clr);
 
-    // Phase 1: trunk upsizing.
+    // Phase 1: trunk upsizing. A round that leaves a slew violation first
+    // slides the upsized trunk buffers toward their parents and is
+    // evaluated once more.
     for i in 1..=config.max_iterations {
         let trunk = trunk_buffers(tree);
-        if trunk.is_empty() {
-            break;
-        }
-        let saved = tree.clone();
         let growth = 1.0 + 1.0 / (i as f64 + 3.0);
-        for &id in &trunk {
-            let buf = tree.node(id).buffer.expect("trunk nodes are buffered");
-            let new_parallel =
-                ((buf.parallel() as f64 * growth).ceil() as u32).max(buf.parallel() + 1);
-            tree.node_mut(id).buffer = Some(contango_tech::CompositeBuffer::new(
-                *buf.base(),
-                new_parallel,
-            ));
-        }
-        let mut next = ctx.evaluate(tree);
-        if next.has_slew_violation() {
-            // Try sliding the upsized trunk buffers toward their parents to
-            // recover the slew, then re-evaluate once.
+        let upsize = |tree: &mut ClockTree, _: &EvalReport| {
             for &id in &trunk {
-                slide_buffer_up(tree, id, config.slide_fraction);
+                let buf = tree.node(id).buffer.expect("trunk nodes are buffered");
+                let new_parallel =
+                    ((buf.parallel() as f64 * growth).ceil() as u32).max(buf.parallel() + 1);
+                tree.node_mut(id).buffer = Some(CompositeBuffer::new(*buf.base(), new_parallel));
             }
-            next = ctx.evaluate(tree);
-        }
-        let improved = next.clr() < current.clr() - 1e-9;
-        if !improved || ctx.violates(tree, &next) {
-            *tree = saved;
+            !trunk.is_empty()
+        };
+        let slide = |tree: &mut ClockTree| {
+            for &id in &trunk {
+                slide_buffer_up(tree, id, RESCUE_SLIDE);
+            }
+        };
+        if !pass.round(tree, upsize, Some(&slide)) {
             break;
         }
-        current = next;
-        rounds += 1;
     }
 
     // Phase 2: branch upsizing with capacitance borrowing from bottom-level
     // buffers.
-    let saved = tree.clone();
-    let branches = branch_buffers(tree, config.branch_levels);
-    let bottoms = bottom_level_buffers(tree);
-    if !branches.is_empty() {
-        for &id in &branches {
-            let buf = tree.node(id).buffer.expect("branch nodes are buffered");
-            tree.node_mut(id).buffer = Some(buf.scaled(2));
-        }
-        for &id in &bottoms {
-            let buf = tree.node(id).buffer.expect("bottom nodes are buffered");
-            let halved = (buf.parallel() / 2).max(1);
-            tree.node_mut(id).buffer =
-                Some(contango_tech::CompositeBuffer::new(*buf.base(), halved));
-        }
-        let next = ctx.evaluate(tree);
-        if next.clr() < current.clr() - 1e-9 && !ctx.violates(tree, &next) {
-            current = next;
-            rounds += 1;
-        } else {
-            *tree = saved;
-        }
-    }
-
-    PassOutcome {
-        rounds,
-        skew_before: initial_skew,
-        skew_after: current.skew(),
-        clr_before: initial_clr,
-        clr_after: current.clr(),
-    }
+    pass.round(
+        tree,
+        |tree, _| {
+            let branches = branch_buffers(tree, BRANCH_LEVELS);
+            if branches.is_empty() {
+                return false;
+            }
+            let bottoms = bottom_level_buffers(tree);
+            for id in branches {
+                let buf = tree.node(id).buffer.expect("branch nodes are buffered");
+                tree.node_mut(id).buffer = Some(buf.scaled(2));
+            }
+            // A buffer can be both; it is doubled first, then halved.
+            for id in bottoms {
+                let buf = tree.node(id).buffer.expect("bottom nodes are buffered");
+                let halved = (buf.parallel() / 2).max(1);
+                tree.node_mut(id).buffer = Some(CompositeBuffer::new(*buf.base(), halved));
+            }
+            true
+        },
+        None,
+    );
+    pass.finish()
 }
 
 #[cfg(test)]

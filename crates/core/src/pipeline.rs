@@ -88,9 +88,9 @@ use crate::construct::{construct_initial, ConstructArena, ConstructConfig, Paral
 use crate::error::CoreError;
 use crate::flow::{FlowConfig, StageSnapshot};
 use crate::instance::ClockNetInstance;
-use crate::opt::{OptContext, PassOutcome};
+use crate::opt::{OptContext, PassOutcome, Scope};
 use crate::polarity::PolarityReport;
-use crate::sliding::{slide_and_interleave, SlidingConfig};
+use crate::sliding::slide_and_interleave;
 use crate::topology::TopologyKind;
 use crate::tree::ClockTree;
 use crate::wiresizing::{iterative_wiresizing, WireSizingConfig};
@@ -492,27 +492,21 @@ impl Pass for BufferSizingPass {
     }
 
     fn run(&self, tree: &mut ClockTree, ctx: &mut PassCtx<'_>) -> Result<PassOutcome, CoreError> {
-        let mut sliding_outcome = None;
-        if self.enable_sliding {
-            sliding_outcome = Some(slide_and_interleave(
-                tree,
-                &ctx.opt,
-                SlidingConfig::default(),
-            ));
-        }
+        let sliding = self
+            .enable_sliding
+            .then(|| slide_and_interleave(tree, &ctx.opt));
         let cfg = BufferSizingConfig {
             max_iterations: self.iterations,
-            ..BufferSizingConfig::default()
         };
         let sizing = iterative_buffer_sizing(tree, &ctx.opt, cfg);
         // Fold the sliding rounds into the stage outcome so the combined
         // stage reports its full trajectory (sliding's "before" is the
         // stage's "before").
-        Ok(match sliding_outcome {
-            Some(report) => PassOutcome {
-                rounds: report.outcome.rounds + sizing.rounds,
-                skew_before: report.outcome.skew_before,
-                clr_before: report.outcome.clr_before,
+        Ok(match sliding {
+            Some(sliding) => PassOutcome {
+                rounds: sliding.rounds + sizing.rounds,
+                skew_before: sliding.skew_before,
+                clr_before: sliding.clr_before,
                 ..sizing
             },
             None => sizing,
@@ -548,7 +542,7 @@ impl Pass for WireSizingPass {
     fn run(&self, tree: &mut ClockTree, ctx: &mut PassCtx<'_>) -> Result<PassOutcome, CoreError> {
         let cfg = WireSizingConfig {
             max_rounds: self.rounds,
-            ..WireSizingConfig::default()
+            scope: Scope::TopDown,
         };
         Ok(iterative_wiresizing(tree, &ctx.opt, cfg))
     }
@@ -582,7 +576,7 @@ impl Pass for WireSnakingPass {
     fn run(&self, tree: &mut ClockTree, ctx: &mut PassCtx<'_>) -> Result<PassOutcome, CoreError> {
         let cfg = WireSnakingConfig {
             max_rounds: self.rounds,
-            ..WireSnakingConfig::default()
+            scope: Scope::TopDown,
         };
         Ok(iterative_wiresnaking(tree, &ctx.opt, cfg))
     }
@@ -616,7 +610,6 @@ impl Pass for BottomLevelPass {
     fn run(&self, tree: &mut ClockTree, ctx: &mut PassCtx<'_>) -> Result<PassOutcome, CoreError> {
         let cfg = BottomLevelConfig {
             max_rounds: self.rounds,
-            ..BottomLevelConfig::default()
         };
         Ok(bottom_level_tuning(tree, &ctx.opt, cfg))
     }

@@ -6,122 +6,53 @@
 //! edge (shedding upstream wire capacitance) and *interleaves* additional
 //! inverters where sliding has left two consecutive buffers too far apart.
 //! Both moves target the tree trunk, where they affect all sinks equally and
-//! so barely disturb skew, and both are guarded by the flow's
-//! Improvement- & Violation-Check: a round that fails to improve CLR or that
-//! introduces a slew violation is rolled back.
+//! so barely disturb skew. Each slide/interleave round is one IVC round on
+//! CLR (see [`crate::opt`]).
 //!
 //! Interleaving inserts inverters in *pairs* so sink polarity is preserved
 //! without re-running polarity correction.
 
 use crate::buffersizing::{slide_buffer_up, trunk_buffers};
-use crate::opt::{OptContext, PassOutcome};
+use crate::opt::{Objective, OptContext, PassOutcome, RoundDriver};
 use crate::tree::{ClockTree, NodeId};
-use serde::Serialize;
 
-/// Configuration of the sliding/interleaving pass.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub struct SlidingConfig {
-    /// Fraction of its incoming edge a trunk buffer slides per round.
-    pub slide_fraction: f64,
-    /// Maximum unbuffered wirelength tolerated between a trunk buffer and
-    /// its parent before a repeater pair is interleaved, in µm.
-    pub max_gap: f64,
-    /// Maximum number of slide/interleave rounds.
-    pub max_rounds: usize,
-}
+/// Fraction of its incoming edge a trunk buffer slides per round.
+const SLIDE_FRACTION: f64 = 0.25;
 
-impl Default for SlidingConfig {
-    fn default() -> Self {
-        Self {
-            slide_fraction: 0.25,
-            max_gap: 600.0,
-            max_rounds: 3,
-        }
-    }
-}
+/// Longest unbuffered wire tolerated between a trunk buffer and its parent
+/// before a repeater pair is interleaved, µm.
+const MAX_GAP: f64 = 600.0;
 
-/// Report of the structural edits applied by one sliding pass.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub struct SlidingReport {
-    /// Improvement/rollback summary of the pass.
-    pub outcome: PassOutcome,
-    /// Number of buffers moved up their edge (over all accepted rounds).
-    pub slid_buffers: usize,
-    /// Number of repeater pairs interleaved (over all accepted rounds).
-    pub interleaved_pairs: usize,
-}
+/// Slide/interleave round budget.
+const MAX_ROUNDS: usize = 3;
 
 /// Slides trunk buffers up and interleaves repeater pairs into over-long
-/// trunk gaps, keeping only rounds that improve CLR without violations.
+/// trunk gaps, one round at a time.
 ///
-/// The pass is a no-op (and reports zero edits) for trees without buffers.
-pub fn slide_and_interleave(
-    tree: &mut ClockTree,
-    ctx: &OptContext<'_>,
-    config: SlidingConfig,
-) -> SlidingReport {
-    let mut current = ctx.evaluate(tree);
-    let skew_before = current.skew();
-    let clr_before = current.clr();
-    let mut rounds = 0;
-    let mut slid_buffers = 0;
-    let mut interleaved_pairs = 0;
-
-    for _ in 0..config.max_rounds {
+/// The pass is a no-op for trees without buffers.
+pub fn slide_and_interleave(tree: &mut ClockTree, ctx: &OptContext<'_>) -> PassOutcome {
+    let mut pass = RoundDriver::open(ctx, tree, Objective::Clr);
+    pass.repeat(tree, MAX_ROUNDS, |tree, _| {
         let trunk = trunk_buffers(tree);
-        if trunk.is_empty() {
-            break;
-        }
-        let saved = tree.clone();
-        let mut round_slid = 0;
-        let mut round_pairs = 0;
-
+        let mut changed = false;
         // Slide every trunk buffer except the one closest to the root (its
         // upstream wire is the source connection, which must keep its
         // boundary location).
         for &node in trunk.iter().skip(1) {
             let before = tree.node(node).location;
-            slide_buffer_up(tree, node, config.slide_fraction);
-            if !tree.node(node).location.approx_eq(before) {
-                round_slid += 1;
-            }
+            slide_buffer_up(tree, node, SLIDE_FRACTION);
+            changed |= !tree.node(node).location.approx_eq(before);
         }
-
         // Interleave repeater pairs where a trunk buffer's incoming edge has
-        // grown longer than the configured gap.
+        // grown longer than the gap.
         for &node in &trunk {
-            if tree.edge_length(node) > config.max_gap && interleave_pair(tree, node) {
-                round_pairs += 1;
+            if tree.edge_length(node) > MAX_GAP && interleave_pair(tree, node) {
+                changed = true;
             }
         }
-
-        if round_slid == 0 && round_pairs == 0 {
-            break;
-        }
-        let candidate = ctx.evaluate(tree);
-        let improved = candidate.clr() < current.clr() - 1e-9;
-        if improved && !ctx.violates(tree, &candidate) {
-            current = candidate;
-            rounds += 1;
-            slid_buffers += round_slid;
-            interleaved_pairs += round_pairs;
-        } else {
-            *tree = saved;
-            break;
-        }
-    }
-
-    SlidingReport {
-        outcome: PassOutcome {
-            rounds,
-            skew_before,
-            skew_after: current.skew(),
-            clr_before,
-            clr_after: current.clr(),
-        },
-        slid_buffers,
-        interleaved_pairs,
-    }
+        changed
+    });
+    pass.finish()
 }
 
 /// Inserts a pair of inverters (copies of the composite at `node`) at one
@@ -203,11 +134,11 @@ mod tests {
             cap_limit: instance.cap_limit,
         };
         let before = ctx.evaluate(&tree);
-        let report = slide_and_interleave(&mut tree, &ctx, SlidingConfig::default());
+        let outcome = slide_and_interleave(&mut tree, &ctx);
         assert!(tree.validate().is_ok());
         assert_eq!(tree.sink_count(), instance.sink_count());
-        assert!(report.outcome.clr_after <= before.clr() + 1e-9);
-        assert!((report.outcome.clr_before - before.clr()).abs() < 1e-9);
+        assert!(outcome.clr_after <= before.clr() + 1e-9);
+        assert!((outcome.clr_before - before.clr()).abs() < 1e-9);
     }
 
     #[test]
@@ -231,9 +162,8 @@ mod tests {
             cap_limit: instance.cap_limit,
         };
         let before = tree.clone();
-        let report = slide_and_interleave(&mut tree, &ctx, SlidingConfig::default());
-        assert_eq!(report.slid_buffers, 0);
-        assert_eq!(report.interleaved_pairs, 0);
+        let outcome = slide_and_interleave(&mut tree, &ctx);
+        assert_eq!(outcome.rounds, 0);
         assert_eq!(tree, before);
     }
 

@@ -3,14 +3,12 @@
 //! After the initial SPICE run, Contango computes slow-down slacks at every
 //! edge and an ad-hoc linear model `Tws` — the worst-case latency increase
 //! caused by downsizing one micrometre of wire — obtained from a single
-//! calibration evaluation. A top-down traversal then downsizes (wide →
-//! narrow) every edge whose remaining slack exceeds the predicted impact,
-//! passing the consumed budget (`RSlack`) down to its children. Rounds
-//! continue until the result stops improving or a slew violation appears,
-//! at which point the last saved solution is restored.
+//! calibration evaluation. Each round is a top-down traversal that
+//! downsizes (wide → narrow) every edge whose remaining slack exceeds the
+//! predicted impact, passing the consumed budget (`RSlack`) down to its
+//! children, and is checked by the IVC round driver of [`crate::opt`].
 
-use crate::opt::{OptContext, PassOutcome};
-use crate::slack::SlackAnalysis;
+use crate::opt::{rslack_sweep, Objective, OptContext, PassOutcome, RoundDriver, Scope};
 use crate::tree::{ClockTree, NodeId};
 use contango_sim::EvalReport;
 use contango_tech::WireWidth;
@@ -21,20 +19,15 @@ use serde::Serialize;
 pub struct WireSizingConfig {
     /// Maximum number of improvement rounds.
     pub max_rounds: usize,
-    /// Restrict downsizing to edges directly connected to sinks
-    /// (bottom-level wiresizing).
-    pub bottom_level_only: bool,
-    /// Fraction of the available slack the pass is allowed to consume per
-    /// round (a safety margin against model error).
-    pub slack_usage: f64,
+    /// Which edges may be downsized.
+    pub scope: Scope,
 }
 
 impl Default for WireSizingConfig {
     fn default() -> Self {
         Self {
             max_rounds: 6,
-            bottom_level_only: false,
-            slack_usage: 0.8,
+            scope: Scope::TopDown,
         }
     }
 }
@@ -103,78 +96,33 @@ fn sample_mid_tree_edges(tree: &ClockTree, count: usize) -> Vec<NodeId> {
     picked
 }
 
-/// Runs iterative top-down wiresizing on `tree`.
-///
-/// Every accepted round performs one slack-computing evaluation; the final
-/// rejected round is rolled back, as in Algorithm 1 of the paper.
+/// Runs iterative wiresizing on `tree`: one `Tws` calibration, then one
+/// slack-computing evaluation per round.
 pub fn iterative_wiresizing(
     tree: &mut ClockTree,
     ctx: &OptContext<'_>,
     config: WireSizingConfig,
 ) -> PassOutcome {
-    let mut current = ctx.evaluate(tree);
-    let initial_skew = current.skew();
-    let initial_clr = current.clr();
-    let tws = estimate_tws(tree, ctx, &current);
-
-    let mut rounds = 0;
-    for _ in 0..config.max_rounds {
-        let saved = tree.clone();
-        let slacks = SlackAnalysis::compute(tree, &current);
-        let changed = downsize_round(tree, &slacks, tws, config);
-        if changed == 0 {
-            break;
-        }
-        let next = ctx.evaluate(tree);
-        let improved = next.skew() < current.skew() - 1e-9;
-        if !improved || ctx.violates(tree, &next) {
-            *tree = saved;
-            break;
-        }
-        current = next;
-        rounds += 1;
-    }
-
-    PassOutcome {
-        rounds,
-        skew_before: initial_skew,
-        skew_after: current.skew(),
-        clr_before: initial_clr,
-        clr_after: current.clr(),
-    }
-}
-
-/// One top-down downsizing sweep. Returns the number of edges downsized.
-fn downsize_round(
-    tree: &mut ClockTree,
-    slacks: &SlackAnalysis,
-    tws: f64,
-    config: WireSizingConfig,
-) -> usize {
-    let mut changed = 0;
-    // Breadth-first queue with per-path consumed slack (RSlack).
-    let mut queue: std::collections::VecDeque<(NodeId, f64)> = std::collections::VecDeque::new();
-    queue.push_back((tree.root(), 0.0));
-    while let Some((id, rslack)) = queue.pop_front() {
-        let mut consumed = rslack;
-        let is_sink_edge = matches!(tree.node(id).kind, crate::tree::NodeKind::Sink(_));
-        let eligible = tree.node(id).parent.is_some()
-            && tree.node(id).wire.width == WireWidth::Wide
-            && (!config.bottom_level_only || is_sink_edge);
-        if eligible {
+    // Fraction of the available slack a round may consume: a safety margin
+    // against the error of the linear model.
+    let usage = match config.scope {
+        Scope::TopDown => 0.8,
+        Scope::BottomLevel => 0.9,
+    };
+    let mut pass = RoundDriver::open(ctx, tree, Objective::Skew);
+    let tws = estimate_tws(tree, ctx, pass.current());
+    pass.repeat(tree, config.max_rounds, |tree, current| {
+        let downsize = |tree: &mut ClockTree, id: NodeId, available: f64| {
             let est = tws * tree.edge_length(id);
-            let available = (slacks.edge_slow[id] - rslack) * config.slack_usage;
-            if est > 1e-12 && available > est {
+            let wide = tree.node(id).wire.width == WireWidth::Wide;
+            (wide && est > 1e-12 && available > est).then(|| {
                 tree.node_mut(id).wire.width = WireWidth::Narrow;
-                consumed += est;
-                changed += 1;
-            }
-        }
-        for &c in &tree.node(id).children.clone() {
-            queue.push_back((c, consumed));
-        }
-    }
-    changed
+                est
+            })
+        };
+        rslack_sweep(tree, current, config.scope, usage, downsize)
+    });
+    pass.finish()
 }
 
 #[cfg(test)]
@@ -292,7 +240,7 @@ mod tests {
             cap_limit: inst.cap_limit,
         };
         let cfg = WireSizingConfig {
-            bottom_level_only: true,
+            scope: Scope::BottomLevel,
             ..WireSizingConfig::default()
         };
         let _ = iterative_wiresizing(&mut tree, &ctx, cfg);

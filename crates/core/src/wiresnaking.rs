@@ -7,9 +7,8 @@
 //! carrying consumed slack (`RSlack`) to the children. Smaller `lwn` gives
 //! finer control at the cost of more evaluation rounds.
 
-use crate::opt::{OptContext, PassOutcome};
-use crate::slack::SlackAnalysis;
-use crate::tree::{ClockTree, NodeId, NodeKind};
+use crate::opt::{rslack_sweep, Objective, OptContext, PassOutcome, RoundDriver, Scope};
+use crate::tree::{ClockTree, NodeId};
 use contango_sim::EvalReport;
 use serde::Serialize;
 
@@ -18,37 +17,46 @@ use serde::Serialize;
 pub struct WireSnakingConfig {
     /// Maximum number of improvement rounds.
     pub max_rounds: usize,
-    /// Snake unit length `lwn` in micrometres.
-    pub unit_length: f64,
-    /// Maximum number of snake units added to one edge per round.
-    pub max_units_per_edge: usize,
-    /// Fraction of the available slack consumed per round.
-    pub slack_usage: f64,
-    /// Restrict snaking to edges directly connected to sinks.
-    pub bottom_level_only: bool,
+    /// Which edges may be snaked; it also sets the snake unit, the most
+    /// units per edge and round, and the share of slack a round spends.
+    pub scope: Scope,
 }
 
 impl Default for WireSnakingConfig {
     fn default() -> Self {
         Self {
             max_rounds: 8,
-            unit_length: 20.0,
-            max_units_per_edge: 25,
-            slack_usage: 0.85,
-            bottom_level_only: false,
+            scope: Scope::TopDown,
         }
     }
 }
 
-impl WireSnakingConfig {
-    /// A finer-grained configuration for bottom-level tuning.
-    pub fn bottom_level() -> Self {
-        Self {
-            max_rounds: 6,
-            unit_length: 5.0,
-            max_units_per_edge: 20,
-            slack_usage: 0.9,
-            bottom_level_only: true,
+/// How one snaking round spends slack.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SnakeStep {
+    /// Snake unit length `lwn`, µm.
+    pub unit: f64,
+    /// Most snake units one edge gets per round.
+    pub max_units: usize,
+    /// Fraction of the available slack a round consumes.
+    pub usage: f64,
+}
+
+impl Scope {
+    /// The snaking step of this scope: coarse for top-down snaking, fine
+    /// for bottom-level tuning.
+    pub(crate) const fn snake_step(self) -> SnakeStep {
+        match self {
+            Scope::TopDown => SnakeStep {
+                unit: 20.0,
+                max_units: 25,
+                usage: 0.85,
+            },
+            Scope::BottomLevel => SnakeStep {
+                unit: 5.0,
+                max_units: 10,
+                usage: 0.9,
+            },
         }
     }
 }
@@ -77,74 +85,38 @@ pub fn estimate_twn(
     (delta).max(1e-5)
 }
 
-/// Runs iterative top-down wiresnaking on `tree`.
+/// Runs iterative wiresnaking on `tree`.
 pub fn iterative_wiresnaking(
     tree: &mut ClockTree,
     ctx: &OptContext<'_>,
     config: WireSnakingConfig,
 ) -> PassOutcome {
-    let mut current = ctx.evaluate(tree);
-    let initial_skew = current.skew();
-    let initial_clr = current.clr();
-    let twn = estimate_twn(tree, ctx, &current, config.unit_length);
-
-    let mut rounds = 0;
-    for _ in 0..config.max_rounds {
-        let saved = tree.clone();
-        let slacks = SlackAnalysis::compute(tree, &current);
-        let changed = snake_round(tree, &slacks, twn, config);
-        if changed == 0 {
-            break;
-        }
-        let next = ctx.evaluate(tree);
-        let improved = next.skew() < current.skew() - 1e-9;
-        if !improved || ctx.violates(tree, &next) {
-            *tree = saved;
-            break;
-        }
-        current = next;
-        rounds += 1;
-    }
-
-    PassOutcome {
-        rounds,
-        skew_before: initial_skew,
-        skew_after: current.skew(),
-        clr_before: initial_clr,
-        clr_after: current.clr(),
-    }
+    snake(tree, ctx, config, config.scope.snake_step())
 }
 
-/// One top-down snaking sweep. Returns the number of edges snaked.
-fn snake_round(
+/// Wiresnaking with an explicit step: one `Twn` calibration at the step's
+/// unit, then up to `config.max_rounds` rounds.
+pub(crate) fn snake(
     tree: &mut ClockTree,
-    slacks: &SlackAnalysis,
-    twn: f64,
+    ctx: &OptContext<'_>,
     config: WireSnakingConfig,
-) -> usize {
-    let mut changed = 0;
-    let mut queue: std::collections::VecDeque<(NodeId, f64)> = std::collections::VecDeque::new();
-    queue.push_back((tree.root(), 0.0));
-    while let Some((id, rslack)) = queue.pop_front() {
-        let mut consumed = rslack;
-        let is_sink_edge = matches!(tree.node(id).kind, NodeKind::Sink(_));
-        let eligible =
-            tree.node(id).parent.is_some() && (!config.bottom_level_only || is_sink_edge);
-        if eligible && twn > 1e-12 {
-            let available = (slacks.edge_slow[id] - rslack) * config.slack_usage;
-            let units = ((available / twn).floor() as isize)
-                .clamp(0, config.max_units_per_edge as isize) as usize;
-            if units > 0 {
-                tree.node_mut(id).wire.extra_length += units as f64 * config.unit_length;
-                consumed += units as f64 * twn;
-                changed += 1;
-            }
-        }
-        for &c in &tree.node(id).children.clone() {
-            queue.push_back((c, consumed));
-        }
-    }
-    changed
+    step: SnakeStep,
+) -> PassOutcome {
+    let mut pass = RoundDriver::open(ctx, tree, Objective::Skew);
+    // Never below 1e-5, so the unit count below stays finite.
+    let twn = estimate_twn(tree, ctx, pass.current(), step.unit);
+    pass.repeat(tree, config.max_rounds, |tree, current| {
+        let add_units = |tree: &mut ClockTree, id: NodeId, available: f64| {
+            let units =
+                ((available / twn).floor() as isize).clamp(0, step.max_units as isize) as usize;
+            (units > 0).then(|| {
+                tree.node_mut(id).wire.extra_length += units as f64 * step.unit;
+                units as f64 * twn
+            })
+        };
+        rslack_sweep(tree, current, config.scope, step.usage, add_units)
+    });
+    pass.finish()
 }
 
 #[cfg(test)]
@@ -154,6 +126,7 @@ mod tests {
     use crate::dme::{build_zero_skew_tree, DmeOptions};
     use crate::instance::ClockNetInstance;
     use crate::polarity::correct_polarity;
+    use crate::tree::NodeKind;
     use crate::wiresizing::{iterative_wiresizing, WireSizingConfig};
     use contango_geom::Point;
     use contango_sim::{IncrementalEvaluator, SourceSpec};
@@ -251,7 +224,11 @@ mod tests {
             .collect();
         let evaluator = IncrementalEvaluator::new(tech.clone());
         let c = ctx(&tech, &evaluator, inst.cap_limit);
-        let _ = iterative_wiresnaking(&mut tree, &c, WireSnakingConfig::bottom_level());
+        let cfg = WireSnakingConfig {
+            scope: Scope::BottomLevel,
+            ..WireSnakingConfig::default()
+        };
+        let _ = iterative_wiresnaking(&mut tree, &c, cfg);
         for (id, &before) in snapshot.iter().enumerate() {
             if (tree.node(id).wire.extra_length - before).abs() > 1e-9 {
                 assert!(matches!(tree.node(id).kind, NodeKind::Sink(_)));

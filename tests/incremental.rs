@@ -13,7 +13,7 @@ use contango::core::dme::{build_zero_skew_tree, DmeOptions};
 use contango::core::instance::ClockNetInstance;
 use contango::core::opt::OptContext;
 use contango::core::polarity::correct_polarity;
-use contango::core::sliding::{slide_and_interleave, SlidingConfig};
+use contango::core::sliding::slide_and_interleave;
 use contango::core::tree::ClockTree;
 use contango::core::wiresizing::{iterative_wiresizing, WireSizingConfig};
 use contango::core::wiresnaking::{iterative_wiresnaking, WireSnakingConfig};
@@ -164,7 +164,7 @@ fn every_pass_preserves_incremental_full_equivalence() {
     };
 
     check(&tree, "INITIAL");
-    slide_and_interleave(&mut tree, &ctx, SlidingConfig::default());
+    slide_and_interleave(&mut tree, &ctx);
     iterative_buffer_sizing(&mut tree, &ctx, BufferSizingConfig::default());
     check(&tree, "TBSZ");
     iterative_wiresizing(&mut tree, &ctx, WireSizingConfig::default());

@@ -1,8 +1,11 @@
 //! Property-based tests on the core data structures and invariants.
 
 use contango::core::dme::{build_zero_skew_tree, DmeOptions};
+use contango::core::flow::{ContangoFlow, FlowConfig, StageSnapshot};
 use contango::core::instance::ClockNetInstance;
 use contango::core::lower::to_netlist;
+use contango::core::opt::PassOutcome;
+use contango::core::pipeline::{FlowObserver, Pass};
 use contango::core::slack::SlackAnalysis;
 use contango::geom::{Point, Rect, TiltedRect};
 use contango::sim::{DelayModel, Evaluator, RcTree, SourceSpec};
@@ -11,6 +14,16 @@ use proptest::prelude::*;
 
 fn arbitrary_points(max: usize) -> impl Strategy<Value = Vec<(f64, f64, f64)>> {
     prop::collection::vec((10.0..1990.0_f64, 10.0..1990.0_f64, 2.0..40.0_f64), 2..max)
+}
+
+/// Records every end-of-pass snapshot.
+#[derive(Default)]
+struct Snapshots(Vec<StageSnapshot>);
+
+impl FlowObserver for Snapshots {
+    fn on_pass_end(&mut self, _pass: &dyn Pass, snapshot: &StageSnapshot, _outcome: &PassOutcome) {
+        self.0.push(snapshot.clone());
+    }
 }
 
 proptest! {
@@ -107,6 +120,47 @@ proptest! {
                 prop_assert!(slacks.edge_fast[id] + 1e-9 >= slacks.edge_fast[p]);
             }
             prop_assert!(slacks.edge_slow[id] >= 0.0);
+        }
+    }
+
+    /// The contracts of the passes' improvement- and violation-check, on
+    /// arbitrary small instances under budgets from tight to loose (Elmore,
+    /// fast profile): TWSZ, TWSN and BWSN never raise skew, TBSZ never
+    /// raises CLR, and a pass whose snapshot differs from the previous one
+    /// ends with no slew violation and its total cap within the budget.
+    #[test]
+    fn passes_keep_the_ivc_contracts(points in arbitrary_points(12),
+                                     cap_per_sink in 300.0..1500.0_f64) {
+        let cap_limit = 1000.0 + cap_per_sink * points.len() as f64;
+        let mut builder = ClockNetInstance::builder("ivc")
+            .die(0.0, 0.0, 2000.0, 2000.0)
+            .source(Point::new(0.0, 1000.0))
+            .cap_limit(cap_limit);
+        for &(x, y, c) in &points {
+            builder = builder.sink(Point::new(x, y), c);
+        }
+        let instance = builder.build().expect("valid");
+        let config = FlowConfig { model: DelayModel::Elmore, ..FlowConfig::fast() };
+        let flow = ContangoFlow::new(Technology::ispd09(), config);
+        let mut snapshots = Snapshots::default();
+        // A budget too tight for INITIAL's buffering leaves no pass to check.
+        if flow.run_pipeline(&flow.pipeline(), &instance, &mut snapshots).is_err() {
+            return Ok(());
+        }
+        for pair in snapshots.0.windows(2) {
+            let (before, after) = (&pair[0], &pair[1]);
+            if after.stage == "TBSZ" {
+                prop_assert!(after.clr <= before.clr, "TBSZ raised CLR: {before:?} -> {after:?}");
+            } else {
+                prop_assert!(after.skew <= before.skew, "{} raised skew: {before:?} -> {after:?}",
+                             after.stage);
+            }
+            let unchanged = StageSnapshot { stage: before.stage.clone(), ..after.clone() } == *before;
+            if !unchanged {
+                prop_assert!(!after.slew_violation, "{} ends with a slew violation", after.stage);
+                prop_assert!(after.total_cap <= cap_limit, "{} ends at {} fF over the {} fF budget",
+                             after.stage, after.total_cap, cap_limit);
+            }
         }
     }
 
