@@ -1,7 +1,8 @@
 //! Process-level tests of the distributed CLI: a real coordinator process
 //! spawning real pipe workers (`suite --workers N`) and serving real TCP
 //! workers (`--dispatch tcp:...` + `worker --connect`), byte-compared to a
-//! plain serial `suite` run — with fault injection on one worker.
+//! plain serial `suite` run — with fault injection on one worker. One
+//! ignored test holds the pipe pool's speed-up floor at 4 workers.
 
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
@@ -24,14 +25,28 @@ baselines dme-no-tuning
 threads 2
 ";
 
-/// Writes the shared manifest to a unique temp path and returns it.
-fn manifest_file(tag: &str) -> PathBuf {
+/// Four TI-style instances crossed with one baseline: eight jobs, each
+/// run at one thread.
+const FLOOR_MANIFEST: &str = "\
+instance ti:6
+instance ti:9:7
+instance ti:12:3
+instance ti:16:5
+profile fast
+model elmore
+skip BWSN
+baselines dme-no-tuning
+threads 1
+";
+
+/// Writes `manifest` to a unique temp path and returns it.
+fn manifest_file(tag: &str, manifest: &str) -> PathBuf {
     let path = std::env::temp_dir().join(format!(
         "contango-dist-{}-{tag}.manifest",
         std::process::id()
     ));
     let mut file = std::fs::File::create(&path).expect("create manifest file");
-    file.write_all(MANIFEST.as_bytes()).expect("write manifest");
+    file.write_all(manifest.as_bytes()).expect("write manifest");
     path
 }
 
@@ -76,7 +91,7 @@ fn spawn_tcp_worker(addr: &str, name: &str, chaos: Option<&str>) -> Child {
 /// workers and must print exactly the serial run's bytes.
 #[test]
 fn local_pipe_workers_reproduce_the_serial_suite_bytes() {
-    let manifest = manifest_file("pipes");
+    let manifest = manifest_file("pipes", MANIFEST);
     let path = manifest.to_str().expect("utf-8 temp path");
     let serial = run_cli(&["suite", "--manifest", path]);
     let distributed = run_cli(&["suite", "--manifest", path, "--workers", "2"]);
@@ -89,7 +104,7 @@ fn local_pipe_workers_reproduce_the_serial_suite_bytes() {
 /// accounted for.
 #[test]
 fn tcp_workers_with_a_mid_run_crash_reproduce_the_serial_suite_bytes() {
-    let manifest = manifest_file("tcp");
+    let manifest = manifest_file("tcp", MANIFEST);
     let path = manifest.to_str().expect("utf-8 temp path");
     let serial = run_cli(&["suite", "--manifest", path]);
 
@@ -137,4 +152,37 @@ fn tcp_workers_with_a_mid_run_crash_reproduce_the_serial_suite_bytes() {
         let _ = worker.wait();
     }
     let _ = std::fs::remove_file(&manifest);
+}
+
+/// A pool of 4 pipe workers runs an eight-job manifest at least 1.5x
+/// faster than a serial `suite`, with the same bytes. The floor is
+/// asserted only on hosts with at least 4 cores; smaller hosts print the
+/// measured ratio instead.
+#[test]
+#[ignore = "timing floor; run in release with --ignored"]
+fn four_pipe_workers_are_at_least_1_5x_faster_than_serial() {
+    let manifest = manifest_file("floor", FLOOR_MANIFEST);
+    let path = manifest.to_str().expect("utf-8 temp path");
+    let timed = |args: &[&str]| {
+        let start = Instant::now();
+        let stdout = run_cli(args);
+        (stdout, start.elapsed().as_secs_f64())
+    };
+    let (serial, serial_s) = timed(&["suite", "--manifest", path]);
+    let (pooled, pooled_s) = timed(&["suite", "--manifest", path, "--workers", "4"]);
+    let _ = std::fs::remove_file(&manifest);
+    assert_eq!(pooled, serial, "pipe-worker pool diverged from serial");
+
+    let speedup = serial_s / pooled_s;
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    // Written past the test harness's capture so the note shows in CI logs.
+    let _ = writeln!(
+        std::io::stderr(),
+        "pipe pool at 4 workers: {speedup:.2}x \
+         (floor 1.5x, asserted only on 4+ cores; host has {cores})"
+    );
+    assert!(
+        cores < 4 || speedup >= 1.5,
+        "pipe pool speedup at 4 workers regressed below the 1.5x floor: {speedup:.2}"
+    );
 }

@@ -4,12 +4,15 @@
 //! records, the aggregate tables and the JSONL document are bit-identical
 //! for every worker count — and identical to a serial reference loop that
 //! runs each job through a fresh `ContangoFlow` (no session reuse). A
-//! failing job is reported per-job and never aborts the others.
+//! failing job is reported per-job and never aborts the others. One
+//! ignored test holds the executor's speed-up floor at 4 threads.
 
 use contango::campaign::{Campaign, CampaignResult, Job, JobRecord};
 use contango::prelude::*;
 use contango::sim::SourceSpec;
 use proptest::prelude::*;
+use std::io::Write;
+use std::time::Instant;
 
 fn instance(name: &str, sinks: usize, pitch: f64, cap_limit: f64) -> ClockNetInstance {
     let die = pitch * (sinks as f64 + 1.5);
@@ -251,4 +254,45 @@ fn warm_sessions_never_change_results() {
             cold.tree.wirelength().to_bits()
         );
     }
+}
+
+/// An eight-job TI-style scalability suite runs at least 1.5x faster on 4
+/// campaign threads than on one. The sizes differ, so longest-job-first
+/// dispatch has balancing to do. The floor is asserted only on hosts with
+/// at least 4 cores; smaller hosts print the measured ratio instead.
+#[test]
+#[ignore = "timing floor; run in release with --ignored"]
+fn four_campaign_threads_are_at_least_1_5x_faster_than_one() {
+    let tech = Technology::ti45();
+    let jobs: Vec<Job> = (40..=110)
+        .step_by(10)
+        .map(|n| {
+            let inst = contango::benchmarks::ti_instance(n, 0xC0FFEE + n as u64);
+            Job::contango(&tech, FlowConfig::scalability(), &inst)
+        })
+        .collect();
+    let run = |threads: usize| Campaign::new().threads(threads).extend(jobs.clone()).run();
+    let serial = run(1);
+    assert!(serial.records.iter().all(|r| r.outcome.is_ok()));
+    assert_eq!(mask_runtime(serial), mask_runtime(run(4)));
+
+    let mean_s = |threads: usize| {
+        let start = Instant::now();
+        for _ in 0..2 {
+            run(threads);
+        }
+        start.elapsed().as_secs_f64() / 2.0
+    };
+    let speedup = mean_s(1) / mean_s(4);
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    // Written past the test harness's capture so the note shows in CI logs.
+    let _ = writeln!(
+        std::io::stderr(),
+        "campaign suite at 4 threads: {speedup:.2}x \
+         (floor 1.5x, asserted only on 4+ cores; host has {cores})"
+    );
+    assert!(
+        cores < 4 || speedup >= 1.5,
+        "campaign speedup at 4 threads regressed below the 1.5x floor: {speedup:.2}"
+    );
 }

@@ -14,15 +14,23 @@
 //! 3. **Pairing determinism** — greedy matching at 1k sinks is
 //!    deterministic run-over-run and identical to the reference pairing
 //!    (the regression test for the O(n²) fallback replacement).
+//!
+//! One ignored test holds the engine's speed floors over the references.
 
 use contango::prelude::*;
+use contango_core::buffering::{choose_and_insert_buffers, default_candidates, split_long_edges};
 use contango_core::construct::{
     choose_buffers_with, construct_initial, greedy_matching_with, zero_skew_tree_with,
     ConstructConfig,
 };
 use contango_core::dme::{reference_zero_skew_tree, DmeOptions};
+use contango_core::obstacles::repair_obstacle_violations;
+use contango_core::polarity::correct_polarity;
 use contango_core::topology::reference_greedy_matching_tree;
 use proptest::prelude::*;
+use std::hint::black_box;
+use std::io::Write;
+use std::time::Instant;
 
 fn ti_style(sinks: usize, seed: u64) -> ClockNetInstance {
     contango::benchmarks::generator::ti_instance(sinks, seed)
@@ -112,9 +120,6 @@ fn greedy_pairing_is_deterministic_and_matches_reference_at_1k() {
 
 #[test]
 fn engine_buffer_planning_matches_reference() {
-    use contango_core::buffering::{
-        choose_and_insert_buffers, default_candidates, split_long_edges,
-    };
     let tech = Technology::ispd09();
     let mut arena = ConstructArena::new();
     for instance in [ti_style(300, 5), obstacle_dense(300)] {
@@ -146,6 +151,49 @@ fn engine_buffer_planning_matches_reference() {
             .expect("fits");
             assert_eq!(r_ref, r_eng, "buffer report diverged ({threads} threads)");
             assert_eq!(t_ref, t_eng, "buffered tree diverged ({threads} threads)");
+        }
+    }
+}
+
+/// The pre-engine INITIAL construction, step for step: reference ZST,
+/// obstacle repair, long-edge splitting, reference buffer planning and
+/// polarity correction.
+fn reference_initial(instance: &ClockNetInstance, tech: &Technology) -> ClockTree {
+    let mut tree = reference_zero_skew_tree(instance, tech, DmeOptions::default());
+    let candidates = default_candidates(tech, false);
+    let strongest = candidates
+        .iter()
+        .map(|c| c.output_res())
+        .fold(f64::INFINITY, f64::min);
+    repair_obstacle_violations(&mut tree, instance, tech, strongest);
+    split_long_edges(&mut tree, 250.0);
+    let report = choose_and_insert_buffers(
+        &mut tree,
+        tech,
+        &candidates,
+        instance.cap_limit,
+        0.1,
+        &instance.obstacles,
+    )
+    .expect("buffering fits");
+    correct_polarity(&mut tree, report.composite);
+    tree
+}
+
+#[test]
+fn engine_initial_matches_the_reference_sequence() {
+    let tech = Technology::ispd09();
+    let mut arena = ConstructArena::new();
+    for instance in [ti_style(1000, 7), obstacle_dense(300)] {
+        let reference = reference_initial(&instance, &tech);
+        for threads in [1usize, 4] {
+            let (engine, _) = construct_initial(&instance, &tech, &config(threads), &mut arena)
+                .expect("constructs");
+            assert_eq!(
+                reference, engine,
+                "INITIAL diverged from the reference sequence on `{}` ({threads} threads)",
+                instance.name
+            );
         }
     }
 }
@@ -353,4 +401,116 @@ proptest! {
         .expect("partitioned constructs");
         prop_assert_eq!(&serial, &partitioned);
     }
+}
+
+/// Register-bank row layout: drain stress for the pairing rounds (the
+/// reference index re-scans its dead points, the engine does not).
+fn row_instance(sinks: usize) -> ClockNetInstance {
+    let mut b = ClockNetInstance::builder("bank-rows")
+        .die(0.0, 0.0, 42000.0, 30000.0)
+        .source(Point::new(0.0, 15000.0))
+        .cap_limit(4.0e8);
+    for i in 0..sinks {
+        b = b.sink(
+            Point::new(100.0 + 40.0 * i as f64, 15000.0),
+            5.0 + (i % 7) as f64,
+        );
+    }
+    b.build().expect("valid row instance")
+}
+
+/// Times `iters` calls of `f` after one untimed warm-up call and returns
+/// the mean per call in µs.
+fn mean_us<T>(iters: usize, mut f: impl FnMut() -> T) -> f64 {
+    black_box(f());
+    let start = Instant::now();
+    for _ in 0..iters {
+        black_box(f());
+    }
+    start.elapsed().as_secs_f64() * 1e6 / iters as f64
+}
+
+/// Asserts that the engine is at least `floor` times faster than the
+/// reference on kernel `name`.
+fn assert_floor(name: &str, reference_us: f64, engine_us: f64, floor: f64) {
+    let ratio = reference_us / engine_us;
+    // Written past the test harness's capture so the ratio shows in CI logs.
+    let _ = writeln!(
+        std::io::stderr(),
+        "construction `{name}` at 1k sinks: reference {reference_us:.0} us, \
+         engine {engine_us:.0} us, {ratio:.2}x (floor {floor}x)"
+    );
+    assert!(
+        ratio >= floor,
+        "construction speedup `{name}` regressed below its {floor}x floor: {ratio:.2}"
+    );
+}
+
+/// Serial engine speed over the references at 1k sinks, each kernel
+/// checked bit-identical first. The engine shares the references' merge
+/// mathematics, so its headroom is the allocation and traversal overhead
+/// it removes; the floors sit well below the measured ratios.
+#[test]
+#[ignore = "timing floors; run in release with --ignored"]
+fn engine_construction_floors_over_the_references_at_1k() {
+    let tech = Technology::ispd09();
+    let instance = ti_style(1000, 7);
+    let mut arena = ConstructArena::new();
+    let iters = 8;
+
+    let zst_ref = || reference_zero_skew_tree(&instance, &tech, DmeOptions::default());
+    let zst_eng = |arena: &mut ConstructArena| {
+        zero_skew_tree_with(&instance, &tech, DmeOptions::default(), arena)
+    };
+    assert_eq!(zst_ref(), zst_eng(&mut arena));
+    let reference_us = mean_us(iters, zst_ref);
+    let engine_us = mean_us(iters, || zst_eng(&mut arena));
+    assert_floor("zst", reference_us, engine_us, 1.15);
+
+    for (name, layout, floor) in [
+        ("greedy", &instance, 1.2),
+        ("greedy_drain", &row_instance(1000), 1.5),
+    ] {
+        let reference = || reference_greedy_matching_tree(layout);
+        assert_eq!(reference(), greedy_matching_with(layout, &mut arena));
+        let reference_us = mean_us(iters, reference);
+        let engine_us = mean_us(iters, || greedy_matching_with(layout, &mut arena));
+        assert_floor(name, reference_us, engine_us, floor);
+    }
+
+    // Every timed call plans buffers into the tree its side's previous
+    // call left, so the two trees must still agree after the loops.
+    let candidates = default_candidates(&tech, false);
+    let mut split = zst_ref();
+    split_long_edges(&mut split, 250.0);
+    let (mut ref_tree, mut eng_tree) = (split.clone(), split);
+    let (cap, obstacles) = (instance.cap_limit, &instance.obstacles);
+    let reference_us = mean_us(iters, || {
+        choose_and_insert_buffers(&mut ref_tree, &tech, &candidates, cap, 0.1, obstacles)
+            .expect("fits")
+    });
+    let engine_us = mean_us(iters, || {
+        choose_buffers_with(
+            &mut eng_tree,
+            &tech,
+            &candidates,
+            cap,
+            0.1,
+            obstacles,
+            ParallelConfig::serial(),
+            &mut arena,
+        )
+        .expect("fits")
+    });
+    assert_eq!(ref_tree, eng_tree, "buffer planning diverged");
+    assert_floor("buffering", reference_us, engine_us, 1.4);
+
+    let reference = || reference_initial(&instance, &tech);
+    let engine = |arena: &mut ConstructArena| {
+        construct_initial(&instance, &tech, &config(1), arena).expect("constructs")
+    };
+    assert_eq!(reference(), engine(&mut arena).0);
+    let reference_us = mean_us(iters, reference);
+    let engine_us = mean_us(iters, || engine(&mut arena));
+    assert_floor("initial", reference_us, engine_us, 1.25);
 }

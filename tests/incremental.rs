@@ -4,7 +4,8 @@
 //! re-evaluation of the same tree within 1e-9 on every metric. These tests
 //! enforce that promise across every optimization pass of the flow and
 //! across randomized mutation sequences, rather than trusting the cache
-//! keys.
+//! keys. One ignored test holds the engine's speed floor over full
+//! evaluation.
 
 use contango::core::bottomlevel::{bottom_level_tuning, BottomLevelConfig};
 use contango::core::buffering::{choose_and_insert_buffers, default_candidates, split_long_edges};
@@ -21,6 +22,8 @@ use contango::geom::Point;
 use contango::sim::{EvalReport, IncrementalEvaluator, SourceSpec};
 use contango::tech::{Technology, WireWidth};
 use proptest::prelude::*;
+use std::io::Write;
+use std::time::Instant;
 
 const TOL: f64 = 1e-9;
 
@@ -107,7 +110,14 @@ fn buffered_tree(
         b = b.sink(Point::new(x, y), c);
     }
     let inst = b.build().expect("valid instance");
-    let mut tree = build_zero_skew_tree(&inst, tech, DmeOptions::default());
+    let tree = initial_tree(tech, &inst);
+    (inst, tree)
+}
+
+/// The INITIAL construction of `inst`: zero-skew tree, long edges split,
+/// buffers inserted, sink polarity corrected.
+fn initial_tree(tech: &Technology, inst: &ClockNetInstance) -> ClockTree {
+    let mut tree = build_zero_skew_tree(inst, tech, DmeOptions::default());
     split_long_edges(&mut tree, 250.0);
     choose_and_insert_buffers(
         &mut tree,
@@ -119,7 +129,7 @@ fn buffered_tree(
     )
     .expect("buffers fit");
     correct_polarity(&mut tree, tech.composite(tech.small_inverter(), 32));
-    (inst, tree)
+    tree
 }
 
 fn fixed_sinks() -> Vec<(f64, f64, f64)> {
@@ -256,4 +266,67 @@ proptest! {
         // Sanity: sinks survived the mutations.
         prop_assert_eq!(tree.sink_count(), sinks.len());
     }
+}
+
+/// Times `iters` calls of `f` and returns the mean per call in µs.
+fn mean_us(iters: usize, mut f: impl FnMut()) -> f64 {
+    let start = Instant::now();
+    for _ in 0..iters {
+        f();
+    }
+    start.elapsed().as_secs_f64() * 1e6 / iters as f64
+}
+
+/// After a single-edge mutation of an 80-sink tree, incremental
+/// evaluation is at least 5x faster than re-lowering and re-simulating
+/// the whole tree.
+#[test]
+#[ignore = "timing floor; run in release with --ignored"]
+fn incremental_evaluation_is_at_least_5x_faster_than_full() {
+    let tech = Technology::ispd09();
+    let inst = contango::benchmarks::ti_instance(80, 9);
+    let tree = initial_tree(&tech, &inst);
+    let evaluator = IncrementalEvaluator::new(tech.clone());
+    let ctx = OptContext {
+        tech: &tech,
+        source: SourceSpec::ispd09(),
+        evaluator: &evaluator,
+        segment_um: 100.0,
+        cap_limit: inst.cap_limit,
+    };
+    // Growing one sink edge never revisits a cached signature, so every
+    // evaluation re-lowers and re-solves the mutated stage's cone.
+    let mutate = |tree: &mut ClockTree| {
+        let sink = tree.sink_node(0);
+        tree.node_mut(sink).wire.extra_length += 0.01;
+    };
+
+    let mut full_tree = tree.clone();
+    let full_us = mean_us(3, || {
+        mutate(&mut full_tree);
+        ctx.evaluate_full(&full_tree);
+    });
+    let mut inc_tree = tree;
+    ctx.evaluate(&inc_tree);
+    let inc_us = mean_us(30, || {
+        mutate(&mut inc_tree);
+        ctx.evaluate(&inc_tree);
+    });
+    assert_reports_match(
+        &ctx.evaluate(&inc_tree),
+        &ctx.evaluate_full(&inc_tree),
+        "timed tree",
+    );
+
+    let speedup = full_us / inc_us;
+    // Written past the test harness's capture so the ratio shows in CI logs.
+    let _ = writeln!(
+        std::io::stderr(),
+        "incremental evaluation at 80 sinks: full {full_us:.0} us, \
+         incremental {inc_us:.0} us, {speedup:.1}x (floor 5x)"
+    );
+    assert!(
+        speedup >= 5.0,
+        "incremental evaluation speedup regressed below the 5x floor: {speedup:.2}"
+    );
 }

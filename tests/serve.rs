@@ -1,7 +1,8 @@
 //! Integration tests for the `contango serve` daemon: fuzzing the NDJSON
 //! decoder and the wire protocol (nothing a client sends may panic the
-//! server or go unanswered), and determinism (served responses are
-//! bit-identical across pool sizes and to offline campaign runs).
+//! server or go unanswered), determinism (served responses are
+//! bit-identical across pool sizes and to offline campaign runs), and the
+//! request ledger under concurrent load.
 
 use contango::campaign::json::JsonValue;
 use contango::campaign::output::suite_output;
@@ -389,4 +390,66 @@ fn shutdown_drains_pipelined_requests_still_queued() {
         .expect("daemon thread")
         .expect("daemon exits cleanly");
     assert_eq!((summary.accepted, summary.completed), (4, 4));
+}
+
+/// Concurrent clients against a small queue: every refusal is a typed
+/// `overloaded` frame that the client retries, and the daemon's ledger
+/// accounts for every request. Whether any refusal happens depends on
+/// timing, so none is required.
+#[test]
+fn ledger_balances_under_concurrent_load_with_retried_refusals() {
+    const CLIENTS: usize = 8;
+    const REQUESTS: usize = 25;
+    const LOAD_MANIFEST: &str = "instance ti:6\nprofile fast\nmodel elmore\nstages INITIAL\n";
+    let server = Server::bind(ServeConfig {
+        queue_capacity: 2,
+        ..serve_config(2)
+    })
+    .expect("bind serve port");
+    let addr = server.local_addr();
+    let daemon = thread::spawn(move || server.run());
+
+    // Each client sends its requests one at a time and returns how many
+    // refusals it retried.
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|_| {
+            thread::spawn(move || {
+                let mut client = Client::connect(addr).expect("connect");
+                let mut refusals = 0u64;
+                for _ in 0..REQUESTS {
+                    loop {
+                        match client
+                            .run_manifest(LOAD_MANIFEST, ReportKind::Table, TableFormat::Text)
+                            .expect("run manifest")
+                        {
+                            Response::RunOk { failed: 0, .. } => break,
+                            Response::Error { kind, .. } if kind == "overloaded" => {
+                                refusals += 1;
+                                thread::sleep(Duration::from_millis(2));
+                            }
+                            other => panic!("unexpected response under load: {other:?}"),
+                        }
+                    }
+                }
+                refusals
+            })
+        })
+        .collect();
+    let refusals: u64 = clients
+        .into_iter()
+        .map(|client| client.join().expect("client thread"))
+        .sum();
+
+    Client::connect(addr)
+        .expect("connect for shutdown")
+        .shutdown()
+        .expect("shutdown");
+    let summary = daemon
+        .join()
+        .expect("daemon thread")
+        .expect("daemon exits cleanly");
+    let sent = (CLIENTS * REQUESTS) as u64;
+    assert_eq!((summary.accepted, summary.completed), (sent, sent));
+    assert_eq!(summary.rejected, refusals);
+    assert_eq!(summary.jobs_run, sent);
 }
