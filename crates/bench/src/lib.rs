@@ -1,9 +1,10 @@
-//! Shared helpers for the table/figure reproduction binaries and the
-//! Criterion micro-benchmarks.
+//! Shared helpers for the table and figure reproduction binaries.
 //!
 //! Every table and figure of the paper's evaluation section has a dedicated
-//! binary in `src/bin/` (see `DESIGN.md` for the experiment index). The
-//! binaries print the same rows the paper reports. Because the full-size
+//! binary in `src/bin/`, named after its exhibit (`table1`–`table5`,
+//! `figure1`–`figure3`), plus the `ablation` and `variation` studies. The
+//! binaries print the same rows the paper reports; performance is measured
+//! by the separate `perfbench` package instead. Because the full-size
 //! ISPD'09-style instances take minutes under the transient evaluator, the
 //! binaries honour two environment variables:
 //!
@@ -48,49 +49,4 @@ pub fn instance_for(spec: &BenchmarkSpec, max_sinks: usize) -> ClockNetInstance 
 /// Prints a horizontal rule sized for the table binaries.
 pub fn rule(width: usize) {
     println!("{}", "-".repeat(width));
-}
-
-/// Resolved core count of the host — the worker-pool width
-/// [`contango_core::ParallelConfig::auto`] would pick. Recorded in every
-/// `BENCH_N.json` so a measurement can be judged against the machine that
-/// produced it.
-pub fn host_cores() -> usize {
-    contango_core::ParallelConfig::auto().resolved()
-}
-
-/// Process-wide peak resident set in MiB (`VmHWM`), when the platform
-/// exposes it. Recorded in every `BENCH_N.json`; `None` renders as JSON
-/// `null`.
-pub fn peak_rss_mb() -> Option<f64> {
-    contango_core::mem::peak_rss_bytes().map(|bytes| bytes as f64 / (1024.0 * 1024.0))
-}
-
-/// Renders [`peak_rss_mb`] as a JSON scalar (`null` when unavailable).
-pub fn peak_rss_mb_json() -> String {
-    match peak_rss_mb() {
-        Some(mb) => format!("{mb:.1}"),
-        None => "null".to_string(),
-    }
-}
-
-/// The shared speedup-floor gate for the parallel benches: asserts
-/// `speedup >= floor` only when the host has at least `need_cores` cores
-/// (a 1-core container cannot demonstrate parallel speedup and would only
-/// measure scheduling overhead), and returns whether the floor was
-/// asserted. `label` names the measurement in the panic/note text.
-pub fn assert_scaling_floor(label: &str, cores: usize, speedup: f64, floor: f64) -> bool {
-    let need_cores = 4;
-    if cores >= need_cores {
-        assert!(
-            speedup >= floor,
-            "{label} speedup regressed below the {floor}x floor: {speedup:.2}"
-        );
-        true
-    } else {
-        println!(
-            "note: {cores} host core(s) < {need_cores}; recording {label} without \
-             asserting the {floor}x floor (measured {speedup:.2}x)"
-        );
-        false
-    }
 }
