@@ -28,8 +28,8 @@
 //! ([`crate::dme::reference_zero_skew_tree`],
 //! [`crate::topology::reference_greedy_matching_tree`],
 //! [`crate::buffering::choose_and_insert_buffers`]); equivalence tests pin
-//! the engine to them bit-for-bit, and the `construction` benchmark group
-//! (`BENCH_4.json`) asserts the engine's speedup over them.
+//! the engine to them bit-for-bit, and an ignored timing test in
+//! `tests/construction.rs` asserts the engine's speedup over them.
 //!
 //! The engine is what the `INITIAL` construction pass of the
 //! [`crate::pipeline`] runs (see [`construct_initial`]), so observers see

@@ -14,9 +14,9 @@
 //!   path;
 //! * [`reference_zero_skew_tree`] is the direct recursive formulation,
 //!   kept as the readable specification of the algorithm. Equivalence
-//!   tests pin the engine bit-for-bit to this reference, and the
-//!   `construction` benchmark group measures the engine's speedup against
-//!   it (`BENCH_4.json`).
+//!   tests pin the engine bit-for-bit to this reference, and an ignored
+//!   timing test in `tests/construction.rs` asserts the engine's speedup
+//!   over it.
 
 use crate::construct::{zero_skew_tree_with, ConstructArena, ParallelConfig};
 use crate::instance::ClockNetInstance;
