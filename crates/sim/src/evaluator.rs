@@ -10,7 +10,7 @@ use crate::driver::DriverSpec;
 use crate::models::{analytic_tap_timing, DelayModel};
 use crate::netlist::{Netlist, StageDriver, TapKind};
 use crate::report::{CornerReport, EvalReport, SinkTiming, TransitionTiming};
-use crate::transient::TransientSolver;
+use crate::transient::{solve_lanes, Lane};
 use contango_tech::Technology;
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
@@ -57,6 +57,95 @@ pub(crate) struct RelTiming {
     pub(crate) delay: f64,
     /// 10%–90% output slew at the tap, in ps.
     pub(crate) slew: f64,
+}
+
+/// One transition solve a stage visit asks for: supply corner, output
+/// direction and input slew. Floats are held by bit pattern, so the request
+/// doubles as the key of the incremental evaluator's solve cache.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct SolveKey {
+    pub(crate) vdd: u64,
+    pub(crate) rising: bool,
+    pub(crate) input_slew: u64,
+}
+
+impl SolveKey {
+    fn new(vdd: f64, rising: bool, input_slew: f64) -> Self {
+        Self {
+            vdd: vdd.to_bits(),
+            rising,
+            input_slew: input_slew.to_bits(),
+        }
+    }
+}
+
+/// The four transition solves of one stage visit, in the order nominal
+/// rise, nominal fall, low rise, low fall: for each, the input edge that
+/// causes it and its solve key. `vdds` and `input` are indexed by corner,
+/// nominal first.
+pub(crate) fn stage_requests(
+    vdds: [f64; 2],
+    input: &[NodeState; 2],
+    inverting: bool,
+) -> [(EdgeState, SolveKey); 4] {
+    std::array::from_fn(|k| {
+        let (corner, rising) = (k / 2, k % 2 == 0);
+        // Output rising edge is caused by the input falling edge for an
+        // inverter, by the input rising edge otherwise; and vice versa.
+        let state = input[corner];
+        let cause = if rising != inverting {
+            state.rise
+        } else {
+            state.fall
+        };
+        (cause, SolveKey::new(vdds[corner], rising, cause.slew))
+    })
+}
+
+/// The edge states at tap `tap` for both corners, from the causing edges
+/// and the relative timings of a stage's four solves (in
+/// [`stage_requests`] order).
+pub(crate) fn tap_states(
+    requests: &[(EdgeState, SolveKey); 4],
+    rel: &[Vec<RelTiming>],
+    tap: usize,
+) -> [NodeState; 2] {
+    let edge = |k: usize| {
+        let t = rel[k][tap];
+        EdgeState {
+            arrival: requests[k].0.arrival + t.delay,
+            slew: t.slew,
+        }
+    };
+    [0, 1].map(|corner| NodeState {
+        rise: edge(2 * corner),
+        fall: edge(2 * corner + 1),
+    })
+}
+
+/// Folds one tap's edge states into both corner reports: the worst slew,
+/// and the sink's timing when the tap is sink `sink`.
+pub(crate) fn record_tap(
+    corners: &mut [CornerReport; 2],
+    states: &[NodeState; 2],
+    sink: Option<usize>,
+) {
+    for (corner, state) in corners.iter_mut().zip(states) {
+        corner.max_slew = corner.max_slew.max(state.rise.slew).max(state.fall.slew);
+        if let Some(id) = sink {
+            corner.sinks.push(SinkTiming {
+                sink_id: id,
+                rise: TransitionTiming {
+                    latency: state.rise.arrival,
+                    slew: state.rise.slew,
+                },
+                fall: TransitionTiming {
+                    latency: state.fall.arrival,
+                    slew: state.fall.slew,
+                },
+            });
+        }
+    }
 }
 
 /// The clock-network evaluator ("circuit simulation tool" of the paper).
@@ -117,11 +206,56 @@ impl Evaluator {
         self.runs.set(self.runs.get() + 1);
     }
 
-    /// Evaluates the netlist at both supply corners.
+    /// Evaluates the netlist at both supply corners, in one walk of the
+    /// stages.
     pub fn evaluate(&self, netlist: &Netlist) -> EvalReport {
         self.count_run();
-        let nominal = self.evaluate_corner(netlist, self.tech.nominal_corner.vdd);
-        let low = self.evaluate_corner(netlist, self.tech.low_corner.vdd);
+        let vdds = [self.tech.nominal_corner.vdd, self.tech.low_corner.vdd];
+        let source = EdgeState {
+            arrival: 0.0,
+            slew: source_slew(netlist),
+        };
+        let mut inputs: Vec<Option<[NodeState; 2]>> = vec![None; netlist.len()];
+        inputs[netlist.root] = Some(
+            [NodeState {
+                rise: source,
+                fall: source,
+            }; 2],
+        );
+        let mut corners = vdds.map(|vdd| CornerReport {
+            vdd,
+            sinks: Vec::new(),
+            max_slew: 0.0,
+        });
+
+        for si in netlist.topological_order() {
+            let stage = &netlist.stages[si];
+            let input = inputs[si].expect("topological order guarantees inputs are known");
+            let requests = stage_requests(vdds, &input, stage.driver.inverting());
+            let taps: Vec<usize> = stage.taps.iter().map(|t| t.node).collect();
+            let rel = self.stage_rel_outputs(
+                &stage.tree,
+                &taps,
+                &stage.driver.spec(),
+                stage.driver.is_source(),
+                &requests.map(|r| r.1),
+            );
+            for (tap_idx, tap) in stage.taps.iter().enumerate() {
+                let states = tap_states(&requests, &rel, tap_idx);
+                match tap.kind {
+                    TapKind::Sink(id) => record_tap(&mut corners, &states, Some(id)),
+                    TapKind::Stage(child) => {
+                        record_tap(&mut corners, &states, None);
+                        inputs[child] = Some(states);
+                    }
+                }
+            }
+        }
+
+        for corner in &mut corners {
+            corner.sinks.sort_by_key(|s| s.sink_id);
+        }
+        let [nominal, low] = corners;
         EvalReport {
             nominal,
             low,
@@ -131,175 +265,139 @@ impl Evaluator {
         }
     }
 
-    /// Evaluates the netlist at a single supply corner.
-    fn evaluate_corner(&self, netlist: &Netlist, vdd: f64) -> CornerReport {
-        let order = netlist.topological_order();
-        let mut inputs: Vec<Option<NodeState>> = vec![None; netlist.len()];
-        inputs[netlist.root] = Some(NodeState {
-            rise: EdgeState {
-                arrival: 0.0,
-                slew: source_slew(netlist),
-            },
-            fall: EdgeState {
-                arrival: 0.0,
-                slew: source_slew(netlist),
-            },
-        });
-
-        let mut sinks: Vec<SinkTiming> = Vec::new();
-        let mut max_slew = 0.0_f64;
-
-        for si in order {
-            let stage = &netlist.stages[si];
-            let input = inputs[si].expect("topological order guarantees inputs are known");
-            let driver = stage.driver.spec();
-            let inverting = stage.driver.inverting();
-            let is_source = stage.driver.is_source();
-
-            // Output rising edge is caused by the input falling edge for an
-            // inverter, by the input rising edge otherwise; and vice versa.
-            let (in_for_rise, in_for_fall) = if inverting {
-                (input.fall, input.rise)
-            } else {
-                (input.rise, input.fall)
-            };
-
-            let taps = stage.taps.iter().map(|t| t.node);
-            let rise_rel = self.stage_rel_outputs(
-                &stage.tree,
-                taps.clone(),
-                &driver,
-                is_source,
-                vdd,
-                true,
-                in_for_rise.slew,
-            );
-            let fall_rel = self.stage_rel_outputs(
-                &stage.tree,
-                taps,
-                &driver,
-                is_source,
-                vdd,
-                false,
-                in_for_fall.slew,
-            );
-            let rise_out: Vec<EdgeState> = rise_rel
-                .iter()
-                .map(|t| EdgeState {
-                    arrival: in_for_rise.arrival + t.delay,
-                    slew: t.slew,
-                })
-                .collect();
-            let fall_out: Vec<EdgeState> = fall_rel
-                .iter()
-                .map(|t| EdgeState {
-                    arrival: in_for_fall.arrival + t.delay,
-                    slew: t.slew,
-                })
-                .collect();
-
-            let mut sink_latest: Vec<(usize, TransitionTiming, TransitionTiming)> = Vec::new();
-            for (tap_idx, tap) in stage.taps.iter().enumerate() {
-                let r = rise_out[tap_idx];
-                let f = fall_out[tap_idx];
-                max_slew = max_slew.max(r.slew).max(f.slew);
-                match tap.kind {
-                    TapKind::Sink(id) => {
-                        sink_latest.push((
-                            id,
-                            TransitionTiming {
-                                latency: r.arrival,
-                                slew: r.slew,
-                            },
-                            TransitionTiming {
-                                latency: f.arrival,
-                                slew: f.slew,
-                            },
-                        ));
-                    }
-                    TapKind::Stage(child) => {
-                        inputs[child] = Some(NodeState { rise: r, fall: f });
-                    }
-                }
-            }
-            for (id, rise, fall) in sink_latest {
-                sinks.push(SinkTiming {
-                    sink_id: id,
-                    rise,
-                    fall,
-                });
-            }
-        }
-
-        sinks.sort_by_key(|s| s.sink_id);
-        CornerReport {
-            vdd,
-            sinks,
-            max_slew,
-        }
-    }
-
     /// Computes, for the given tap nodes of a stage's RC tree, the delay and
-    /// slew of the requested output transition relative to the causing input
-    /// edge's arrival.
+    /// slew of each requested output transition relative to the causing
+    /// input edge's arrival: one vector of tap timings per key.
     ///
     /// This is the single stage-solving primitive shared by the full
     /// evaluation above and by [`crate::incremental::IncrementalEvaluator`]'s
     /// cached path, which guarantees the two produce bit-identical timing
-    /// for identical inputs.
-    #[allow(clippy::too_many_arguments)]
+    /// for identical inputs. Under the transient model the requests are
+    /// lanes of one kernel call; requests that resolve to the same driver,
+    /// supply and ramp are solved once.
     pub(crate) fn stage_rel_outputs(
         &self,
         tree: &crate::RcTree,
-        taps: impl Iterator<Item = usize>,
+        taps: &[usize],
         driver: &DriverSpec,
         is_source: bool,
-        vdd: f64,
-        output_rising: bool,
-        input_slew: f64,
-    ) -> Vec<RelTiming> {
+        keys: &[SolveKey],
+    ) -> Vec<Vec<RelTiming>> {
         // The clock source sits off-chip: it does not derate with the
         // on-chip supply and has no rise/fall asymmetry.
-        let (res, intrinsic) = if is_source {
-            (driver.output_res, 0.0)
-        } else {
-            (
-                driver.corner_res(&self.tech, vdd, output_rising),
-                driver.corner_intrinsic(&self.tech, vdd),
-            )
-        };
-        let gate_delay = intrinsic + crate::driver::SLEW_DELAY_SENSITIVITY * input_slew;
+        let drives: Vec<Drive> = keys
+            .iter()
+            .map(|key| {
+                let vdd = f64::from_bits(key.vdd);
+                let (res, intrinsic) = if is_source {
+                    (driver.output_res, 0.0)
+                } else {
+                    (
+                        driver.corner_res(&self.tech, vdd, key.rising),
+                        driver.corner_intrinsic(&self.tech, vdd),
+                    )
+                };
+                Drive {
+                    vdd,
+                    input_slew: f64::from_bits(key.input_slew),
+                    res,
+                    intrinsic,
+                }
+            })
+            .collect();
 
         match self.options.model {
             DelayModel::Elmore | DelayModel::TwoPole => {
                 let two_pole = self.options.model == DelayModel::TwoPole;
-                let (m1, m2) = tree.moments_from(res);
-                taps.map(|node| {
-                    let t =
-                        analytic_tap_timing(m1[node], m2[node], intrinsic, input_slew, two_pole);
-                    RelTiming {
-                        delay: t.delay,
-                        slew: t.slew,
-                    }
-                })
-                .collect()
+                drives
+                    .iter()
+                    .map(|d| {
+                        let (m1, m2) = tree.moments_from(d.res);
+                        taps.iter()
+                            .map(|&node| {
+                                let t = analytic_tap_timing(
+                                    m1[node],
+                                    m2[node],
+                                    d.intrinsic,
+                                    d.input_slew,
+                                    two_pole,
+                                );
+                                RelTiming {
+                                    delay: t.delay,
+                                    slew: t.slew,
+                                }
+                            })
+                            .collect()
+                    })
+                    .collect()
             }
-            DelayModel::Transient => {
-                // The gate output ramp steepens with a stronger driver and
-                // degrades with a slow input edge.
-                let intrinsic_ramp =
-                    2.0 * contango_tech::units::rc_ps(res, driver.output_cap.max(1.0));
-                let ramp = (intrinsic_ramp + 0.4 * input_slew).max(2.0);
-                let solver = TransientSolver::new(tree, res, vdd, ramp);
-                let result = solver.solve();
-                taps.map(|node| RelTiming {
-                    delay: gate_delay + result.delay50[node],
-                    slew: result.slew[node],
-                })
-                .collect()
-            }
+            DelayModel::Transient => transient_rel_outputs(tree, taps, driver.output_cap, &drives),
         }
     }
+}
+
+/// One solve request resolved against its stage's driver.
+struct Drive {
+    /// Supply voltage of the corner, V.
+    vdd: f64,
+    /// 10%–90% slew of the causing input edge, ps.
+    input_slew: f64,
+    /// Corner-derated driver output resistance for the transition, Ω.
+    res: f64,
+    /// Corner-derated intrinsic gate delay, ps.
+    intrinsic: f64,
+}
+
+/// The transient half of [`Evaluator::stage_rel_outputs`]: every request is
+/// a lane of one kernel call. Requests that resolve to the same driver,
+/// supply and ramp (the source stage's rise and fall, for one) share a
+/// lane.
+fn transient_rel_outputs(
+    tree: &crate::RcTree,
+    taps: &[usize],
+    output_cap: f64,
+    drives: &[Drive],
+) -> Vec<Vec<RelTiming>> {
+    let bits = |lane: &Lane| [lane.driver_res, lane.vdd, lane.ramp_ps].map(f64::to_bits);
+    let mut lanes: Vec<Lane> = Vec::with_capacity(drives.len());
+    let lane_of: Vec<usize> = drives
+        .iter()
+        .map(|d| {
+            // The gate output ramp steepens with a stronger driver and
+            // degrades with a slow input edge.
+            let intrinsic_ramp = 2.0 * contango_tech::units::rc_ps(d.res, output_cap.max(1.0));
+            let lane = Lane {
+                driver_res: d.res,
+                vdd: d.vdd,
+                ramp_ps: (intrinsic_ramp + 0.4 * d.input_slew).max(2.0),
+            };
+            lanes
+                .iter()
+                .position(|other| bits(other) == bits(&lane))
+                .unwrap_or_else(|| {
+                    lanes.push(lane);
+                    lanes.len() - 1
+                })
+        })
+        .collect();
+    let results = solve_lanes(tree, &lanes, taps);
+    drives
+        .iter()
+        .zip(lane_of)
+        .map(|(d, lane)| {
+            let gate_delay = d.intrinsic + crate::driver::SLEW_DELAY_SENSITIVITY * d.input_slew;
+            let result = &results[lane];
+            result
+                .delay50
+                .iter()
+                .zip(&result.slew)
+                .map(|(&delay50, &slew)| RelTiming {
+                    delay: gate_delay + delay50,
+                    slew,
+                })
+                .collect()
+        })
+        .collect()
 }
 
 /// Slew of the clock source waveform.

@@ -17,7 +17,13 @@
 //!   slew)`. A stage is re-solved only when it is new **or** an upstream
 //!   change altered the slew arriving at its driver — exactly the downstream
 //!   cone of the mutation. Arrival-time shifts alone are propagated by
-//!   addition, without re-solving.
+//!   addition, without re-solving;
+//! * one walk of the stages covers both supply corners. Each stage visit
+//!   asks for four transitions (rise and fall at each corner), and only the
+//!   cache misses among them reach the solver, as one batch that the
+//!   transient kernel steps as lanes in lockstep. The bookkeeping of hits,
+//!   misses, store writes and the per-stage bound then runs key by key, as
+//!   a one-key lookup would.
 //!
 //! With evaluation incremental, tree *construction* dominates what is left
 //! of flow runtime; the complementary construction engine lives in
@@ -25,23 +31,28 @@
 //! repository root).
 //!
 //! Because cached solves are produced by the same
-//! `Evaluator::stage_rel_outputs` primitive the full evaluation uses, an
-//! incremental report is bit-identical to a full re-evaluation of the same
-//! tree — a property the workspace enforces with equivalence tests rather
-//! than trusting the cache keys.
+//! `Evaluator::stage_rel_outputs` primitive the full evaluation uses, and a
+//! lane of a batched solve computes exactly what a one-transition solve
+//! does, an incremental report is bit-identical to a full re-evaluation of
+//! the same tree — a property the workspace enforces with equivalence tests
+//! rather than trusting the cache keys.
 //!
 //! "SPICE run" counting is preserved: one [`IncrementalEvaluator::
 //! evaluate_slots`] call increments the shared run counter by one, cache
 //! hits notwithstanding, so Table-V-style reporting is unchanged.
 
-use crate::evaluator::{EdgeState, EvalOptions, Evaluator, NodeState, RelTiming};
+use crate::evaluator::{
+    record_tap, stage_requests, tap_states, EdgeState, EvalOptions, Evaluator, NodeState,
+    RelTiming, SolveKey,
+};
 use crate::netlist::StageDriver;
-use crate::report::{CornerReport, EvalReport, SinkTiming, TransitionTiming};
+use crate::report::{CornerReport, EvalReport};
 use crate::store::{ByteReader, ByteWriter, CacheCounters, CacheStore, StoreKey};
 use crate::{DelayModel, DriverSpec, RcTree, SourceSpec};
 use contango_tech::Technology;
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// Cached entries untouched for this many evaluations are evicted; rollbacks
@@ -53,9 +64,51 @@ const KEEP_GENERATIONS: u64 = 32;
 /// state sees four keys (two corners × two directions); stages downstream
 /// of a repeatedly mutated region accumulate a new input slew per
 /// evaluation, and without a bound their solve maps would grow for the
-/// flow's lifetime. Clearing a full map costs one redundant solve round for
-/// that stage — negligible at this size.
+/// flow's lifetime. Clearing a full map drops every solve of that stage,
+/// and the passes' rollbacks keep asking for keys solved before the clear,
+/// so the cost is not small: on the full ISPD'09 transient suite, 108,574
+/// of 195,493 solves recompute a key that was solved earlier in the process
+/// and then dropped by this clear. An attached store still answers those
+/// keys.
 const MAX_SOLVES_PER_STAGE: usize = 64;
+
+/// A multiply-rotate hasher for the evaluator's own maps, whose keys are
+/// stage signatures and solve keys: content hashes and float bit patterns
+/// the program derives itself, never keys read from outside it. std's
+/// SipHash, which guards against keys crafted to collide, was a measurable
+/// share of a warm run's lookups.
+#[derive(Debug, Default, Clone, Copy)]
+struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u8(&mut self, v: u8) {
+        self.write_u64(u64::from(v));
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
+    }
+}
+
+/// A `HashMap` keyed through [`WordHasher`].
+type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
+
+/// A `HashSet` keyed through [`WordHasher`].
+type WordSet<K> = HashSet<K, BuildHasherDefault<WordHasher>>;
 
 /// 128-bit content signature of one lowered stage.
 ///
@@ -187,20 +240,12 @@ pub struct StageSlot {
     pub fresh: Option<LoweredStage>,
 }
 
-/// Key of one cached per-stage transition solve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct SolveKey {
-    vdd: u64,
-    rising: bool,
-    input_slew: u64,
-}
-
 /// A cached stage: its lowering plus every transition solve seen so far.
 #[derive(Debug, Clone)]
 struct CachedStage {
     stage: LoweredStage,
     total_cap: f64,
-    solves: HashMap<SolveKey, Vec<RelTiming>>,
+    solves: WordMap<SolveKey, Vec<RelTiming>>,
     last_used: u64,
 }
 
@@ -252,11 +297,10 @@ struct JobProfile {
     counters: CacheCounters,
     /// Stage signatures this job has looked up, by last-used generation
     /// (mirrors the in-memory cache's `last_used` aging).
-    stage_seen: HashMap<StageSig, u64>,
-    /// Solve keys this job has looked up.
-    solve_seen: HashSet<(StageSig, SolveKey)>,
-    /// Distinct solves per stage, for simulating the solve-map bound.
-    solve_counts: HashMap<StageSig, usize>,
+    stage_seen: WordMap<StageSig, u64>,
+    /// Solve keys this job has looked up, per stage, since that stage's
+    /// solve map was last cleared (mirrors `MAX_SOLVES_PER_STAGE`).
+    solve_seen: WordMap<StageSig, WordSet<SolveKey>>,
 }
 
 impl JobProfile {
@@ -278,23 +322,16 @@ impl JobProfile {
     }
 
     fn classify_solve(&mut self, sig: StageSig, key: SolveKey, binding: Option<&StoreBinding>) {
-        if self.solve_seen.contains(&(sig, key)) {
+        let seen = self.solve_seen.entry(sig).or_default();
+        if seen.contains(&key) {
             self.counters.mem_hits += 1;
             return;
         }
-        let count = self.solve_counts.get(&sig).copied().unwrap_or(0);
-        if count >= MAX_SOLVES_PER_STAGE {
-            let mut cleared = 0u64;
-            self.solve_seen.retain(|(s, _)| {
-                let keep = *s != sig;
-                if !keep {
-                    cleared += 1;
-                }
-                keep
-            });
-            self.counters.evictions += cleared;
-            self.solve_counts.insert(sig, 0);
+        if seen.len() >= MAX_SOLVES_PER_STAGE {
+            self.counters.evictions += seen.len() as u64;
+            seen.clear();
         }
+        seen.insert(key);
         let on_disk = binding.is_some_and(|b| {
             b.store
                 .contains_snapshot(solve_store_key(sig, b.fingerprint, key))
@@ -304,8 +341,6 @@ impl JobProfile {
         } else {
             self.counters.misses += 1;
         }
-        self.solve_seen.insert((sig, key));
-        *self.solve_counts.entry(sig).or_insert(0) += 1;
     }
 
     /// Mirrors the end-of-evaluation generation aging of the in-memory
@@ -313,22 +348,20 @@ impl JobProfile {
     /// (together with their solves) and counted as evictions.
     fn end_evaluation(&mut self) {
         let gen = self.gen;
-        let mut removed: HashSet<StageSig> = HashSet::new();
-        self.stage_seen.retain(|sig, last| {
+        let Self {
+            stage_seen,
+            solve_seen,
+            counters,
+            ..
+        } = self;
+        stage_seen.retain(|sig, last| {
             let keep = *last + KEEP_GENERATIONS >= gen;
             if !keep {
-                removed.insert(*sig);
+                counters.evictions += 1;
+                solve_seen.remove(sig);
             }
             keep
         });
-        if removed.is_empty() {
-            return;
-        }
-        self.counters.evictions += removed.len() as u64;
-        self.solve_seen.retain(|(s, _)| !removed.contains(s));
-        for sig in &removed {
-            self.solve_counts.remove(sig);
-        }
     }
 }
 
@@ -349,7 +382,7 @@ impl JobProfile {
 #[derive(Debug)]
 pub struct IncrementalEvaluator {
     inner: Evaluator,
-    cache: RefCell<HashMap<StageSig, CachedStage>>,
+    cache: RefCell<WordMap<StageSig, CachedStage>>,
     generation: Cell<u64>,
     stats: Cell<CacheStats>,
     store: RefCell<Option<StoreBinding>>,
@@ -376,7 +409,7 @@ impl IncrementalEvaluator {
     pub fn from_evaluator(inner: Evaluator) -> Self {
         Self {
             inner,
-            cache: RefCell::new(HashMap::new()),
+            cache: RefCell::new(WordMap::default()),
             generation: Cell::new(0),
             stats: Cell::new(CacheStats::default()),
             store: RefCell::new(None),
@@ -498,7 +531,7 @@ impl IncrementalEvaluator {
             CachedStage {
                 stage,
                 total_cap,
-                solves: HashMap::new(),
+                solves: WordMap::default(),
                 // Not yet used by an evaluation; pin it to the upcoming
                 // generation so it cannot age out before the evaluation
                 // that asked for it runs.
@@ -588,7 +621,7 @@ impl IncrementalEvaluator {
                     v.insert(CachedStage {
                         stage,
                         total_cap: stage_cap,
-                        solves: HashMap::new(),
+                        solves: WordMap::default(),
                         last_used: gen,
                     });
                     stats.stage_misses += 1;
@@ -598,11 +631,27 @@ impl IncrementalEvaluator {
         }
 
         let tech = self.inner.technology();
-        let (nominal_vdd, low_vdd) = (tech.nominal_corner.vdd, tech.low_corner.vdd);
+        let vdds = [tech.nominal_corner.vdd, tech.low_corner.vdd];
         let slew_limit = tech.slew_limit;
-        let nominal =
-            self.evaluate_corner(&mut cache, &mut stats, binding, profile, &meta, nominal_vdd);
-        let low = self.evaluate_corner(&mut cache, &mut stats, binding, profile, &meta, low_vdd);
+        // The job profile classifies solve keys in the order of the
+        // per-corner walks this single walk replaced: every nominal-corner
+        // key in walk order, then every low-corner key.
+        let mut profile_keys = profile
+            .is_some()
+            .then(<[Vec<(StageSig, SolveKey)>; 2]>::default);
+        let [nominal, low] = self.walk(
+            &mut cache,
+            &mut stats,
+            binding,
+            profile_keys.as_mut(),
+            &meta,
+            vdds,
+        );
+        if let (Some(p), Some(keys)) = (profile.as_mut(), profile_keys) {
+            for (sig, key) in keys.into_iter().flatten() {
+                p.classify_solve(sig, key, binding);
+            }
+        }
         let buffer_count = meta.len().saturating_sub(1);
 
         cache.retain(|_, e| {
@@ -626,17 +675,18 @@ impl IncrementalEvaluator {
         }
     }
 
-    /// Evaluates one supply corner over the cached stages, mirroring
-    /// `Evaluator::evaluate_corner` step for step.
-    fn evaluate_corner(
+    /// Evaluates both supply corners over the cached stages in one walk,
+    /// mirroring `Evaluator::evaluate` step for step. Solve keys are pushed
+    /// to `profile_keys`, one list per corner, when a job profile runs.
+    fn walk(
         &self,
-        cache: &mut HashMap<StageSig, CachedStage>,
+        cache: &mut WordMap<StageSig, CachedStage>,
         stats: &mut CacheStats,
         binding: Option<&StoreBinding>,
-        profile: &mut Option<JobProfile>,
+        mut profile_keys: Option<&mut [Vec<(StageSig, SolveKey)>; 2]>,
         meta: &[(StageSig, Vec<usize>)],
-        vdd: f64,
-    ) -> CornerReport {
+        vdds: [f64; 2],
+    ) -> [CornerReport; 2] {
         let n = meta.len();
         let source_slew = match cache[&meta[0].0].stage.driver {
             StageDriver::Source(s) => s.slew,
@@ -644,20 +694,23 @@ impl IncrementalEvaluator {
             // path; fail just as loudly here.
             StageDriver::Buffer(_) => panic!("root stage must be driven by the clock source"),
         };
-        let mut inputs: Vec<Option<NodeState>> = vec![None; n];
-        inputs[0] = Some(NodeState {
-            rise: EdgeState {
-                arrival: 0.0,
-                slew: source_slew,
-            },
-            fall: EdgeState {
-                arrival: 0.0,
-                slew: source_slew,
-            },
-        });
+        let source = EdgeState {
+            arrival: 0.0,
+            slew: source_slew,
+        };
+        let mut inputs: Vec<Option<[NodeState; 2]>> = vec![None; n];
+        inputs[0] = Some(
+            [NodeState {
+                rise: source,
+                fall: source,
+            }; 2],
+        );
 
-        let mut sinks: Vec<SinkTiming> = Vec::new();
-        let mut max_slew = 0.0_f64;
+        let mut corners = vdds.map(|vdd| CornerReport {
+            vdd,
+            sinks: Vec::new(),
+            max_slew: 0.0,
+        });
         // Per-slot drive tracking, mirroring `Netlist::validate`'s `driven`
         // array: a doubly-driven slot fails at the offending tap, and the
         // final count catches undriven slots.
@@ -668,69 +721,34 @@ impl IncrementalEvaluator {
         while let Some(si) = stack.pop() {
             visited += 1;
             let input = inputs[si].expect("stage order guarantees inputs are known");
-            let entry = cache
-                .get_mut(&meta[si].0)
-                .expect("every slot was installed above");
-            let inverting = entry.stage.driver.inverting();
-            let (in_for_rise, in_for_fall) = if inverting {
-                (input.fall, input.rise)
-            } else {
-                (input.rise, input.fall)
-            };
-
-            let rise_out = Self::transition_outputs(
-                &self.inner,
-                stats,
-                binding,
-                profile,
-                meta[si].0,
-                entry,
-                vdd,
-                true,
-                in_for_rise,
-            );
-            let fall_out = Self::transition_outputs(
-                &self.inner,
-                stats,
-                binding,
-                profile,
-                meta[si].0,
-                entry,
-                vdd,
-                false,
-                in_for_fall,
-            );
+            let (sig, children) = &meta[si];
+            let entry = cache.get_mut(sig).expect("every slot was installed above");
+            let requests = stage_requests(vdds, &input, entry.stage.driver.inverting());
+            let keys = requests.map(|r| r.1);
+            if let Some(lists) = profile_keys.as_mut() {
+                for (k, &key) in keys.iter().enumerate() {
+                    lists[k / 2].push((*sig, key));
+                }
+            }
+            let rel = Self::stage_solves(&self.inner, stats, binding, *sig, entry, &keys);
 
             // Children are pushed in tap order and popped LIFO — the same
             // traversal `Netlist::topological_order` produces.
             let mut pushed: Vec<usize> = Vec::new();
             for (tap_idx, tap) in entry.stage.taps.iter().enumerate() {
-                let r = rise_out[tap_idx];
-                let f = fall_out[tap_idx];
-                max_slew = max_slew.max(r.slew).max(f.slew);
+                let states = tap_states(&requests, &rel, tap_idx);
                 match tap.kind {
-                    LocalTapKind::Sink(id) => {
-                        sinks.push(SinkTiming {
-                            sink_id: id,
-                            rise: TransitionTiming {
-                                latency: r.arrival,
-                                slew: r.slew,
-                            },
-                            fall: TransitionTiming {
-                                latency: f.arrival,
-                                slew: f.slew,
-                            },
-                        });
-                    }
+                    LocalTapKind::Sink(id) => record_tap(&mut corners, &states, Some(id)),
                     LocalTapKind::Child(k) => {
-                        let child = meta[si].1[k];
+                        record_tap(&mut corners, &states, None);
+                        let child = children[k];
                         assert!(
                             !driven[child],
                             "stage slot {child} is driven more than once"
                         );
                         driven[child] = true;
                         pushed.push(child);
-                        inputs[child] = Some(NodeState { rise: r, fall: f });
+                        inputs[child] = Some(states);
                     }
                 }
             }
@@ -745,96 +763,124 @@ impl IncrementalEvaluator {
             visited, n,
             "stage slots do not form a tree: only {visited} of {n} stages are driven"
         );
-        sinks.sort_by_key(|s| s.sink_id);
-        for pair in sinks.windows(2) {
-            assert_ne!(
-                pair[0].sink_id, pair[1].sink_id,
-                "sink {} is driven more than once",
-                pair[0].sink_id
-            );
+        for corner in &mut corners {
+            corner.sinks.sort_by_key(|s| s.sink_id);
+            for pair in corner.sinks.windows(2) {
+                assert_ne!(
+                    pair[0].sink_id, pair[1].sink_id,
+                    "sink {} is driven more than once",
+                    pair[0].sink_id
+                );
+            }
         }
-        CornerReport {
-            vdd,
-            sinks,
-            max_slew,
-        }
+        corners
     }
 
-    /// Returns the absolute output edge state at every tap of a cached
-    /// stage, solving the stage only when this `(supply, direction, input
-    /// slew)` combination has not been seen before — in this process (the
-    /// in-memory solve map) or any earlier one (the attached store).
-    #[allow(clippy::too_many_arguments)]
-    fn transition_outputs(
+    /// Returns the relative tap timings of a cached stage's four transition
+    /// solves (in `stage_requests` order), solving only the `(supply,
+    /// direction, input slew)` combinations not seen before — in this
+    /// process (the in-memory solve map) or any earlier one (the attached
+    /// store).
+    ///
+    /// A pre-scan finds the keys that are neither in the solve map nor in
+    /// the store, and those reach the solver as one batch. The bookkeeping
+    /// then runs key by key, exactly as a one-key-at-a-time lookup would:
+    /// the `MAX_SOLVES_PER_STAGE` clear, the hit, miss and disk-hit counts,
+    /// and a store write for every solved key, even one that a later key's
+    /// clear drops from the map again. A key that such a clear evicted
+    /// between the pre-scan and its turn is looked up in the store and, if
+    /// absent, solved on its own.
+    fn stage_solves(
         evaluator: &Evaluator,
         stats: &mut CacheStats,
         binding: Option<&StoreBinding>,
-        profile: &mut Option<JobProfile>,
         sig: StageSig,
         entry: &mut CachedStage,
-        vdd: f64,
-        output_rising: bool,
-        input: EdgeState,
-    ) -> Vec<EdgeState> {
-        let key = SolveKey {
-            vdd: vdd.to_bits(),
-            rising: output_rising,
-            input_slew: input.slew.to_bits(),
-        };
-        if let Some(p) = profile.as_mut() {
-            p.classify_solve(sig, key, binding);
+        keys: &[SolveKey; 4],
+    ) -> Vec<Vec<RelTiming>> {
+        /// What the pre-scan found for a key.
+        enum Found {
+            /// In the solve map, or an earlier key of the batch.
+            Cached,
+            /// In the store, decoded.
+            Stored(Vec<RelTiming>),
+            /// Nowhere: the key's index among the batch's solves.
+            Solve(usize),
         }
-        // Bound the per-stage solve map before taking an entry; the extra
-        // lookup only runs in the rare at-capacity case.
-        if entry.solves.len() >= MAX_SOLVES_PER_STAGE && !entry.solves.contains_key(&key) {
-            stats.evictions += entry.solves.len() as u64;
-            entry.solves.clear();
-        }
-        // Split borrows: the solve entry holds `solves` mutably while the
-        // solver reads the stage.
         let CachedStage { stage, solves, .. } = entry;
-        let rel = match solves.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                stats.solve_hits += 1;
-                e.into_mut()
-            }
-            std::collections::hash_map::Entry::Vacant(v) => {
-                let stored = binding.and_then(|b| {
-                    let store_key = solve_store_key(sig, b.fingerprint, key);
-                    let (payload, _tier) = b.store.get(store_key)?;
-                    decode_solves(&payload, stage.taps.len())
-                });
-                match stored {
-                    Some(rel) => {
+        let solve = |keys: &[SolveKey]| {
+            let taps: Vec<usize> = stage.taps.iter().map(|t| t.node).collect();
+            let driver = stage.driver.spec();
+            evaluator.stage_rel_outputs(&stage.tree, &taps, &driver, stage.driver.is_source(), keys)
+        };
+        let stored = |key: SolveKey| {
+            binding.and_then(|b| {
+                let (payload, _tier) = b.store.get(solve_store_key(sig, b.fingerprint, key))?;
+                decode_solves(&payload, stage.taps.len())
+            })
+        };
+
+        let mut misses: Vec<SolveKey> = Vec::new();
+        let found: Vec<Found> = keys
+            .iter()
+            .enumerate()
+            .map(|(k, &key)| {
+                if solves.contains_key(&key) || keys[..k].contains(&key) {
+                    Found::Cached
+                } else if let Some(rel) = stored(key) {
+                    Found::Stored(rel)
+                } else {
+                    misses.push(key);
+                    Found::Solve(misses.len() - 1)
+                }
+            })
+            .collect();
+        let mut solved: Vec<Option<Vec<RelTiming>>> = if misses.is_empty() {
+            Vec::new()
+        } else {
+            solve(&misses).into_iter().map(Some).collect()
+        };
+
+        keys.iter()
+            .zip(found)
+            .map(|(&key, found)| {
+                // Bound the per-stage solve map before taking an entry; the
+                // extra lookup only runs in the rare at-capacity case.
+                if solves.len() >= MAX_SOLVES_PER_STAGE && !solves.contains_key(&key) {
+                    stats.evictions += solves.len() as u64;
+                    solves.clear();
+                }
+                let rel = match solves.entry(key) {
+                    std::collections::hash_map::Entry::Occupied(e) => {
                         stats.solve_hits += 1;
-                        stats.solve_disk_hits += 1;
-                        v.insert(rel)
+                        e.into_mut()
                     }
-                    None => {
-                        stats.solve_misses += 1;
-                        let driver = stage.driver.spec();
-                        let rel = evaluator.stage_rel_outputs(
-                            &stage.tree,
-                            stage.taps.iter().map(|t| t.node),
-                            &driver,
-                            stage.driver.is_source(),
-                            vdd,
-                            output_rising,
-                            input.slew,
-                        );
-                        if let Some(b) = binding {
-                            let store_key = solve_store_key(sig, b.fingerprint, key);
-                            let _ = b.store.put(store_key, &encode_solves(&rel));
+                    std::collections::hash_map::Entry::Vacant(v) => {
+                        let (rel, from_store) = match found {
+                            Found::Stored(rel) => (rel, true),
+                            Found::Solve(i) => (solved[i].take().expect("solved once"), false),
+                            // Evicted by a clear earlier in this batch.
+                            Found::Cached => match stored(key) {
+                                Some(rel) => (rel, true),
+                                None => (solve(&[key]).remove(0), false),
+                            },
+                        };
+                        if from_store {
+                            stats.solve_hits += 1;
+                            stats.solve_disk_hits += 1;
+                        } else {
+                            stats.solve_misses += 1;
+                            if let Some(b) = binding {
+                                // Cache write failures degrade to a smaller
+                                // cache, never to a failed evaluation.
+                                let store_key = solve_store_key(sig, b.fingerprint, key);
+                                let _ = b.store.put(store_key, &encode_solves(&rel));
+                            }
                         }
                         v.insert(rel)
                     }
-                }
-            }
-        };
-        rel.iter()
-            .map(|t| EdgeState {
-                arrival: input.arrival + t.delay,
-                slew: t.slew,
+                };
+                rel.clone()
             })
             .collect()
     }
@@ -1214,6 +1260,73 @@ mod tests {
             let fast = inc.evaluate_slots(vec![root_slot, fixed_slot]);
             assert_eq!(fast, full.evaluate(&n), "round {round}");
         }
+    }
+
+    #[test]
+    fn every_solved_key_reaches_the_store_when_the_stage_clear_fires_mid_batch() {
+        let tech = Technology::ispd09();
+        let (netlist, slots) = two_sink_network();
+        let buffer_sig = slots[1].sig;
+        // The buffer stage's four keys, from an evaluator with room to spare.
+        let probe = IncrementalEvaluator::new(tech.clone());
+        let _ = probe.evaluate_slots(slots.clone());
+        let keys: Vec<SolveKey> = probe.cache.borrow()[&buffer_sig]
+            .solves
+            .keys()
+            .copied()
+            .collect();
+        assert_eq!(keys.len(), 4);
+
+        // Install both stages, then fill the buffer stage's solve map to one
+        // short of the bound with keys no walk asks for: its first key of
+        // the next batch fills the map, and the second key's clear drops it.
+        let inc = IncrementalEvaluator::new(tech.clone());
+        let _ = inc.evaluate_slots(slots.clone());
+        {
+            let mut cache = inc.cache.borrow_mut();
+            let solves = &mut cache.get_mut(&buffer_sig).expect("cached").solves;
+            solves.clear();
+            for i in 0..MAX_SOLVES_PER_STAGE - 1 {
+                let filler = SolveKey {
+                    vdd: 0,
+                    rising: true,
+                    input_slew: i as u64,
+                };
+                solves.insert(filler, Vec::new());
+            }
+        }
+        let dir = temp_store_dir("clear");
+        let store = Arc::new(CacheStore::open(&dir).expect("open"));
+        inc.attach_store(store.clone());
+        inc.reset_stats();
+        let cached_slots: Vec<StageSlot> = slots
+            .iter()
+            .map(|s| StageSlot {
+                sig: s.sig,
+                children: s.children.clone(),
+                fresh: None,
+            })
+            .collect();
+        let report = inc.evaluate_slots(cached_slots);
+        assert_eq!(report, Evaluator::new(tech).evaluate(&netlist));
+        let stats = inc.stats();
+        assert_eq!(stats.solve_misses, 4, "the buffer stage's keys are solved");
+        assert_eq!(
+            stats.evictions, MAX_SOLVES_PER_STAGE as u64,
+            "the clear fires once, after the batch's first key filled the map"
+        );
+        assert_eq!(inc.cache.borrow()[&buffer_sig].solves.len(), 3);
+
+        let fingerprint = context_fingerprint(inc.evaluator());
+        for key in &keys {
+            assert!(
+                store
+                    .get(solve_store_key(buffer_sig, fingerprint, *key))
+                    .is_some(),
+                "solved key {key:?} is missing from the store"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -18,9 +18,10 @@
 //! | [`DelayModel::Transient`] | backward-Euler transient solve of each buffered stage with a ramped Thevenin driver | "SPICE-accurate" optimization loops |
 //!
 //! The transient solver exploits the tree structure of every buffered stage
-//! to solve each timestep in `O(n)`, so full-network evaluations remain fast
-//! enough to sit inside Contango's iterative optimization loops even for
-//! 50 000-sink networks.
+//! to solve each timestep in `O(n)`, and steps a stage's four transitions
+//! (rise and fall at both supply corners) together as lanes of one kernel,
+//! so full-network evaluations remain fast enough to sit inside Contango's
+//! iterative optimization loops even for 50 000-sink networks.
 //!
 //! # Example
 //!

@@ -1,7 +1,7 @@
 //! Equivalence of incremental and full evaluation.
 //!
-//! The incremental evaluator promises reports that match a full
-//! re-evaluation of the same tree within 1e-9 on every metric. These tests
+//! The incremental evaluator promises reports that are bit-identical to a
+//! full re-evaluation of the same tree on every metric. These tests
 //! enforce that promise across every optimization pass of the flow and
 //! across randomized mutation sequences, rather than trusting the cache
 //! keys. One ignored test holds the engine's speed floor over full
@@ -25,37 +25,39 @@ use proptest::prelude::*;
 use std::io::Write;
 use std::time::Instant;
 
-const TOL: f64 = 1e-9;
+/// Asserts that two floats are the same bits; the trailing arguments format
+/// what is being compared.
+macro_rules! assert_same_bits {
+    ($incremental:expr, $full:expr, $($what:tt)+) => {{
+        let (a, b): (f64, f64) = ($incremental, $full);
+        assert!(
+            a.to_bits() == b.to_bits(),
+            "{}: {a} vs {b}",
+            format_args!($($what)+)
+        );
+    }};
+}
 
-/// Asserts that two evaluation reports agree within `TOL` on every metric:
+/// Asserts that two evaluation reports are bit-identical on every metric:
 /// the derived figures (skew, CLR, max latency, worst slew, total cap) and
 /// the underlying per-sink, per-transition, per-corner timing.
 fn assert_reports_match(incremental: &EvalReport, full: &EvalReport, context: &str) {
-    assert!(
-        (incremental.skew() - full.skew()).abs() <= TOL,
-        "{context}: skew {} vs {}",
-        incremental.skew(),
-        full.skew()
-    );
-    assert!(
-        (incremental.clr() - full.clr()).abs() <= TOL,
-        "{context}: CLR {} vs {}",
-        incremental.clr(),
-        full.clr()
-    );
-    assert!(
-        (incremental.max_latency() - full.max_latency()).abs() <= TOL,
+    assert_same_bits!(incremental.skew(), full.skew(), "{context}: skew");
+    assert_same_bits!(incremental.clr(), full.clr(), "{context}: CLR");
+    assert_same_bits!(
+        incremental.max_latency(),
+        full.max_latency(),
         "{context}: max latency"
     );
-    assert!(
-        (incremental.worst_slew() - full.worst_slew()).abs() <= TOL,
+    assert_same_bits!(
+        incremental.worst_slew(),
+        full.worst_slew(),
         "{context}: worst slew"
     );
-    assert!(
-        (incremental.total_cap - full.total_cap).abs() <= TOL,
-        "{context}: total cap {} vs {}",
+    assert_same_bits!(
         incremental.total_cap,
-        full.total_cap
+        full.total_cap,
+        "{context}: total cap"
     );
     assert_eq!(
         incremental.buffer_count, full.buffer_count,
@@ -70,27 +72,15 @@ fn assert_reports_match(incremental: &EvalReport, full: &EvalReport, context: &s
         (&incremental.nominal, &full.nominal),
         (&incremental.low, &full.low),
     ] {
-        assert!((a.vdd - b.vdd).abs() <= TOL, "{context}: corner vdd");
-        assert!(
-            (a.max_slew - b.max_slew).abs() <= TOL,
-            "{context}: corner max slew"
-        );
+        assert_same_bits!(a.vdd, b.vdd, "{context}: corner vdd");
+        assert_same_bits!(a.max_slew, b.max_slew, "{context}: corner max slew");
         assert_eq!(a.sinks.len(), b.sinks.len(), "{context}: sink count");
         for (sa, sb) in a.sinks.iter().zip(b.sinks.iter()) {
             assert_eq!(sa.sink_id, sb.sink_id, "{context}: sink ids");
             for (ta, tb) in [(sa.rise, sb.rise), (sa.fall, sb.fall)] {
-                assert!(
-                    (ta.latency - tb.latency).abs() <= TOL,
-                    "{context}: sink {} latency {} vs {}",
-                    sa.sink_id,
-                    ta.latency,
-                    tb.latency
-                );
-                assert!(
-                    (ta.slew - tb.slew).abs() <= TOL,
-                    "{context}: sink {} slew",
-                    sa.sink_id
-                );
+                let sink = sa.sink_id;
+                assert_same_bits!(ta.latency, tb.latency, "{context}: sink {sink} latency");
+                assert_same_bits!(ta.slew, tb.slew, "{context}: sink {sink} slew");
             }
         }
     }
