@@ -44,7 +44,7 @@ pub struct TransientResult {
 
 /// One lane of [`solve_lanes`]: the driver and source of one transition at
 /// one supply corner.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct Lane {
     /// Output resistance of the driver for this transition, Ω.
     pub(crate) driver_res: f64,
@@ -311,6 +311,8 @@ fn step_lanes<const L: usize>(
             let (r, rp) = (rhs[i], rhs[p]);
             rhs[p] = std::array::from_fn(|l| rp[l] + g * r[l] / d[l]);
         }
+        // Back-substitute root-first; each new voltage also seeds its node's
+        // right-hand side for the next step.
         for (i, (((&p, &g), d), c)) in parents.iter().zip(g_wire).zip(&diag).zip(&c_dt).enumerate()
         {
             let r = rhs[i];
