@@ -21,9 +21,9 @@
 //! * one walk of the stages covers both supply corners. Each stage visit
 //!   asks for four transitions (rise and fall at each corner), and only the
 //!   cache misses among them reach the solver, as one batch that the
-//!   transient kernel steps as lanes in lockstep. The bookkeeping of hits,
-//!   misses, store writes and the per-stage bound then runs key by key, as
-//!   a one-key lookup would.
+//!   transient kernel steps as lanes in lockstep, two at a time. The
+//!   bookkeeping of hits, misses, store writes and the per-stage bound then
+//!   runs key by key, as a one-key lookup would.
 //!
 //! With evaluation incremental, tree *construction* dominates what is left
 //! of flow runtime; the complementary construction engine lives in

@@ -19,9 +19,9 @@
 //!
 //! The transient solver exploits the tree structure of every buffered stage
 //! to solve each timestep in `O(n)`, and steps a stage's four transitions
-//! (rise and fall at both supply corners) together as lanes of one kernel,
-//! so full-network evaluations remain fast enough to sit inside Contango's
-//! iterative optimization loops even for 50 000-sink networks.
+//! (rise and fall at both supply corners) as lanes of one kernel, two at a
+//! time, so full-network evaluations remain fast enough to sit inside
+//! Contango's iterative optimization loops even for 50 000-sink networks.
 //!
 //! # Example
 //!
