@@ -105,13 +105,13 @@ pub(crate) fn stage_requests(
 /// The edge states at tap `tap` for both corners, from the causing edges
 /// and the relative timings of a stage's four solves (in
 /// [`stage_requests`] order).
-pub(crate) fn tap_states(
+pub(crate) fn tap_states<R: AsRef<[RelTiming]>>(
     requests: &[(EdgeState, SolveKey); 4],
-    rel: &[Vec<RelTiming>],
+    rel: &[R],
     tap: usize,
 ) -> [NodeState; 2] {
     let edge = |k: usize| {
-        let t = rel[k][tap];
+        let t = rel[k].as_ref()[tap];
         EdgeState {
             arrival: requests[k].0.arrival + t.delay,
             slew: t.slew,

@@ -21,9 +21,13 @@
 //! * one walk of the stages covers both supply corners. Each stage visit
 //!   asks for four transitions (rise and fall at each corner), and only the
 //!   cache misses among them reach the solver, as one batch that the
-//!   transient kernel steps as lanes in lockstep, two at a time. The
-//!   bookkeeping of hits, misses, store writes and the per-stage bound then
-//!   runs key by key, as a one-key lookup would.
+//!   transient kernel steps as lanes in lockstep, two at a time;
+//! * cached stages and cached solves age by generation, one generation per
+//!   evaluation: each records the evaluation that last used it, and one
+//!   unused for `KEEP_GENERATIONS` (32) evaluations is evicted. A stage's
+//!   solves are swept lazily, at its first visit once `KEEP_GENERATIONS`
+//!   evaluations have passed since its last sweep, and always before the
+//!   walk: nothing is evicted while an evaluation looks keys up.
 //!
 //! With evaluation incremental, tree *construction* dominates what is left
 //! of flow runtime; the complementary construction engine lives in
@@ -51,26 +55,34 @@ use crate::store::{ByteReader, ByteWriter, CacheCounters, CacheStore, StoreKey};
 use crate::{DelayModel, DriverSpec, RcTree, SourceSpec};
 use contango_tech::Technology;
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
-/// Cached entries untouched for this many evaluations are evicted; rollbacks
-/// in the optimization passes reach at most a few evaluations back, so this
-/// keeps rejected-round stages warm while bounding memory.
+/// Cached stages and cached solves unused for this many evaluations are
+/// evicted. Rollbacks in the optimization passes reach at most a few
+/// evaluations back, so this keeps rejected-round stages and their solves
+/// warm while bounding memory.
+///
+/// Stages age at the end of every evaluation, and a stage unused for this
+/// long leaves with all its solves. A stage's solves are swept only at its
+/// first visit once this many evaluations have passed since its last
+/// sweep, so no evaluation walks every cached key. A visited stage thus
+/// holds only the keys used in its last `2 × KEEP_GENERATIONS` evaluations
+/// (four per visit: two corners × two directions), however long the passes
+/// keep mutating the region upstream of it. Aging replaced a bound of 64
+/// solves per stage, cleared when full, which dropped keys the passes'
+/// rollbacks asked for again: the full ISPD'09 suite under the transient
+/// model made 195,493 solves with it and makes 87,131 with aging.
 const KEEP_GENERATIONS: u64 = 32;
 
-/// Upper bound on cached transition solves per stage. A stage in steady
-/// state sees four keys (two corners × two directions); stages downstream
-/// of a repeatedly mutated region accumulate a new input slew per
-/// evaluation, and without a bound their solve maps would grow for the
-/// flow's lifetime. Clearing a full map drops every solve of that stage,
-/// and the passes' rollbacks keep asking for keys solved before the clear,
-/// so the cost is not small: on the full ISPD'09 transient suite, 108,574
-/// of 195,493 solves recompute a key that was solved earlier in the process
-/// and then dropped by this clear. An attached store still answers those
-/// keys.
-const MAX_SOLVES_PER_STAGE: usize = 64;
+/// Whether an entry last used in evaluation `last_used` is still kept in
+/// evaluation `gen`: the one aging rule of stages and solves, in the
+/// evaluator and in the job profile alike.
+fn is_fresh(last_used: u64, gen: u64) -> bool {
+    last_used + KEEP_GENERATIONS >= gen
+}
 
 /// A multiply-rotate hasher for the evaluator's own maps, whose keys are
 /// stage signatures and solve keys: content hashes and float bit patterns
@@ -106,9 +118,6 @@ impl Hasher for WordHasher {
 
 /// A `HashMap` keyed through [`WordHasher`].
 type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
-
-/// A `HashSet` keyed through [`WordHasher`].
-type WordSet<K> = HashSet<K, BuildHasherDefault<WordHasher>>;
 
 /// 128-bit content signature of one lowered stage.
 ///
@@ -240,13 +249,85 @@ pub struct StageSlot {
     pub fresh: Option<LoweredStage>,
 }
 
-/// A cached stage: its lowering plus every transition solve seen so far.
+/// The solve keys held for one stage, each with the evaluation that last
+/// used it. The evaluator holds with each key where its tap timings start
+/// in the stage's flat timing array (`T = usize`); the job profile holds
+/// the keys alone (`T = ()`).
+#[derive(Debug, Clone)]
+struct AgedSolves<T> {
+    keys: WordMap<SolveKey, (u64, T)>,
+    /// The evaluation of the last sweep; at first, the one that cached
+    /// the stage.
+    swept: u64,
+}
+
+impl<T> AgedSolves<T> {
+    fn new(gen: u64) -> Self {
+        Self {
+            keys: WordMap::default(),
+            swept: gen,
+        }
+    }
+
+    /// Ages the keys at a stage's visit in evaluation `gen`: once
+    /// [`KEEP_GENERATIONS`] evaluations have passed since the last sweep,
+    /// evicts every key unused for that long. Returns how many it evicted.
+    /// The evaluator and the job profile both age solves through this one
+    /// function.
+    fn sweep(&mut self, gen: u64) -> u64 {
+        if gen < self.swept + KEEP_GENERATIONS {
+            return 0;
+        }
+        self.swept = gen;
+        let held = self.keys.len();
+        self.keys
+            .retain(|_, (last_used, _)| is_fresh(*last_used, gen));
+        (held - self.keys.len()) as u64
+    }
+}
+
+/// A cached stage: its lowering plus the transition solves it holds.
 #[derive(Debug, Clone)]
 struct CachedStage {
     stage: LoweredStage,
     total_cap: f64,
-    solves: WordMap<SolveKey, Vec<RelTiming>>,
+    /// Each held solve's key, with where its tap timings start in
+    /// `timings`.
+    solves: AgedSolves<usize>,
+    /// The tap timings of every held solve, one run of `stage.taps.len()`
+    /// per solve: one array per stage, not one allocation per key.
+    timings: Vec<RelTiming>,
     last_used: u64,
+}
+
+impl CachedStage {
+    /// A stage first used in evaluation `gen`, with no solves yet.
+    fn new(stage: LoweredStage, gen: u64) -> Self {
+        Self {
+            total_cap: stage.tree.total_cap(),
+            stage,
+            solves: AgedSolves::new(gen),
+            timings: Vec::new(),
+            last_used: gen,
+        }
+    }
+
+    /// Ages the stage's solves at its visit in evaluation `gen` (see
+    /// [`AgedSolves::sweep`]) and compacts the timings of those kept.
+    /// Returns how many solves it evicted.
+    fn sweep(&mut self, gen: u64) -> u64 {
+        let evicted = self.solves.sweep(gen);
+        if evicted > 0 {
+            let width = self.stage.taps.len();
+            let mut kept = Vec::with_capacity(self.solves.keys.len() * width);
+            for (_, start) in self.solves.keys.values_mut() {
+                let from = std::mem::replace(start, kept.len());
+                kept.extend_from_slice(&self.timings[from..from + width]);
+            }
+            self.timings = kept;
+        }
+        evicted
+    }
 }
 
 /// Cache statistics of an [`IncrementalEvaluator`], for tests, logging and
@@ -267,9 +348,10 @@ pub struct CacheStats {
     /// Of the `solve_hits`, those answered from an attached persistent
     /// store rather than the in-memory solve maps.
     pub solve_disk_hits: u64,
-    /// In-memory entries discarded by bounds: stages aged out past
-    /// `KEEP_GENERATIONS`, plus solves dropped when a stage's solve map
-    /// hits `MAX_SOLVES_PER_STAGE` and is cleared.
+    /// In-memory entries aged out after `KEEP_GENERATIONS` (32)
+    /// evaluations unused: one per stage (its solves leave with it
+    /// uncounted), plus one per solve a sweep of a still-cached stage
+    /// evicts (see the module docs).
     pub evictions: u64,
 }
 
@@ -291,74 +373,90 @@ struct StoreBinding {
 /// which jobs warmed this evaluator earlier — the profile is a pure
 /// function of (job, snapshot), so the counters reported per job are
 /// byte-identical for every worker count and session-pool size.
+///
+/// The profile holds the stages and solve keys such an evaluator would
+/// hold, and ages them by the same rules: a stage at the end of every
+/// evaluation, its solves through the same [`AgedSolves::sweep`] at its
+/// first visit. Its `mem_hits`, `misses` and `evictions` therefore equal
+/// the observed hits, misses and evictions of a cold evaluator that runs
+/// the job without a store.
 #[derive(Debug, Default)]
 struct JobProfile {
     gen: u64,
     counters: CacheCounters,
-    /// Stage signatures this job has looked up, by last-used generation
-    /// (mirrors the in-memory cache's `last_used` aging).
-    stage_seen: WordMap<StageSig, u64>,
-    /// Solve keys this job has looked up, per stage, since that stage's
-    /// solve map was last cleared (mirrors `MAX_SOLVES_PER_STAGE`).
-    solve_seen: WordMap<StageSig, WordSet<SolveKey>>,
+    /// The stages this job has looked up, each with the evaluation that
+    /// last used it and the solve keys the evaluator would hold for it.
+    stages: WordMap<StageSig, (u64, AgedSolves<()>)>,
 }
 
 impl JobProfile {
+    /// Classifies a stage lookup, and ages the solves of a stage this job
+    /// already holds.
     fn classify_stage(&mut self, sig: StageSig, binding: Option<&StoreBinding>) {
-        match self.stage_seen.entry(sig) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
+        let gen = self.gen;
+        match self.stages.entry(sig) {
+            Entry::Occupied(e) => {
                 self.counters.mem_hits += 1;
-                *e.get_mut() = self.gen;
+                let (last_used, solves) = e.into_mut();
+                *last_used = gen;
+                self.counters.evictions += solves.sweep(gen);
             }
-            std::collections::hash_map::Entry::Vacant(v) => {
+            Entry::Vacant(v) => {
                 if binding.is_some_and(|b| b.store.contains_snapshot(stage_store_key(sig))) {
                     self.counters.disk_hits += 1;
                 } else {
                     self.counters.misses += 1;
                 }
-                v.insert(self.gen);
+                v.insert((gen, AgedSolves::new(gen)));
             }
         }
     }
 
-    fn classify_solve(&mut self, sig: StageSig, key: SolveKey, binding: Option<&StoreBinding>) {
-        let seen = self.solve_seen.entry(sig).or_default();
-        if seen.contains(&key) {
-            self.counters.mem_hits += 1;
-            return;
-        }
-        if seen.len() >= MAX_SOLVES_PER_STAGE {
-            self.counters.evictions += seen.len() as u64;
-            seen.clear();
-        }
-        seen.insert(key);
-        let on_disk = binding.is_some_and(|b| {
-            b.store
-                .contains_snapshot(solve_store_key(sig, b.fingerprint, key))
-        });
-        if on_disk {
-            self.counters.disk_hits += 1;
-        } else {
-            self.counters.misses += 1;
+    /// Classifies the four solve lookups of one visit of stage `sig`, in
+    /// the order the evaluator makes them.
+    fn classify_solves(
+        &mut self,
+        sig: StageSig,
+        keys: &[SolveKey; 4],
+        binding: Option<&StoreBinding>,
+    ) {
+        let gen = self.gen;
+        let (_, solves) = self
+            .stages
+            .get_mut(&sig)
+            .expect("every stage is classified before the walk");
+        for &key in keys {
+            match solves.keys.entry(key) {
+                Entry::Occupied(e) => {
+                    self.counters.mem_hits += 1;
+                    e.into_mut().0 = gen;
+                }
+                Entry::Vacant(v) => {
+                    let on_disk = binding.is_some_and(|b| {
+                        b.store
+                            .contains_snapshot(solve_store_key(sig, b.fingerprint, key))
+                    });
+                    if on_disk {
+                        self.counters.disk_hits += 1;
+                    } else {
+                        self.counters.misses += 1;
+                    }
+                    v.insert((gen, ()));
+                }
+            }
         }
     }
 
-    /// Mirrors the end-of-evaluation generation aging of the in-memory
-    /// cache: stages unused for `KEEP_GENERATIONS` evaluations are dropped
-    /// (together with their solves) and counted as evictions.
+    /// Mirrors the end-of-evaluation aging of the in-memory cache: stages
+    /// unused for [`KEEP_GENERATIONS`] evaluations are dropped (together
+    /// with their solves) and counted as evictions.
     fn end_evaluation(&mut self) {
         let gen = self.gen;
-        let Self {
-            stage_seen,
-            solve_seen,
-            counters,
-            ..
-        } = self;
-        stage_seen.retain(|sig, last| {
-            let keep = *last + KEEP_GENERATIONS >= gen;
+        let counters = &mut self.counters;
+        self.stages.retain(|_, (last_used, _)| {
+            let keep = is_fresh(*last_used, gen);
             if !keep {
                 counters.evictions += 1;
-                solve_seen.remove(sig);
             }
             keep
         });
@@ -522,22 +620,14 @@ impl IncrementalEvaluator {
         let Some(stage) = decode_stage(&payload) else {
             return false;
         };
-        let total_cap = stage.tree.total_cap();
         let mut stats = self.stats.get();
         stats.stage_disk_hits += 1;
         self.stats.set(stats);
-        self.cache.borrow_mut().insert(
-            sig,
-            CachedStage {
-                stage,
-                total_cap,
-                solves: WordMap::default(),
-                // Not yet used by an evaluation; pin it to the upcoming
-                // generation so it cannot age out before the evaluation
-                // that asked for it runs.
-                last_used: self.generation.get() + 1,
-            },
-        );
+        // Not yet used by an evaluation; pin it to the upcoming generation
+        // so it cannot age out before the evaluation that asked for it runs.
+        self.cache
+            .borrow_mut()
+            .insert(sig, CachedStage::new(stage, self.generation.get() + 1));
         true
     }
 
@@ -598,14 +688,15 @@ impl IncrementalEvaluator {
             if let Some(p) = profile.as_mut() {
                 p.classify_stage(slot.sig, binding);
             }
-            match cache.entry(slot.sig) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    let entry = e.get_mut();
+            let entry = match cache.entry(slot.sig) {
+                Entry::Occupied(e) => {
+                    let entry = e.into_mut();
                     entry.last_used = gen;
-                    total_cap += entry.total_cap;
+                    stats.evictions += entry.sweep(gen);
                     stats.stage_hits += 1;
+                    entry
                 }
-                std::collections::hash_map::Entry::Vacant(v) => {
+                Entry::Vacant(v) => {
                     let stage = slot
                         .fresh
                         .expect("stages missing from the cache must be lowered by the caller");
@@ -616,46 +707,26 @@ impl IncrementalEvaluator {
                             .store
                             .put(stage_store_key(slot.sig), &encode_stage(&stage));
                     }
-                    let stage_cap = stage.tree.total_cap();
-                    total_cap += stage_cap;
-                    v.insert(CachedStage {
-                        stage,
-                        total_cap: stage_cap,
-                        solves: WordMap::default(),
-                        last_used: gen,
-                    });
                     stats.stage_misses += 1;
+                    v.insert(CachedStage::new(stage, gen))
                 }
-            }
+            };
+            total_cap += entry.total_cap;
             meta.push((slot.sig, slot.children));
         }
 
-        let tech = self.inner.technology();
-        let vdds = [tech.nominal_corner.vdd, tech.low_corner.vdd];
-        let slew_limit = tech.slew_limit;
-        // The job profile classifies solve keys in the order of the
-        // per-corner walks this single walk replaced: every nominal-corner
-        // key in walk order, then every low-corner key.
-        let mut profile_keys = profile
-            .is_some()
-            .then(<[Vec<(StageSig, SolveKey)>; 2]>::default);
         let [nominal, low] = self.walk(
             &mut cache,
             &mut stats,
             binding,
-            profile_keys.as_mut(),
+            profile.as_mut(),
             &meta,
-            vdds,
+            gen,
         );
-        if let (Some(p), Some(keys)) = (profile.as_mut(), profile_keys) {
-            for (sig, key) in keys.into_iter().flatten() {
-                p.classify_solve(sig, key, binding);
-            }
-        }
         let buffer_count = meta.len().saturating_sub(1);
 
         cache.retain(|_, e| {
-            let keep = e.last_used + KEEP_GENERATIONS >= gen;
+            let keep = is_fresh(e.last_used, gen);
             if !keep {
                 stats.evictions += 1;
             }
@@ -670,23 +741,26 @@ impl IncrementalEvaluator {
             nominal,
             low,
             total_cap,
-            slew_limit,
+            slew_limit: self.inner.technology().slew_limit,
             buffer_count,
         }
     }
 
     /// Evaluates both supply corners over the cached stages in one walk,
-    /// mirroring `Evaluator::evaluate` step for step. Solve keys are pushed
-    /// to `profile_keys`, one list per corner, when a job profile runs.
+    /// mirroring `Evaluator::evaluate` step for step, as evaluation `gen`.
+    /// A running job profile classifies each visit's solve keys as the
+    /// walk asks for them.
     fn walk(
         &self,
         cache: &mut WordMap<StageSig, CachedStage>,
         stats: &mut CacheStats,
         binding: Option<&StoreBinding>,
-        mut profile_keys: Option<&mut [Vec<(StageSig, SolveKey)>; 2]>,
+        mut profile: Option<&mut JobProfile>,
         meta: &[(StageSig, Vec<usize>)],
-        vdds: [f64; 2],
+        gen: u64,
     ) -> [CornerReport; 2] {
+        let tech = self.inner.technology();
+        let vdds = [tech.nominal_corner.vdd, tech.low_corner.vdd];
         let n = meta.len();
         let source_slew = match cache[&meta[0].0].stage.driver {
             StageDriver::Source(s) => s.slew,
@@ -725,12 +799,12 @@ impl IncrementalEvaluator {
             let entry = cache.get_mut(sig).expect("every slot was installed above");
             let requests = stage_requests(vdds, &input, entry.stage.driver.inverting());
             let keys = requests.map(|r| r.1);
-            if let Some(lists) = profile_keys.as_mut() {
-                for (k, &key) in keys.iter().enumerate() {
-                    lists[k / 2].push((*sig, key));
-                }
+            if let Some(p) = profile.as_mut() {
+                p.classify_solves(*sig, &keys, binding);
             }
-            let rel = Self::stage_solves(&self.inner, stats, binding, *sig, entry, &keys);
+            let starts = Self::stage_solves(&self.inner, stats, binding, *sig, entry, &keys, gen);
+            let width = entry.stage.taps.len();
+            let rel = starts.map(|start| &entry.timings[start..start + width]);
 
             // Children are pushed in tap order and popped LIFO — the same
             // traversal `Netlist::topological_order` produces.
@@ -776,20 +850,18 @@ impl IncrementalEvaluator {
         corners
     }
 
-    /// Returns the relative tap timings of a cached stage's four transition
-    /// solves (in `stage_requests` order), solving only the `(supply,
-    /// direction, input slew)` combinations not seen before — in this
-    /// process (the in-memory solve map) or any earlier one (the attached
-    /// store).
+    /// Returns where the tap timings of a cached stage's four transition
+    /// solves (in `stage_requests` order) start in its `timings`, solving
+    /// only the `(supply, direction, input slew)` combinations not seen
+    /// before — in this process (the in-memory solve map) or any earlier
+    /// one (the attached store). Every key used is stamped with evaluation
+    /// `gen`.
     ///
-    /// A pre-scan finds the keys that are neither in the solve map nor in
-    /// the store, and those reach the solver as one batch. The bookkeeping
-    /// then runs key by key, exactly as a one-key-at-a-time lookup would:
-    /// the `MAX_SOLVES_PER_STAGE` clear, the hit, miss and disk-hit counts,
-    /// and a store write for every solved key, even one that a later key's
-    /// clear drops from the map again. A key that such a clear evicted
-    /// between the pre-scan and its turn is looked up in the store and, if
-    /// absent, solved on its own.
+    /// A pre-scan finds the keys that are neither in the solve map, nor an
+    /// earlier key of the batch, nor in the store, and those reach the
+    /// solver as one batch; each solved key is then held and written to the
+    /// store. Stages sweep and compact their solves before the walk, so
+    /// the starts the pre-scan finds stay valid.
     fn stage_solves(
         evaluator: &Evaluator,
         stats: &mut CacheStats,
@@ -797,92 +869,92 @@ impl IncrementalEvaluator {
         sig: StageSig,
         entry: &mut CachedStage,
         keys: &[SolveKey; 4],
-    ) -> Vec<Vec<RelTiming>> {
+        gen: u64,
+    ) -> [usize; 4] {
         /// What the pre-scan found for a key.
         enum Found {
-            /// In the solve map, or an earlier key of the batch.
-            Cached,
+            /// In the solve map, its timings starting here.
+            Held(usize),
+            /// The same as the batch's `j`-th key, which is not held yet.
+            Earlier(usize),
             /// In the store, decoded.
             Stored(Vec<RelTiming>),
             /// Nowhere: the key's index among the batch's solves.
             Solve(usize),
         }
-        let CachedStage { stage, solves, .. } = entry;
-        let solve = |keys: &[SolveKey]| {
-            let taps: Vec<usize> = stage.taps.iter().map(|t| t.node).collect();
-            let driver = stage.driver.spec();
-            evaluator.stage_rel_outputs(&stage.tree, &taps, &driver, stage.driver.is_source(), keys)
-        };
-        let stored = |key: SolveKey| {
-            binding.and_then(|b| {
+        let CachedStage {
+            stage,
+            solves,
+            timings,
+            ..
+        } = entry;
+        let mut misses: Vec<SolveKey> = Vec::new();
+        let found: [Found; 4] = std::array::from_fn(|k| {
+            let key = keys[k];
+            if let Some((last_used, start)) = solves.keys.get_mut(&key) {
+                *last_used = gen;
+                Found::Held(*start)
+            } else if let Some(j) = keys[..k].iter().position(|&earlier| earlier == key) {
+                Found::Earlier(j)
+            } else if let Some(rel) = binding.and_then(|b| {
                 let (payload, _tier) = b.store.get(solve_store_key(sig, b.fingerprint, key))?;
                 decode_solves(&payload, stage.taps.len())
-            })
-        };
-
-        let mut misses: Vec<SolveKey> = Vec::new();
-        let found: Vec<Found> = keys
-            .iter()
-            .enumerate()
-            .map(|(k, &key)| {
-                if solves.contains_key(&key) || keys[..k].contains(&key) {
-                    Found::Cached
-                } else if let Some(rel) = stored(key) {
-                    Found::Stored(rel)
-                } else {
-                    misses.push(key);
-                    Found::Solve(misses.len() - 1)
-                }
-            })
-            .collect();
-        let mut solved: Vec<Option<Vec<RelTiming>>> = if misses.is_empty() {
+            }) {
+                Found::Stored(rel)
+            } else {
+                misses.push(key);
+                Found::Solve(misses.len() - 1)
+            }
+        });
+        let solved = if misses.is_empty() {
             Vec::new()
         } else {
-            solve(&misses).into_iter().map(Some).collect()
+            let taps: Vec<usize> = stage.taps.iter().map(|t| t.node).collect();
+            let driver = stage.driver.spec();
+            evaluator.stage_rel_outputs(
+                &stage.tree,
+                &taps,
+                &driver,
+                stage.driver.is_source(),
+                &misses,
+            )
         };
 
-        keys.iter()
-            .zip(found)
-            .map(|(&key, found)| {
-                // Bound the per-stage solve map before taking an entry; the
-                // extra lookup only runs in the rare at-capacity case.
-                if solves.len() >= MAX_SOLVES_PER_STAGE && !solves.contains_key(&key) {
-                    stats.evictions += solves.len() as u64;
-                    solves.clear();
+        let mut hold = |key: SolveKey, rel: &[RelTiming]| {
+            let start = timings.len();
+            timings.extend_from_slice(rel);
+            solves.keys.insert(key, (gen, start));
+            start
+        };
+        let mut starts = [0; 4];
+        for (k, found) in found.into_iter().enumerate() {
+            starts[k] = match found {
+                Found::Held(start) => {
+                    stats.solve_hits += 1;
+                    start
                 }
-                let rel = match solves.entry(key) {
-                    std::collections::hash_map::Entry::Occupied(e) => {
-                        stats.solve_hits += 1;
-                        e.into_mut()
+                Found::Earlier(j) => {
+                    stats.solve_hits += 1;
+                    starts[j]
+                }
+                Found::Stored(rel) => {
+                    stats.solve_hits += 1;
+                    stats.solve_disk_hits += 1;
+                    hold(keys[k], &rel)
+                }
+                Found::Solve(i) => {
+                    stats.solve_misses += 1;
+                    if let Some(b) = binding {
+                        // Cache write failures degrade to a smaller cache,
+                        // never to a failed evaluation.
+                        let store_key = solve_store_key(sig, b.fingerprint, keys[k]);
+                        let _ = b.store.put(store_key, &encode_solves(&solved[i]));
                     }
-                    std::collections::hash_map::Entry::Vacant(v) => {
-                        let (rel, from_store) = match found {
-                            Found::Stored(rel) => (rel, true),
-                            Found::Solve(i) => (solved[i].take().expect("solved once"), false),
-                            // Evicted by a clear earlier in this batch.
-                            Found::Cached => match stored(key) {
-                                Some(rel) => (rel, true),
-                                None => (solve(&[key]).remove(0), false),
-                            },
-                        };
-                        if from_store {
-                            stats.solve_hits += 1;
-                            stats.solve_disk_hits += 1;
-                        } else {
-                            stats.solve_misses += 1;
-                            if let Some(b) = binding {
-                                // Cache write failures degrade to a smaller
-                                // cache, never to a failed evaluation.
-                                let store_key = solve_store_key(sig, b.fingerprint, key);
-                                let _ = b.store.put(store_key, &encode_solves(&rel));
-                            }
-                        }
-                        v.insert(rel)
-                    }
-                };
-                rel.clone()
-            })
-            .collect()
+                    hold(keys[k], &solved[i])
+                }
+            };
+        }
+        starts
     }
 }
 
@@ -1061,6 +1133,49 @@ mod tests {
     use crate::driver::{DriverSpec, SourceSpec};
     use crate::netlist::{Netlist, Stage, Tap, TapKind};
 
+    /// The stages of `netlist` as incremental-evaluation slots, slot `i`
+    /// being stage `i` under signature `sigs[i]`.
+    fn slots_of(netlist: &Netlist, sigs: &[StageSig]) -> Vec<StageSlot> {
+        netlist
+            .stages
+            .iter()
+            .zip(sigs)
+            .map(|(stage, &sig)| {
+                let mut children = Vec::new();
+                let taps = stage
+                    .taps
+                    .iter()
+                    .map(|tap| LocalTap {
+                        node: tap.node,
+                        kind: match tap.kind {
+                            TapKind::Sink(id) => LocalTapKind::Sink(id),
+                            TapKind::Stage(child) => {
+                                children.push(child);
+                                LocalTapKind::Child(children.len() - 1)
+                            }
+                        },
+                    })
+                    .collect();
+                StageSlot {
+                    sig,
+                    children,
+                    fresh: Some(LoweredStage {
+                        driver: stage.driver,
+                        tree: stage.tree.clone(),
+                        taps,
+                    }),
+                }
+            })
+            .collect()
+    }
+
+    /// A signature distinguished by `tag`.
+    fn sig(tag: usize) -> StageSig {
+        let mut b = SigBuilder::new();
+        b.write_usize(tag);
+        b.finish()
+    }
+
     /// Source → trunk wire → inverter → two asymmetric sink branches, as a
     /// netlist (for the full evaluator) and as slots (for the incremental
     /// one).
@@ -1079,7 +1194,7 @@ mod tests {
 
         let stage0 = Stage {
             driver: StageDriver::Source(SourceSpec::ispd09()),
-            tree: t0.clone(),
+            tree: t0,
             taps: vec![Tap {
                 node: trunk,
                 kind: TapKind::Stage(1),
@@ -1087,7 +1202,7 @@ mod tests {
         };
         let stage1 = Stage {
             driver: StageDriver::Buffer(d),
-            tree: t1.clone(),
+            tree: t1,
             taps: vec![
                 Tap {
                     node: a,
@@ -1100,43 +1215,66 @@ mod tests {
             ],
         };
         let netlist = Netlist::new(vec![stage0, stage1], 0).expect("valid netlist");
+        let slots = slots_of(&netlist, &[sig(0), sig(1)]);
+        (netlist, slots)
+    }
 
-        let mut s0 = SigBuilder::new();
-        s0.write_tag(0);
-        let mut s1 = SigBuilder::new();
-        s1.write_tag(1);
-        let slots = vec![
-            StageSlot {
-                sig: s0.finish(),
-                children: vec![1],
-                fresh: Some(LoweredStage {
-                    driver: StageDriver::Source(SourceSpec::ispd09()),
-                    tree: t0,
-                    taps: vec![LocalTap {
-                        node: trunk,
-                        kind: LocalTapKind::Child(0),
-                    }],
-                }),
-            },
-            StageSlot {
-                sig: s1.finish(),
-                children: vec![],
-                fresh: Some(LoweredStage {
-                    driver: StageDriver::Buffer(d),
-                    tree: t1,
-                    taps: vec![
-                        LocalTap {
-                            node: a,
-                            kind: LocalTapKind::Sink(0),
-                        },
-                        LocalTap {
-                            node: b,
-                            kind: LocalTapKind::Sink(1),
-                        },
-                    ],
-                }),
-            },
-        ];
+    /// `slots` as a caller presents them once every stage is cached.
+    fn reused(slots: &[StageSlot]) -> Vec<StageSlot> {
+        slots
+            .iter()
+            .map(|s| StageSlot {
+                sig: s.sig,
+                children: s.children.clone(),
+                fresh: None,
+            })
+            .collect()
+    }
+
+    /// A source-driven RC chain with one tap per node, so each at its own
+    /// depth, feeding `copies` copies of one buffer stage (one signature,
+    /// slots `1..=copies`); each copy drives a one-sink leaf stage of its
+    /// own. The copies see `copies` distinct input slews per corner and
+    /// direction in one evaluation.
+    fn fanout_network(copies: usize) -> (Netlist, Vec<StageSlot>) {
+        let tech = Technology::ispd09();
+        let d = DriverSpec::from_composite(&tech.composite(tech.small_inverter(), 8));
+        let mut chain = RcTree::new();
+        let mut node = chain.add_root(1.0);
+        let mut taps = Vec::new();
+        for c in 0..copies {
+            node = chain.add_node(node, 40.0, 20.0 + d.input_cap);
+            taps.push(Tap {
+                node,
+                kind: TapKind::Stage(1 + c),
+            });
+        }
+        let mut stages = vec![Stage {
+            driver: StageDriver::Source(SourceSpec::ispd09()),
+            tree: chain,
+            taps,
+        }];
+        let buffer_stage = |load: f64, kind: TapKind| {
+            let mut tree = RcTree::new();
+            let root = tree.add_root(d.output_cap);
+            let node = tree.add_node(root, 80.0, 30.0 + load);
+            Stage {
+                driver: StageDriver::Buffer(d),
+                tree,
+                taps: vec![Tap { node, kind }],
+            }
+        };
+        let mut sigs = vec![sig(0)];
+        for c in 0..copies {
+            stages.push(buffer_stage(d.input_cap, TapKind::Stage(1 + copies + c)));
+            sigs.push(sig(1));
+        }
+        for c in 0..copies {
+            stages.push(buffer_stage(12.0, TapKind::Sink(c)));
+            sigs.push(sig(2 + c));
+        }
+        let netlist = Netlist::new(stages, 0).expect("valid netlist");
+        let slots = slots_of(&netlist, &sigs);
         (netlist, slots)
     }
 
@@ -1149,16 +1287,7 @@ mod tests {
         let report = inc.evaluate_slots(slots.clone());
         assert_eq!(report, full);
         // Second evaluation: everything hits the caches, result unchanged.
-        let report2 = inc.evaluate_slots(
-            slots
-                .iter()
-                .map(|s| StageSlot {
-                    sig: s.sig,
-                    children: s.children.clone(),
-                    fresh: None,
-                })
-                .collect(),
-        );
+        let report2 = inc.evaluate_slots(reused(&slots));
         assert_eq!(report2, full);
         let stats = inc.stats();
         assert_eq!(stats.stage_misses, 2);
@@ -1172,16 +1301,7 @@ mod tests {
         let inc = IncrementalEvaluator::new(Technology::ispd09());
         assert_eq!(inc.runs(), 0);
         let _ = inc.evaluate_slots(slots.clone());
-        let _ = inc.evaluate_slots(
-            slots
-                .iter()
-                .map(|s| StageSlot {
-                    sig: s.sig,
-                    children: s.children.clone(),
-                    fresh: None,
-                })
-                .collect(),
-        );
+        let _ = inc.evaluate_slots(reused(&slots));
         // The escape hatch shares the same counter.
         let _ = inc.evaluator().evaluate(&netlist);
         assert_eq!(inc.runs(), 3);
@@ -1216,15 +1336,18 @@ mod tests {
     #[test]
     fn bounded_solve_cache_stays_correct_under_slew_churn() {
         // Keep the downstream stage's content fixed while the upstream
-        // stage changes every round, so a new input slew reaches the fixed
-        // stage each time. Past MAX_SOLVES_PER_STAGE entries its solve map
-        // is cleared; results must stay bit-identical to full evaluation
-        // throughout.
+        // stage changes every round, so four new input slews (two corners,
+        // two directions) reach the fixed stage each time. Sweeps bound its
+        // solve map to the keys of its last 2 × KEEP_GENERATIONS
+        // evaluations, every eviction is counted, and results stay
+        // bit-identical to full evaluation throughout.
         let tech = Technology::ispd09();
         let (netlist, slots) = two_sink_network();
+        let fixed = slots[1].sig;
         let inc = IncrementalEvaluator::new(tech.clone());
         let full = Evaluator::new(tech);
-        for round in 0..(MAX_SOLVES_PER_STAGE + 8) {
+        let mut sweeps = 0;
+        for round in 0..4 * KEEP_GENERATIONS {
             let extra_res = round as f64;
             let mut n = netlist.clone();
             let mut t0 = RcTree::new();
@@ -1249,83 +1372,131 @@ mod tests {
                 }),
             };
             let fixed_slot = StageSlot {
-                sig: slots[1].sig,
+                sig: fixed,
                 children: vec![],
-                fresh: if inc.is_cached(slots[1].sig) {
+                fresh: if inc.is_cached(fixed) {
                     None
                 } else {
                     slots[1].fresh.clone()
                 },
             };
+            let held_before: Vec<SolveKey> = inc
+                .cache
+                .borrow()
+                .get(&fixed)
+                .map(|e| e.solves.keys.keys().copied().collect())
+                .unwrap_or_default();
+            let (before, stages_before) = (inc.stats(), inc.cached_stages() as u64);
+
             let fast = inc.evaluate_slots(vec![root_slot, fixed_slot]);
             assert_eq!(fast, full.evaluate(&n), "round {round}");
+
+            let after = inc.stats();
+            let cache = inc.cache.borrow();
+            let held = &cache[&fixed].solves.keys;
+            assert!(
+                held.len() as u64 <= 4 * 2 * KEEP_GENERATIONS,
+                "round {round}: the fixed stage holds {} keys",
+                held.len()
+            );
+            let dropped = held_before.iter().filter(|k| !held.contains_key(k)).count() as u64;
+            let stages_aged =
+                stages_before + (after.stage_misses - before.stage_misses) - cache.len() as u64;
+            assert_eq!(
+                after.evictions - before.evictions,
+                dropped + stages_aged,
+                "round {round}: evictions are the fixed stage's dropped keys plus aged-out stages"
+            );
+            sweeps += usize::from(dropped > 0);
         }
+        assert_eq!(
+            sweeps, 2,
+            "the fixed stage evicts at its second and third sweeps"
+        );
+        assert!(inc.stats().evictions > 0);
     }
 
     #[test]
-    fn every_solved_key_reaches_the_store_when_the_stage_clear_fires_mid_batch() {
+    fn a_stage_seen_with_more_than_64_slews_in_one_evaluation_keeps_them() {
+        // Twenty copies of one buffer stage, each at its own depth, ask for
+        // 80 distinct keys of one signature in one evaluation; all stay
+        // held, so evaluating the same tree again solves nothing.
+        let tech = Technology::ispd09();
+        let (netlist, slots) = fanout_network(20);
+        let full = Evaluator::new(tech.clone()).evaluate(&netlist);
+        let inc = IncrementalEvaluator::new(tech);
+        assert_eq!(inc.evaluate_slots(slots.clone()), full);
+        let held = inc.cache.borrow()[&slots[1].sig].solves.keys.len();
+        assert_eq!(held, 80, "one signature, 20 depths, 4 keys each");
+        let solved = inc.stats().solve_misses;
+        assert_eq!(inc.evaluate_slots(reused(&slots)), full);
+        assert_eq!(
+            inc.stats().solve_misses,
+            solved,
+            "the second evaluation solves nothing"
+        );
+    }
+
+    #[test]
+    fn a_solve_aged_out_of_memory_is_answered_by_the_store() {
         let tech = Technology::ispd09();
         let (netlist, slots) = two_sink_network();
         let buffer_sig = slots[1].sig;
-        // The buffer stage's four keys, from an evaluator with room to spare.
-        let probe = IncrementalEvaluator::new(tech.clone());
-        let _ = probe.evaluate_slots(slots.clone());
-        let keys: Vec<SolveKey> = probe.cache.borrow()[&buffer_sig]
-            .solves
-            .keys()
-            .copied()
-            .collect();
-        assert_eq!(keys.len(), 4);
-
-        // Install both stages, then fill the buffer stage's solve map to one
-        // short of the bound with keys no walk asks for: its first key of
-        // the next batch fills the map, and the second key's clear drops it.
-        let inc = IncrementalEvaluator::new(tech.clone());
-        let _ = inc.evaluate_slots(slots.clone());
-        {
-            let mut cache = inc.cache.borrow_mut();
-            let solves = &mut cache.get_mut(&buffer_sig).expect("cached").solves;
-            solves.clear();
-            for i in 0..MAX_SOLVES_PER_STAGE - 1 {
-                let filler = SolveKey {
-                    vdd: 0,
-                    rising: true,
-                    input_slew: i as u64,
-                };
-                solves.insert(filler, Vec::new());
-            }
-        }
-        let dir = temp_store_dir("clear");
+        let dir = temp_store_dir("aged");
         let store = Arc::new(CacheStore::open(&dir).expect("open"));
+        let inc = IncrementalEvaluator::new(tech.clone());
         inc.attach_store(store.clone());
-        inc.reset_stats();
-        let cached_slots: Vec<StageSlot> = slots
-            .iter()
-            .map(|s| StageSlot {
-                sig: s.sig,
-                children: s.children.clone(),
-                fresh: None,
-            })
-            .collect();
-        let report = inc.evaluate_slots(cached_slots);
-        assert_eq!(report, Evaluator::new(tech).evaluate(&netlist));
-        let stats = inc.stats();
-        assert_eq!(stats.solve_misses, 4, "the buffer stage's keys are solved");
-        assert_eq!(
-            stats.evictions, MAX_SOLVES_PER_STAGE as u64,
-            "the clear fires once, after the batch's first key filled the map"
-        );
-        assert_eq!(inc.cache.borrow()[&buffer_sig].solves.len(), 3);
-
+        let _ = inc.evaluate_slots(slots.clone());
         let fingerprint = context_fingerprint(inc.evaluator());
-        for key in &keys {
+        for (&key, _) in inc.cache.borrow()[&buffer_sig].solves.keys.iter() {
             assert!(
                 store
-                    .get(solve_store_key(buffer_sig, fingerprint, *key))
+                    .get(solve_store_key(buffer_sig, fingerprint, key))
                     .is_some(),
                 "solved key {key:?} is missing from the store"
             );
         }
+
+        // Skip KEEP_GENERATIONS evaluations ahead, as if every cached stage
+        // and solve but one of the buffer stage's keys had been used in the
+        // last of them: the buffer stage's next visit sweeps that key out.
+        let last = inc.generation.get() + KEEP_GENERATIONS;
+        inc.generation.set(last);
+        let aged = {
+            let mut cache = inc.cache.borrow_mut();
+            for entry in cache.values_mut() {
+                entry.last_used = last;
+                for (last_used, _) in entry.solves.keys.values_mut() {
+                    *last_used = last;
+                }
+            }
+            let (&key, (last_used, _)) = cache
+                .get_mut(&buffer_sig)
+                .expect("cached")
+                .solves
+                .keys
+                .iter_mut()
+                .next()
+                .expect("the buffer stage holds keys");
+            *last_used = 1;
+            key
+        };
+
+        let before = inc.stats();
+        let report = inc.evaluate_slots(reused(&slots));
+        assert_eq!(report, Evaluator::new(tech).evaluate(&netlist));
+        let after = inc.stats();
+        assert_eq!(after.evictions, before.evictions + 1, "one key aged out");
+        assert_eq!(
+            after.solve_disk_hits,
+            before.solve_disk_hits + 1,
+            "the store answers the aged key"
+        );
+        assert_eq!(after.solve_misses, before.solve_misses);
+        assert!(inc.cache.borrow()[&buffer_sig]
+            .solves
+            .keys
+            .contains_key(&aged));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

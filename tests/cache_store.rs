@@ -326,6 +326,57 @@ fn cache_profiles_are_deterministic_across_worker_counts() {
     fs::remove_dir_all(&dir).ok();
 }
 
+/// The per-job profile simulates the lookups of a cold, dedicated
+/// evaluator. Against an empty store, its counters on ispd09f11 (default
+/// profile, Elmore model) equal what a cold session without a store
+/// observes, evictions included.
+#[test]
+fn job_profile_mirrors_a_cold_evaluator_exactly() {
+    let instance = contango::benchmarks::make_instance(&contango::benchmarks::ispd09_suite()[0]);
+    let flow = ContangoFlow::new(
+        Technology::ispd09(),
+        FlowConfig {
+            model: DelayModel::Elmore,
+            ..FlowConfig::default()
+        },
+    );
+    let run = |session: &mut EngineSession| {
+        flow.run_in(session, &flow.pipeline(), &instance, &mut NoopObserver)
+            .expect("flow runs");
+    };
+
+    let dir = scratch("mirror");
+    let mut profiled = flow.session();
+    profiled.attach_cache(std::sync::Arc::new(
+        CacheStore::open(&dir).expect("open store"),
+    ));
+    profiled.evaluator().begin_job_profile();
+    run(&mut profiled);
+    let profile = profiled.evaluator().take_job_profile();
+
+    let mut plain = flow.session();
+    run(&mut plain);
+    let observed = plain.evaluator().stats();
+
+    assert_eq!(profile.disk_hits, 0, "{profile:?}");
+    assert_eq!(
+        profile.mem_hits,
+        observed.stage_hits + observed.solve_hits,
+        "{profile:?} against {observed:?}"
+    );
+    assert_eq!(
+        profile.misses,
+        observed.stage_misses + observed.solve_misses,
+        "{profile:?} against {observed:?}"
+    );
+    assert_eq!(
+        profile.evictions, observed.evictions,
+        "{profile:?} against {observed:?}"
+    );
+    assert!(profile.evictions > 0, "nothing aged out: {profile:?}");
+    fs::remove_dir_all(&dir).ok();
+}
+
 /// One store directory serving the daemon's whole worker pool and a
 /// concurrent offline campaign at once: nobody corrupts anybody, and every
 /// report stays byte-identical to the cache-less reference.

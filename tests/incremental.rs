@@ -258,6 +258,54 @@ proptest! {
     }
 }
 
+/// A long edit loop reaches the evaluator's aging sweeps, which the short
+/// random sequences above never do: 80 rounds of one mutation each, kept
+/// when skew improves and otherwise rolled back to the last kept tree, as
+/// the passes' round driver does. Every evaluation matches a full
+/// re-evaluation bit for bit, and cached entries were aged out.
+#[test]
+fn incremental_matches_full_across_aging_sweeps_and_rollbacks() {
+    let tech = Technology::ispd09();
+    let (inst, mut tree) = buffered_tree(&tech, &fixed_sinks(), 1e9);
+    let evaluator = IncrementalEvaluator::new(tech.clone());
+    let ctx = OptContext {
+        tech: &tech,
+        source: SourceSpec::ispd09(),
+        evaluator: &evaluator,
+        segment_um: 100.0,
+        cap_limit: inst.cap_limit,
+    };
+    let mut current = ctx.evaluate(&tree);
+    assert_reports_match(&current, &ctx.evaluate_full(&tree), "opening");
+    // A fixed xorshift stream picks each round's mutation.
+    let mut state = 0x2545_f491_4f6c_dd1d_u64;
+    let mut next = || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let mut kept = 0;
+    for round in 0..80 {
+        let saved = tree.clone();
+        let (kind, which) = ((next() % 3) as usize, (next() % 65536) as usize);
+        let amount = 1.0 + (next() % 34) as f64;
+        apply_mutation(&mut tree, kind, which, amount);
+        let report = ctx.evaluate(&tree);
+        let label = format!("round {round} (kind {kind})");
+        assert_reports_match(&report, &ctx.evaluate_full(&tree), &label);
+        if report.skew() < current.skew() {
+            current = report;
+            kept += 1;
+        } else {
+            tree = saved;
+        }
+    }
+    assert!(kept > 0 && kept < 80, "{kept} of 80 rounds kept");
+    let stats = evaluator.stats();
+    assert!(stats.evictions > 0, "nothing aged out: {stats:?}");
+}
+
 /// Times `iters` calls of `f` and returns the mean per call in µs.
 fn mean_us(iters: usize, mut f: impl FnMut()) -> f64 {
     let start = Instant::now();
