@@ -1231,6 +1231,25 @@ mod tests {
             .collect()
     }
 
+    /// Rounds of [`churn_round`] that the fixed stage's solves are swept
+    /// over: its first sweep evicts nothing, the next three evict.
+    const CHURN_ROUNDS: u64 = 4 * KEEP_GENERATIONS + 1;
+
+    /// Round `round` of a churn: [`two_sink_network`] with a trunk
+    /// `round` ohms longer under a root signature of its own, so four new
+    /// input slews (two corners, two directions) reach the unchanged
+    /// buffer stage every round.
+    fn churn_round(round: u64) -> (Netlist, Vec<StageSlot>) {
+        let (mut n, slots) = two_sink_network();
+        let mut t0 = RcTree::new();
+        let r0 = t0.add_root(1.0);
+        let input_cap = n.stages[1].driver.spec().input_cap;
+        n.stages[0].taps[0].node = t0.add_node(r0, 120.0 + round as f64, 60.0 + input_cap);
+        n.stages[0].tree = t0;
+        let slots = slots_of(&n, &[sig(1000 + round as usize), slots[1].sig]);
+        (n, slots)
+    }
+
     /// A source-driven RC chain with one tap per node, so each at its own
     /// depth, feeding `copies` copies of one buffer stage (one signature,
     /// slots `1..=copies`); each copy drives a one-sink leaf stage of its
@@ -1335,51 +1354,17 @@ mod tests {
 
     #[test]
     fn bounded_solve_cache_stays_correct_under_slew_churn() {
-        // Keep the downstream stage's content fixed while the upstream
-        // stage changes every round, so four new input slews (two corners,
-        // two directions) reach the fixed stage each time. Sweeps bound its
-        // solve map to the keys of its last 2 × KEEP_GENERATIONS
+        // Four new input slews reach the fixed stage every round. Sweeps
+        // bound its solve map to the keys of its last 2 × KEEP_GENERATIONS
         // evaluations, every eviction is counted, and results stay
         // bit-identical to full evaluation throughout.
         let tech = Technology::ispd09();
-        let (netlist, slots) = two_sink_network();
-        let fixed = slots[1].sig;
+        let fixed = two_sink_network().1[1].sig;
         let inc = IncrementalEvaluator::new(tech.clone());
         let full = Evaluator::new(tech);
         let mut sweeps = 0;
-        for round in 0..4 * KEEP_GENERATIONS {
-            let extra_res = round as f64;
-            let mut n = netlist.clone();
-            let mut t0 = RcTree::new();
-            let r0 = t0.add_root(1.0);
-            let input_cap = n.stages[1].driver.spec().input_cap;
-            let trunk = t0.add_node(r0, 120.0 + extra_res, 60.0 + input_cap);
-            n.stages[0].tree = t0.clone();
-            n.stages[0].taps[0].node = trunk;
-
-            let mut sig = SigBuilder::new();
-            sig.write_f64(extra_res);
-            let root_slot = StageSlot {
-                sig: sig.finish(),
-                children: vec![1],
-                fresh: Some(LoweredStage {
-                    driver: n.stages[0].driver,
-                    tree: t0,
-                    taps: vec![LocalTap {
-                        node: trunk,
-                        kind: LocalTapKind::Child(0),
-                    }],
-                }),
-            };
-            let fixed_slot = StageSlot {
-                sig: fixed,
-                children: vec![],
-                fresh: if inc.is_cached(fixed) {
-                    None
-                } else {
-                    slots[1].fresh.clone()
-                },
-            };
+        for round in 0..CHURN_ROUNDS {
+            let (n, slots) = churn_round(round);
             let held_before: Vec<SolveKey> = inc
                 .cache
                 .borrow()
@@ -1388,8 +1373,11 @@ mod tests {
                 .unwrap_or_default();
             let (before, stages_before) = (inc.stats(), inc.cached_stages() as u64);
 
-            let fast = inc.evaluate_slots(vec![root_slot, fixed_slot]);
-            assert_eq!(fast, full.evaluate(&n), "round {round}");
+            assert_eq!(
+                inc.evaluate_slots(slots),
+                full.evaluate(&n),
+                "round {round}"
+            );
 
             let after = inc.stats();
             let cache = inc.cache.borrow();
@@ -1410,10 +1398,48 @@ mod tests {
             sweeps += usize::from(dropped > 0);
         }
         assert_eq!(
-            sweeps, 2,
-            "the fixed stage evicts at its second and third sweeps"
+            sweeps, 3,
+            "the fixed stage evicts at its 2nd, 3rd and 4th sweeps"
         );
-        assert!(inc.stats().evictions > 0);
+
+        // The last round's sweep compacted the timings of the keys it kept;
+        // the round before reads its keys back from them without a solve.
+        let (n, slots) = churn_round(CHURN_ROUNDS - 2);
+        let solved = inc.stats().solve_misses;
+        assert_eq!(inc.evaluate_slots(slots), full.evaluate(&n));
+        assert_eq!(inc.stats().solve_misses, solved);
+    }
+
+    #[test]
+    fn job_profile_ages_solves_like_a_cold_evaluator() {
+        // The churn above sweeps the fixed stage's solves three times. A job
+        // profile against an empty store counts exactly the hits, misses
+        // and evictions a store-less evaluator observes over it.
+        let tech = Technology::ispd09();
+        let dir = temp_store_dir("profile-aging");
+        let profiled = IncrementalEvaluator::new(tech.clone());
+        profiled.attach_store(Arc::new(CacheStore::open(&dir).expect("open")));
+        profiled.begin_job_profile();
+        let plain = IncrementalEvaluator::new(tech);
+        for round in 0..CHURN_ROUNDS {
+            let slots = churn_round(round).1;
+            let _ = profiled.evaluate_slots(slots.clone());
+            let _ = plain.evaluate_slots(slots);
+        }
+        let profile = profiled.take_job_profile();
+        let observed = plain.stats();
+        assert!(
+            observed.evictions > 2 * 4 * KEEP_GENERATIONS,
+            "{observed:?}"
+        );
+        assert_eq!(profile.disk_hits, 0);
+        assert_eq!(profile.mem_hits, observed.stage_hits + observed.solve_hits);
+        assert_eq!(
+            profile.misses,
+            observed.stage_misses + observed.solve_misses
+        );
+        assert_eq!(profile.evictions, observed.evictions);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
