@@ -417,8 +417,9 @@ pub struct JobRecord {
     pub outcome: Result<JobMetrics, CoreError>,
     /// Deterministic cache profile of this job against the store's
     /// open-time snapshot (`None` when the campaign ran without a store).
-    /// The profile models a cold dedicated evaluator running just this job,
-    /// so it is independent of worker count and dispatch order.
+    /// The job runs on an evaluator whose caches were emptied for it, and
+    /// only snapshot answers count as disk hits, so the profile is
+    /// independent of worker count and dispatch order.
     pub cache: Option<CacheCounters>,
 }
 

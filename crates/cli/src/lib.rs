@@ -477,16 +477,13 @@ fn run(
     let pipeline = job.pipeline();
     let flow = ContangoFlow::new(job.tech, job.config);
     let mut progress = StderrProgress::new(instance.name.clone());
-    let result = match &manifest.cache_dir {
-        None => flow.run_pipeline(&pipeline, &instance, &mut progress)?,
-        Some(dir) => {
-            // Same result as the cold path, but stage/solve/construction
-            // results are served from (and written back to) the store.
-            let mut session = flow.session();
-            session.attach_cache(open_store(dir)?);
-            flow.run_in(&mut session, &pipeline, &instance, &mut progress)?
-        }
-    };
+    let mut session = flow.session();
+    if let Some(dir) = &manifest.cache_dir {
+        // Same result without the store, but stage/solve/construction
+        // results are served from (and written back to) it.
+        session.attach_cache(open_store(dir)?);
+    }
+    let result = flow.run_in(&mut session, &pipeline, &instance, &mut progress)?;
     let mut out = summary_block(&instance, &result);
     out.push('\n');
     out.push_str(&render_table(&stage_table(&instance.name, &result), format));

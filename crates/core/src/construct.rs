@@ -45,7 +45,7 @@ use crate::polarity::{correct_polarity, PolarityReport};
 use crate::topology::{fishbone_tree, h_tree, TopologyKind};
 use crate::tree::{ClockTree, NodeId, NodeKind, WireSegment};
 use contango_geom::{ObstacleSet, Point, SpatialIndex, TiltedRect};
-use contango_sim::{CacheCounters, CacheStore};
+use contango_sim::{CacheCounters, CacheStore, HitTier};
 use contango_tech::{CompositeBuffer, Technology};
 use serde::Serialize;
 use std::sync::Arc;
@@ -341,8 +341,10 @@ impl ConstructArena {
     }
 
     /// Starts a deterministic cache profile for one job (see
-    /// [`contango_sim::incremental::IncrementalEvaluator::begin_job_profile`]
+    /// [`contango_sim::incremental::IncrementalEvaluator::take_job_profile`]
     /// for the classification model). A no-op without an attached store.
+    /// The arena's scratch memory stays warm: it holds no results, only
+    /// capacity.
     pub fn begin_job_profile(&mut self) {
         self.profile = self.cache.is_some().then(CacheCounters::default);
     }
@@ -1597,21 +1599,21 @@ pub fn construct_initial(
         return construct_initial_uncached(instance, tech, config, arena);
     };
     let key = construct_cache_key(instance, tech, config);
-    let served = store
-        .get(key)
-        .and_then(|(payload, _)| decode_construct(&payload, tech, instance));
-    // The job profile classifies by open-time snapshot membership (and a
-    // successful decode), never by which concurrent worker appended the
-    // entry first — so the counters are independent of scheduling.
-    let warm = served.is_some() && store.contains_snapshot(key);
+    let served = store.get(key).and_then(|(payload, tier)| {
+        decode_construct(&payload, tech, instance).map(|hit| (hit, tier))
+    });
+    // The job profile counts only an answer from the open-time snapshot
+    // (that decodes) as a disk hit, never one that depends on which
+    // concurrent worker appended the entry first — so the counters are
+    // independent of scheduling.
     if let Some(p) = arena.profile.as_mut() {
-        if warm {
+        if matches!(served, Some((_, HitTier::Snapshot))) {
             p.disk_hits += 1;
         } else {
             p.misses += 1;
         }
     }
-    if let Some(hit) = served {
+    if let Some((hit, _)) = served {
         return Ok(hit);
     }
     let result = construct_initial_uncached(instance, tech, config, arena)?;

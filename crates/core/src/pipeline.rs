@@ -233,18 +233,9 @@ impl Pipeline {
         self
     }
 
-    /// Keeps only the passes whose acronym appears in `acronyms`, preserving
-    /// pipeline order.
-    #[must_use]
-    pub fn only(mut self, acronyms: &[&str]) -> Self {
-        self.passes.retain(|p| acronyms.contains(&p.acronym()));
-        self
-    }
-
     /// Keeps only the passes whose acronym appears in `acronyms`, in the
-    /// order *given* (unlike [`Pipeline::only`], which preserves pipeline
-    /// order). Acronyms that match no pass are ignored; duplicates take the
-    /// pass once, at its first mention.
+    /// order *given*, not pipeline order. Acronyms that match no pass are
+    /// ignored; duplicates take the pass once, at its first mention.
     #[must_use]
     pub fn select(mut self, acronyms: &[&str]) -> Self {
         let mut selected = Vec::with_capacity(acronyms.len());
@@ -664,7 +655,7 @@ mod tests {
         assert_eq!(p.acronyms(), ["INITIAL", "A", "TBSZ", "C", "B", "BWSN"]);
         assert_eq!(p.position("C"), Some(3));
         assert_eq!(p.position("TWSZ"), None);
-        let p = p.only(&["INITIAL", "A", "BWSN"]);
+        let p = p.select(&["INITIAL", "A", "BWSN"]);
         assert_eq!(p.acronyms(), ["INITIAL", "A", "BWSN"]);
         assert_eq!(p.len(), 3);
         assert!(!p.is_empty());

@@ -12,7 +12,10 @@
 //!   content-addressed, so entries from one instance can never corrupt the
 //!   evaluation of another), and the [`ConstructArena`] scratch memory. A
 //!   session is created once per worker and reused across arbitrarily many
-//!   runs; reuse affects wall-clock only, never results.
+//!   runs; reuse affects wall-clock only, never results. With a persistent
+//!   store attached, each job a batch driver profiles starts on empty
+//!   evaluator caches (see [`EngineSession::begin_job_profile`]); the
+//!   construction arena stays warm.
 //! * `FlowRun` (private to the driver) is the **per-run state**: the tree
 //!   under synthesis, the per-stage snapshots and outcomes, the run timer
 //!   and the evaluator-run baseline. It is created fresh by
@@ -131,9 +134,11 @@ impl EngineSession {
     }
 
     /// Starts a deterministic per-job cache profile across evaluator and
-    /// arena (see
-    /// [`IncrementalEvaluator::begin_job_profile`]). A no-op without an
-    /// attached store.
+    /// arena (see [`IncrementalEvaluator::begin_job_profile`]). With a store
+    /// attached, the evaluator drops its cached stages and solves, so the
+    /// job starts on empty evaluator caches and the store serves what
+    /// earlier jobs computed; the construction arena's scratch memory stays
+    /// warm. A no-op without an attached store.
     pub fn begin_job_profile(&mut self) {
         self.evaluator.begin_job_profile();
         self.arena.begin_job_profile();

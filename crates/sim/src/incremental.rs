@@ -51,7 +51,7 @@ use crate::evaluator::{
 };
 use crate::netlist::StageDriver;
 use crate::report::{CornerReport, EvalReport};
-use crate::store::{ByteReader, ByteWriter, CacheCounters, CacheStore, StoreKey};
+use crate::store::{ByteReader, ByteWriter, CacheCounters, CacheStore, HitTier, StoreKey};
 use crate::{DelayModel, DriverSpec, RcTree, SourceSpec};
 use contango_tech::Technology;
 use std::cell::{Cell, RefCell};
@@ -78,8 +78,7 @@ use std::sync::Arc;
 const KEEP_GENERATIONS: u64 = 32;
 
 /// Whether an entry last used in evaluation `last_used` is still kept in
-/// evaluation `gen`: the one aging rule of stages and solves, in the
-/// evaluator and in the job profile alike.
+/// evaluation `gen`: the one aging rule of stages and solves.
 fn is_fresh(last_used: u64, gen: u64) -> bool {
     last_used + KEEP_GENERATIONS >= gen
 }
@@ -250,18 +249,17 @@ pub struct StageSlot {
 }
 
 /// The solve keys held for one stage, each with the evaluation that last
-/// used it. The evaluator holds with each key where its tap timings start
-/// in the stage's flat timing array (`T = usize`); the job profile holds
-/// the keys alone (`T = ()`).
+/// used it and where its tap timings start in the stage's flat timing
+/// array.
 #[derive(Debug, Clone)]
-struct AgedSolves<T> {
-    keys: WordMap<SolveKey, (u64, T)>,
+struct AgedSolves {
+    keys: WordMap<SolveKey, (u64, usize)>,
     /// The evaluation of the last sweep; at first, the one that cached
     /// the stage.
     swept: u64,
 }
 
-impl<T> AgedSolves<T> {
+impl AgedSolves {
     fn new(gen: u64) -> Self {
         Self {
             keys: WordMap::default(),
@@ -272,8 +270,6 @@ impl<T> AgedSolves<T> {
     /// Ages the keys at a stage's visit in evaluation `gen`: once
     /// [`KEEP_GENERATIONS`] evaluations have passed since the last sweep,
     /// evicts every key unused for that long. Returns how many it evicted.
-    /// The evaluator and the job profile both age solves through this one
-    /// function.
     fn sweep(&mut self, gen: u64) -> u64 {
         if gen < self.swept + KEEP_GENERATIONS {
             return 0;
@@ -293,7 +289,7 @@ struct CachedStage {
     total_cap: f64,
     /// Each held solve's key, with where its tap timings start in
     /// `timings`.
-    solves: AgedSolves<usize>,
+    solves: AgedSolves,
     /// The tap timings of every held solve, one run of `stage.taps.len()`
     /// per solve: one array per stage, not one allocation per key.
     timings: Vec<RelTiming>,
@@ -330,8 +326,8 @@ impl CachedStage {
     }
 }
 
-/// Cache statistics of an [`IncrementalEvaluator`], for tests, logging and
-/// benchmark reporting.
+/// Cache statistics of an [`IncrementalEvaluator`], for per-job cache
+/// profiles, tests, logging and benchmark reporting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Stage lookups answered from the cache (no re-lowering needed).
@@ -348,6 +344,10 @@ pub struct CacheStats {
     /// Of the `solve_hits`, those answered from an attached persistent
     /// store rather than the in-memory solve maps.
     pub solve_disk_hits: u64,
+    /// Of the `stage_disk_hits` and `solve_disk_hits`, those answered by
+    /// entries added to the store since it was opened rather than by its
+    /// open-time snapshot ([`HitTier::Added`]).
+    pub added_hits: u64,
     /// In-memory entries aged out after `KEEP_GENERATIONS` (32)
     /// evaluations unused: one per stage (its solves leave with it
     /// uncounted), plus one per solve a sweep of a still-cached stage
@@ -365,102 +365,6 @@ pub struct CacheStats {
 struct StoreBinding {
     store: Arc<CacheStore>,
     fingerprint: StageSig,
-}
-
-/// Deterministic per-job cache accounting: simulates the lookups a *cold,
-/// dedicated* evaluator would make for this job against the store's
-/// open-time snapshot. Unlike the observed [`CacheStats`] — which depend on
-/// which jobs warmed this evaluator earlier — the profile is a pure
-/// function of (job, snapshot), so the counters reported per job are
-/// byte-identical for every worker count and session-pool size.
-///
-/// The profile holds the stages and solve keys such an evaluator would
-/// hold, and ages them by the same rules: a stage at the end of every
-/// evaluation, its solves through the same [`AgedSolves::sweep`] at its
-/// first visit. Its `mem_hits`, `misses` and `evictions` therefore equal
-/// the observed hits, misses and evictions of a cold evaluator that runs
-/// the job without a store.
-#[derive(Debug, Default)]
-struct JobProfile {
-    gen: u64,
-    counters: CacheCounters,
-    /// The stages this job has looked up, each with the evaluation that
-    /// last used it and the solve keys the evaluator would hold for it.
-    stages: WordMap<StageSig, (u64, AgedSolves<()>)>,
-}
-
-impl JobProfile {
-    /// Classifies a stage lookup, and ages the solves of a stage this job
-    /// already holds.
-    fn classify_stage(&mut self, sig: StageSig, binding: Option<&StoreBinding>) {
-        let gen = self.gen;
-        match self.stages.entry(sig) {
-            Entry::Occupied(e) => {
-                self.counters.mem_hits += 1;
-                let (last_used, solves) = e.into_mut();
-                *last_used = gen;
-                self.counters.evictions += solves.sweep(gen);
-            }
-            Entry::Vacant(v) => {
-                if binding.is_some_and(|b| b.store.contains_snapshot(stage_store_key(sig))) {
-                    self.counters.disk_hits += 1;
-                } else {
-                    self.counters.misses += 1;
-                }
-                v.insert((gen, AgedSolves::new(gen)));
-            }
-        }
-    }
-
-    /// Classifies the four solve lookups of one visit of stage `sig`, in
-    /// the order the evaluator makes them.
-    fn classify_solves(
-        &mut self,
-        sig: StageSig,
-        keys: &[SolveKey; 4],
-        binding: Option<&StoreBinding>,
-    ) {
-        let gen = self.gen;
-        let (_, solves) = self
-            .stages
-            .get_mut(&sig)
-            .expect("every stage is classified before the walk");
-        for &key in keys {
-            match solves.keys.entry(key) {
-                Entry::Occupied(e) => {
-                    self.counters.mem_hits += 1;
-                    e.into_mut().0 = gen;
-                }
-                Entry::Vacant(v) => {
-                    let on_disk = binding.is_some_and(|b| {
-                        b.store
-                            .contains_snapshot(solve_store_key(sig, b.fingerprint, key))
-                    });
-                    if on_disk {
-                        self.counters.disk_hits += 1;
-                    } else {
-                        self.counters.misses += 1;
-                    }
-                    v.insert((gen, ()));
-                }
-            }
-        }
-    }
-
-    /// Mirrors the end-of-evaluation aging of the in-memory cache: stages
-    /// unused for [`KEEP_GENERATIONS`] evaluations are dropped (together
-    /// with their solves) and counted as evictions.
-    fn end_evaluation(&mut self) {
-        let gen = self.gen;
-        let counters = &mut self.counters;
-        self.stages.retain(|_, (last_used, _)| {
-            let keep = is_fresh(*last_used, gen);
-            if !keep {
-                counters.evictions += 1;
-            }
-            keep
-        });
-    }
 }
 
 /// A persistent, cache-backed clock-network evaluator.
@@ -484,7 +388,8 @@ pub struct IncrementalEvaluator {
     generation: Cell<u64>,
     stats: Cell<CacheStats>,
     store: RefCell<Option<StoreBinding>>,
-    profile: RefCell<Option<JobProfile>>,
+    /// The statistics when the running job profile began.
+    job_start: Cell<Option<CacheStats>>,
 }
 
 impl IncrementalEvaluator {
@@ -511,7 +416,7 @@ impl IncrementalEvaluator {
             generation: Cell::new(0),
             stats: Cell::new(CacheStats::default()),
             store: RefCell::new(None),
-            profile: RefCell::new(None),
+            job_start: Cell::new(None),
         }
     }
 
@@ -533,24 +438,43 @@ impl IncrementalEvaluator {
         self.store.borrow().as_ref().map(|b| b.store.clone())
     }
 
-    /// Starts deterministic cache accounting for one job. The subsequent
-    /// [`Self::take_job_profile`] returns counters that simulate a cold,
-    /// dedicated evaluator running the job against the attached store's
-    /// open-time snapshot — independent of worker scheduling. A no-op
-    /// (profiling stays off) when no store is attached.
+    /// Starts deterministic cache accounting for one job. With a store
+    /// attached, drops every cached stage and solve, so the job runs on a
+    /// cold evaluator whose memory holds only what this job put there, and
+    /// [`Self::take_job_profile`] counts its lookups: a pure function of
+    /// the job and the store's open-time snapshot, whatever jobs this
+    /// evaluator served before. A no-op (profiling stays off, caches stay
+    /// warm) when no store is attached.
     pub fn begin_job_profile(&self) {
-        let enabled = self.store.borrow().is_some();
-        *self.profile.borrow_mut() = enabled.then(JobProfile::default);
+        let stored = self.store.borrow().is_some();
+        if stored {
+            self.clear_cache();
+        }
+        self.job_start.set(stored.then(|| self.stats.get()));
     }
 
-    /// Finishes the current job profile and returns its counters (zeros
-    /// when no profile was running).
+    /// Finishes the current job profile and returns the job's lookups
+    /// (zeros when no profile was running). Store answers from the
+    /// open-time snapshot count as `disk_hits`; those from entries added
+    /// since the store opened — by this job or by a concurrent one — count
+    /// as `misses`, so the counters do not depend on scheduling.
     pub fn take_job_profile(&self) -> CacheCounters {
-        self.profile
-            .borrow_mut()
-            .take()
-            .map(|p| p.counters)
-            .unwrap_or_default()
+        let Some(start) = self.job_start.take() else {
+            return CacheCounters::default();
+        };
+        let now = self.stats.get();
+        let hits = now.stage_hits + now.solve_hits - start.stage_hits - start.solve_hits;
+        let stored = now.stage_disk_hits + now.solve_disk_hits
+            - start.stage_disk_hits
+            - start.solve_disk_hits;
+        let added = now.added_hits - start.added_hits;
+        CacheCounters {
+            mem_hits: hits - stored,
+            disk_hits: stored - added,
+            misses: now.stage_misses + now.solve_misses - start.stage_misses - start.solve_misses
+                + added,
+            evictions: now.evictions - start.evictions,
+        }
     }
 
     /// The wrapped full evaluator — the escape hatch for callers that need a
@@ -614,7 +538,7 @@ impl IncrementalEvaluator {
         let Some(binding) = binding.as_ref() else {
             return false;
         };
-        let Some((payload, _tier)) = binding.store.get(stage_store_key(sig)) else {
+        let Some((payload, tier)) = binding.store.get(stage_store_key(sig)) else {
             return false;
         };
         let Some(stage) = decode_stage(&payload) else {
@@ -622,6 +546,7 @@ impl IncrementalEvaluator {
         };
         let mut stats = self.stats.get();
         stats.stage_disk_hits += 1;
+        stats.added_hits += u64::from(tier == HitTier::Added);
         self.stats.set(stats);
         // Not yet used by an evaluation; pin it to the upcoming generation
         // so it cannot age out before the evaluation that asked for it runs.
@@ -636,15 +561,9 @@ impl IncrementalEvaluator {
         self.cache.borrow().len()
     }
 
-    /// Cache statistics accumulated since construction (or the last
-    /// [`Self::reset_stats`]).
+    /// Cache statistics accumulated since construction.
     pub fn stats(&self) -> CacheStats {
         self.stats.get()
-    }
-
-    /// Resets the cache statistics.
-    pub fn reset_stats(&self) {
-        self.stats.set(CacheStats::default());
     }
 
     /// Drops every cached stage and solve.
@@ -671,11 +590,6 @@ impl IncrementalEvaluator {
         let mut stats = self.stats.get();
         let binding_ref = self.store.borrow();
         let binding = binding_ref.as_ref();
-        let mut profile_ref = self.profile.borrow_mut();
-        let profile = &mut *profile_ref;
-        if let Some(p) = profile.as_mut() {
-            p.gen += 1;
-        }
 
         let mut cache = self.cache.borrow_mut();
         let mut meta: Vec<(StageSig, Vec<usize>)> = Vec::with_capacity(slots.len());
@@ -685,9 +599,6 @@ impl IncrementalEvaluator {
         // full path.
         let mut total_cap = 0.0_f64;
         for slot in slots {
-            if let Some(p) = profile.as_mut() {
-                p.classify_stage(slot.sig, binding);
-            }
             let entry = match cache.entry(slot.sig) {
                 Entry::Occupied(e) => {
                     let entry = e.into_mut();
@@ -715,14 +626,7 @@ impl IncrementalEvaluator {
             meta.push((slot.sig, slot.children));
         }
 
-        let [nominal, low] = self.walk(
-            &mut cache,
-            &mut stats,
-            binding,
-            profile.as_mut(),
-            &meta,
-            gen,
-        );
+        let [nominal, low] = self.walk(&mut cache, &mut stats, binding, &meta, gen);
         let buffer_count = meta.len().saturating_sub(1);
 
         cache.retain(|_, e| {
@@ -732,9 +636,6 @@ impl IncrementalEvaluator {
             }
             keep
         });
-        if let Some(p) = profile.as_mut() {
-            p.end_evaluation();
-        }
         self.stats.set(stats);
 
         EvalReport {
@@ -748,14 +649,11 @@ impl IncrementalEvaluator {
 
     /// Evaluates both supply corners over the cached stages in one walk,
     /// mirroring `Evaluator::evaluate` step for step, as evaluation `gen`.
-    /// A running job profile classifies each visit's solve keys as the
-    /// walk asks for them.
     fn walk(
         &self,
         cache: &mut WordMap<StageSig, CachedStage>,
         stats: &mut CacheStats,
         binding: Option<&StoreBinding>,
-        mut profile: Option<&mut JobProfile>,
         meta: &[(StageSig, Vec<usize>)],
         gen: u64,
     ) -> [CornerReport; 2] {
@@ -799,9 +697,6 @@ impl IncrementalEvaluator {
             let entry = cache.get_mut(sig).expect("every slot was installed above");
             let requests = stage_requests(vdds, &input, entry.stage.driver.inverting());
             let keys = requests.map(|r| r.1);
-            if let Some(p) = profile.as_mut() {
-                p.classify_solves(*sig, &keys, binding);
-            }
             let starts = Self::stage_solves(&self.inner, stats, binding, *sig, entry, &keys, gen);
             let width = entry.stage.taps.len();
             let rel = starts.map(|start| &entry.timings[start..start + width]);
@@ -877,8 +772,8 @@ impl IncrementalEvaluator {
             Held(usize),
             /// The same as the batch's `j`-th key, which is not held yet.
             Earlier(usize),
-            /// In the store, decoded.
-            Stored(Vec<RelTiming>),
+            /// In the store's given tier, decoded.
+            Stored(Vec<RelTiming>, HitTier),
             /// Nowhere: the key's index among the batch's solves.
             Solve(usize),
         }
@@ -896,11 +791,11 @@ impl IncrementalEvaluator {
                 Found::Held(*start)
             } else if let Some(j) = keys[..k].iter().position(|&earlier| earlier == key) {
                 Found::Earlier(j)
-            } else if let Some(rel) = binding.and_then(|b| {
-                let (payload, _tier) = b.store.get(solve_store_key(sig, b.fingerprint, key))?;
-                decode_solves(&payload, stage.taps.len())
+            } else if let Some((rel, tier)) = binding.and_then(|b| {
+                let (payload, tier) = b.store.get(solve_store_key(sig, b.fingerprint, key))?;
+                Some((decode_solves(&payload, stage.taps.len())?, tier))
             }) {
-                Found::Stored(rel)
+                Found::Stored(rel, tier)
             } else {
                 misses.push(key);
                 Found::Solve(misses.len() - 1)
@@ -937,9 +832,10 @@ impl IncrementalEvaluator {
                     stats.solve_hits += 1;
                     starts[j]
                 }
-                Found::Stored(rel) => {
+                Found::Stored(rel, tier) => {
                     stats.solve_hits += 1;
                     stats.solve_disk_hits += 1;
+                    stats.added_hits += u64::from(tier == HitTier::Added);
                     hold(keys[k], &rel)
                 }
                 Found::Solve(i) => {
@@ -1465,6 +1361,9 @@ mod tests {
 
     #[test]
     fn a_solve_aged_out_of_memory_is_answered_by_the_store() {
+        // The whole test runs as one job profile, whose store answers the
+        // aged key from an entry the job itself added after the store
+        // opened.
         let tech = Technology::ispd09();
         let (netlist, slots) = two_sink_network();
         let buffer_sig = slots[1].sig;
@@ -1472,6 +1371,7 @@ mod tests {
         let store = Arc::new(CacheStore::open(&dir).expect("open"));
         let inc = IncrementalEvaluator::new(tech.clone());
         inc.attach_store(store.clone());
+        inc.begin_job_profile();
         let _ = inc.evaluate_slots(slots.clone());
         let fingerprint = context_fingerprint(inc.evaluator());
         for (&key, _) in inc.cache.borrow()[&buffer_sig].solves.keys.iter() {
@@ -1523,6 +1423,21 @@ mod tests {
             .solves
             .keys
             .contains_key(&aged));
+
+        // The job counts that answer as a miss, like the solve a cold
+        // evaluator without a store would make, and nothing as a disk hit.
+        let profile = inc.take_job_profile();
+        assert_eq!(profile.disk_hits, 0, "{profile:?}");
+        assert_eq!(
+            profile.misses,
+            after.stage_misses + after.solve_misses + 1,
+            "{profile:?}"
+        );
+        assert_eq!(
+            profile.mem_hits,
+            after.stage_hits + after.solve_hits - 1,
+            "{profile:?}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -88,16 +88,20 @@ impl StoreKey {
 ///
 /// These are the fields surfaced in campaign JSONL lines, the suite cache
 /// table and daemon response frames; they are wall-clock-free and, when
-/// produced by the per-job cache *profile* (see
+/// produced by a per-job cache profile (see
 /// [`IncrementalEvaluator::take_job_profile`](crate::IncrementalEvaluator::take_job_profile)),
-/// independent of worker count and scheduling.
+/// independent of worker count and scheduling: the job runs on an
+/// evaluator with empty caches, and only the store's open-time snapshot
+/// counts as disk.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheCounters {
     /// Lookups answered from in-memory caches.
     pub mem_hits: u64,
     /// Lookups answered from the on-disk snapshot.
     pub disk_hits: u64,
-    /// Lookups that found nothing and had to compute.
+    /// Lookups that found nothing and had to compute, plus those answered
+    /// by store entries added after the store opened (a cold evaluator
+    /// without a store computes those too).
     pub misses: u64,
     /// Entries evicted from bounded in-memory caches.
     pub evictions: u64,
@@ -245,14 +249,10 @@ impl CacheStore {
         self.corrupt_segments
     }
 
-    /// Whether `key` is in the open-time snapshot. This is the
-    /// scheduling-independent membership test used by per-job cache
-    /// profiles.
-    pub fn contains_snapshot(&self, key: StoreKey) -> bool {
-        self.snapshot.contains_key(&key)
-    }
-
-    /// Looks up `key`, preferring the lock-free snapshot.
+    /// Looks up `key`, preferring the lock-free snapshot. The tier tells a
+    /// per-job cache profile whether the answer was on disk at open time
+    /// (a pure function of the directory) or added since (which depends on
+    /// scheduling).
     pub fn get(&self, key: StoreKey) -> Option<(Vec<u8>, HitTier)> {
         if let Some(payload) = self.snapshot.get(&key) {
             return Some((payload.clone(), HitTier::Snapshot));
@@ -535,11 +535,9 @@ mod tests {
             store.put(key, b"payload").expect("put");
             // Same-process lookups see the entry in the added tier.
             assert_eq!(store.get(key), Some((b"payload".to_vec(), HitTier::Added)));
-            assert!(!store.contains_snapshot(key));
         }
         let store = CacheStore::open(&dir).expect("reopen");
         assert_eq!(store.snapshot_len(), 1);
-        assert!(store.contains_snapshot(key));
         assert_eq!(
             store.get(key),
             Some((b"payload".to_vec(), HitTier::Snapshot))
@@ -582,8 +580,11 @@ mod tests {
         let bytes = fs::read(&seg).expect("read");
         fs::write(&seg, &bytes[..bytes.len() - 3]).expect("truncate");
         let store = CacheStore::open(&dir).expect("reopen");
-        assert!(store.contains_snapshot(StoreKey::new(1, 1, 1)));
-        assert!(!store.contains_snapshot(StoreKey::new(1, 2, 2)));
+        assert_eq!(
+            store.get(StoreKey::new(1, 1, 1)),
+            Some((b"first".to_vec(), HitTier::Snapshot))
+        );
+        assert_eq!(store.get(StoreKey::new(1, 2, 2)), None);
         assert_eq!(store.corrupt_segments(), 1);
         let _ = fs::remove_dir_all(&dir);
     }
