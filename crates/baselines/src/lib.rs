@@ -9,9 +9,10 @@
 //! optimization methodology, not the front-end.
 //!
 //! Every baseline is expressed as a [`Pipeline`]: the full Contango pipeline
-//! minus the optimization passes the stand-in tool lacks. `compare` therefore
-//! exercises exactly the same machinery as the real flow — a baseline is just
-//! a shorter pass list.
+//! narrowed to the optimization stages the stand-in tool has
+//! ([`BaselineKind::stages`]). `compare` therefore exercises exactly the same
+//! machinery as the real flow — a baseline is just a shorter pass list, and
+//! a campaign's baseline job selects the same list through its `stages`.
 //!
 //! | Baseline | Stands in for | Pipeline |
 //! |---|---|---|
@@ -61,50 +62,32 @@ impl BaselineKind {
         }
     }
 
-    /// The flow configuration implementing this baseline: Contango's fast
-    /// configuration with the missing optimization stages disabled (and
-    /// large single inverters for the weak-buffering stand-in), so the
-    /// legacy `ContangoFlow::new(tech, kind.config()).run(..)` path
-    /// produces the same result as [`BaselineKind::pipeline`].
+    /// The flow configuration of this baseline: Contango's fast profile,
+    /// with large single inverters for the weak-buffering stand-in.
     pub fn config(&self) -> FlowConfig {
-        let base = FlowConfig {
+        FlowConfig {
             use_large_inverters: matches!(self, BaselineKind::WeakBuffering),
-            enable_buffer_sizing: false,
-            enable_wiresizing: false,
-            enable_wiresnaking: false,
-            enable_bottom_level: false,
             ..FlowConfig::fast()
-        };
-        match self {
-            BaselineKind::WiresizingOnly => FlowConfig {
-                enable_wiresizing: true,
-                ..base
-            },
-            BaselineKind::DmeNoTuning | BaselineKind::WeakBuffering => base,
         }
     }
 
-    /// This baseline's pipeline: the *full* Contango pipeline minus the
-    /// optimization passes the stand-in tool lacks. Equivalent to the
-    /// `enable_*` shims of [`BaselineKind::config`]; expressed with
-    /// combinators so baselines exercise the same machinery users compose
-    /// with.
-    pub fn pipeline(&self) -> Pipeline {
-        let full = Pipeline::contango(&FlowConfig {
-            enable_buffer_sizing: true,
-            enable_wiresizing: true,
-            enable_wiresnaking: true,
-            enable_bottom_level: true,
-            ..self.config()
-        });
+    /// The optimization stages this baseline runs after INITIAL, in order:
+    /// the one definition of which passes a baseline has. Both
+    /// [`BaselineKind::pipeline`] and a campaign's baseline job (as its
+    /// `stages` selection) read it.
+    pub fn stages(&self) -> Vec<String> {
         match self {
-            BaselineKind::DmeNoTuning | BaselineKind::WeakBuffering => full
-                .without("TBSZ")
-                .without("TWSZ")
-                .without("TWSN")
-                .without("BWSN"),
-            BaselineKind::WiresizingOnly => full.without("TBSZ").without("TWSN").without("BWSN"),
+            BaselineKind::DmeNoTuning | BaselineKind::WeakBuffering => Vec::new(),
+            BaselineKind::WiresizingOnly => vec!["TWSZ".to_string()],
         }
+    }
+
+    /// This baseline's pipeline: the full Contango pipeline under
+    /// [`BaselineKind::config`], narrowed to [`BaselineKind::stages`] with
+    /// [`Pipeline::with_stage_selection`], the selection a `stages`
+    /// manifest key makes.
+    pub fn pipeline(&self) -> Pipeline {
+        Pipeline::contango(&self.config()).with_stage_selection(Some(&self.stages()), &[])
     }
 }
 
@@ -168,20 +151,6 @@ mod tests {
             BaselineKind::WeakBuffering.pipeline().acronyms(),
             ["INITIAL"]
         );
-    }
-
-    #[test]
-    fn config_shims_agree_with_the_pipelines() {
-        // The legacy config()+run() path and the pipeline path must select
-        // the same passes.
-        for kind in BaselineKind::all() {
-            assert_eq!(
-                Pipeline::contango(&kind.config()).acronyms(),
-                kind.pipeline().acronyms(),
-                "{}",
-                kind.label()
-            );
-        }
     }
 
     #[test]

@@ -12,15 +12,20 @@
 use contango_bench::{instance_for, rule, sink_cap};
 use contango_benchmarks::ispd09_suite;
 use contango_core::flow::{ContangoFlow, FlowConfig};
+use contango_core::pipeline::{BufferSizingPass, NoopObserver, Pipeline};
 use contango_core::topology::TopologyKind;
 use contango_sim::DelayModel;
 use contango_tech::Technology;
 
 fn report(label: &str, config: FlowConfig) {
+    report_pipeline(label, config, Pipeline::contango(&config));
+}
+
+fn report_pipeline(label: &str, config: FlowConfig, pipeline: Pipeline) {
     let tech = Technology::ispd09();
     let spec = &ispd09_suite()[0];
     let instance = instance_for(spec, sink_cap());
-    match ContangoFlow::new(tech, config).run(&instance) {
+    match ContangoFlow::new(tech, config).run_pipeline(&pipeline, &instance, &mut NoopObserver) {
         Ok(result) => println!(
             "{label:<34} {:>10.2} {:>10.3} {:>12.0} {:>8}",
             result.clr(),
@@ -53,13 +58,16 @@ fn main() {
     rule(80);
 
     // Buffer sliding / interleaving.
-    report("buffer sliding = on", FlowConfig::fast());
-    report(
+    let fast = FlowConfig::fast();
+    report("buffer sliding = on", fast);
+    let no_sliding = BufferSizingPass {
+        enable_sliding: false,
+        ..BufferSizingPass::from_config(&fast)
+    };
+    report_pipeline(
         "buffer sliding = off",
-        FlowConfig {
-            enable_buffer_sliding: false,
-            ..FlowConfig::fast()
-        },
+        fast,
+        Pipeline::contango(&fast).replace("TBSZ", no_sliding),
     );
     rule(80);
 

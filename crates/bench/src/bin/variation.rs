@@ -11,6 +11,7 @@ use contango_bench::{instance_for, rule, sink_cap};
 use contango_benchmarks::ispd09_suite;
 use contango_core::flow::{ContangoFlow, FlowConfig};
 use contango_core::lower::to_netlist;
+use contango_core::pipeline::NoopObserver;
 use contango_sim::variation::{monte_carlo, VariationModel};
 use contango_sim::{DelayModel, Evaluator};
 use contango_tech::Technology;
@@ -29,19 +30,13 @@ fn main() {
     );
     rule(86);
 
-    let configs = [
-        ("full contango", FlowConfig::fast()),
-        (
-            "no CLR stages",
-            FlowConfig {
-                enable_buffer_sizing: false,
-                enable_buffer_sliding: false,
-                ..FlowConfig::fast()
-            },
-        ),
+    let flow = ContangoFlow::new(tech.clone(), FlowConfig::fast());
+    let pipelines = [
+        ("full contango", flow.pipeline()),
+        ("no CLR stages", flow.pipeline().without("TBSZ")),
     ];
-    for (label, config) in configs {
-        match ContangoFlow::new(tech.clone(), config).run(&instance) {
+    for (label, pipeline) in pipelines {
+        match flow.run_pipeline(&pipeline, &instance, &mut NoopObserver) {
             Ok(result) => {
                 let netlist = to_netlist(&result.tree, &tech, &instance.source_spec, 150.0)
                     .expect("flow trees lower cleanly");

@@ -97,7 +97,7 @@ pub struct Job {
     /// The instance to synthesize.
     pub instance: ClockNetInstance,
     /// Run only these optimization stages (INITIAL always runs first), in
-    /// the order listed; `None` keeps the configuration's stages.
+    /// the order listed; `None` keeps all five of the paper's passes.
     pub stages: Option<Vec<String>>,
     /// Stages to drop from the pipeline.
     pub skip: Vec<String>,
@@ -126,16 +126,15 @@ impl Job {
         }
     }
 
-    /// A baseline stand-in run of `instance`: the baseline's trimmed
-    /// configuration, labeled with [`BaselineKind::label`]. Equivalent to
-    /// [`contango_baselines::run_baseline`] (the config shims and the
-    /// baseline pipelines select the same passes with the same budgets).
+    /// A baseline stand-in run of `instance`, labeled with
+    /// [`BaselineKind::label`]: the baseline's configuration, with
+    /// [`Job::stages`] set to [`BaselineKind::stages`]. Its pipeline is
+    /// [`BaselineKind::pipeline`], the one
+    /// [`contango_baselines::run_baseline`] runs.
     pub fn baseline(kind: BaselineKind, tech: &Technology, instance: &ClockNetInstance) -> Self {
-        Self {
-            tool: kind.label().to_string(),
-            config: kind.config(),
-            ..Self::contango(tech, FlowConfig::fast(), instance)
-        }
+        Self::contango(tech, kind.config(), instance)
+            .with_tool(kind.label())
+            .with_stages(Some(kind.stages()))
     }
 
     /// Overrides the reported tool label (e.g. for ablation variants).
@@ -153,7 +152,7 @@ impl Job {
     }
 
     /// Restricts the run to the listed optimization stages (INITIAL always
-    /// runs first); `None` keeps the configuration's stages.
+    /// runs first); `None` keeps all five of the paper's passes.
     #[must_use]
     pub fn with_stages(mut self, stages: Option<Vec<String>>) -> Self {
         self.stages = stages;
@@ -181,11 +180,11 @@ impl Job {
         self
     }
 
-    /// The pipeline this job runs: the configuration's default pipeline,
-    /// restricted to [`Job::stages`] in the order listed (INITIAL always
-    /// first) and with every [`Job::skip`] stage removed — the same
-    /// semantics as the CLI's `--stages`/`--skip` flags, shared through
-    /// [`Pipeline::with_stage_selection`].
+    /// The pipeline this job runs: [`Pipeline::contango`] under the job's
+    /// configuration, restricted to [`Job::stages`] in the order listed
+    /// (INITIAL always first) and with every [`Job::skip`] stage removed —
+    /// the same semantics as the CLI's `--stages`/`--skip` flags, shared
+    /// through [`Pipeline::with_stage_selection`].
     pub fn pipeline(&self) -> Pipeline {
         Pipeline::contango(&self.config).with_stage_selection(self.stages.as_deref(), &self.skip)
     }

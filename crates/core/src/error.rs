@@ -144,12 +144,6 @@ pub enum CoreError {
     },
     /// A pipeline with no passes was run.
     EmptyPipeline,
-    /// A pipeline combinator referenced a pass acronym that is not in the
-    /// pipeline.
-    UnknownPass {
-        /// The acronym that matched no pass.
-        acronym: String,
-    },
     /// A pipeline finished without a tree that drives every sink —
     /// typically a custom pipeline missing the construction pass.
     MissingSinks {
@@ -184,9 +178,6 @@ impl fmt::Display for CoreError {
             ),
             CoreError::Pass { pass, source } => write!(f, "pass {pass}: {source}"),
             CoreError::EmptyPipeline => write!(f, "pipeline contains no passes"),
-            CoreError::UnknownPass { acronym } => {
-                write!(f, "no pass with acronym `{acronym}` in the pipeline")
-            }
             CoreError::MissingSinks { driven, expected } => write!(
                 f,
                 "pipeline produced a tree driving {driven} of {expected} sinks \
@@ -206,7 +197,6 @@ impl std::error::Error for CoreError {
             CoreError::Pass { source, .. } => Some(source.as_ref()),
             CoreError::BufferBudget { .. }
             | CoreError::EmptyPipeline
-            | CoreError::UnknownPass { .. }
             | CoreError::MissingSinks { .. }
             | CoreError::Remote { .. } => None,
         }

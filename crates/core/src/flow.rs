@@ -20,12 +20,12 @@
 //!
 //! The stage sequence itself lives in [`crate::pipeline`]: every stage is a
 //! [`Pass`](crate::pipeline::Pass) object and [`ContangoFlow::run`] simply
-//! drives the default [`Pipeline`] built from
-//! the [`FlowConfig`]. To reorder stages, drop stages, swap in replacements
-//! or add user-defined passes, build a custom pipeline with
-//! [`ContangoFlow::pipeline`] (or [`Pipeline::contango`]) and run it with
-//! [`ContangoFlow::run_pipeline`]; attach a
-//! [`crate::pipeline::FlowObserver`] for per-stage progress.
+//! drives the five-pass [`Pipeline`] whose budgets the [`FlowConfig`]
+//! sets. The pipeline alone picks which passes run: to reorder stages, drop
+//! stages, swap in replacements or add user-defined passes, derive a
+//! pipeline from [`ContangoFlow::pipeline`] (or [`Pipeline::contango`]) with
+//! its combinators and run it with [`ContangoFlow::run_pipeline`], attaching
+//! a [`crate::pipeline::FlowObserver`] for per-stage progress.
 
 use crate::error::CoreError;
 use crate::instance::ClockNetInstance;
@@ -40,11 +40,9 @@ use contango_sim::{DelayModel, EvalReport, Netlist};
 use contango_tech::Technology;
 use serde::Serialize;
 
-/// Configuration of the Contango flow.
-///
-/// The `enable_*` flags are compatibility shims: they are interpreted once,
-/// by [`Pipeline::contango`], when the default pipeline is built. Code that
-/// composes its own [`Pipeline`] ignores them entirely.
+/// Configuration of the Contango flow: the delay model, the construction
+/// settings and the passes' budgets. Which passes run is the
+/// [`Pipeline`]'s business, not the configuration's.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct FlowConfig {
     /// Delay model used for the SPICE-style evaluations.
@@ -54,9 +52,6 @@ pub struct FlowConfig {
     /// Drive the tree with groups of large inverters instead of groups of
     /// small inverters (used for the TI scalability study, Section V).
     pub use_large_inverters: bool,
-    /// Enable buffer sliding and interleaving before buffer sizing
-    /// (Section IV-H).
-    pub enable_buffer_sliding: bool,
     /// Maximum edge length before splitting, µm.
     pub max_edge_len: f64,
     /// Wire segmentation granularity for lowering, µm.
@@ -64,14 +59,6 @@ pub struct FlowConfig {
     /// Fraction of the capacitance budget reserved for downstream
     /// optimizations (γ in Section IV-C).
     pub power_reserve: f64,
-    /// Enable the TBSZ buffer-sizing stage.
-    pub enable_buffer_sizing: bool,
-    /// Enable the TWSZ wiresizing stage.
-    pub enable_wiresizing: bool,
-    /// Enable the TWSN wiresnaking stage.
-    pub enable_wiresnaking: bool,
-    /// Enable the BWSN bottom-level stage.
-    pub enable_bottom_level: bool,
     /// Round budgets for the iterative stages.
     pub wiresizing_rounds: usize,
     /// Round budget for top-down wiresnaking.
@@ -92,14 +79,9 @@ impl Default for FlowConfig {
             model: DelayModel::Transient,
             topology: TopologyKind::Dme,
             use_large_inverters: false,
-            enable_buffer_sliding: true,
             max_edge_len: 250.0,
             segment_um: 100.0,
             power_reserve: 0.10,
-            enable_buffer_sizing: true,
-            enable_wiresizing: true,
-            enable_wiresnaking: true,
-            enable_bottom_level: true,
             wiresizing_rounds: 6,
             wiresnaking_rounds: 8,
             bottom_rounds: 3,
@@ -274,7 +256,7 @@ impl ContangoFlow {
         &self.config
     }
 
-    /// The default pipeline implied by the flow's configuration; the
+    /// The paper's five-pass pipeline under the flow's configuration; the
     /// starting point for custom pipelines.
     pub fn pipeline(&self) -> Pipeline {
         Pipeline::contango(&self.config)
@@ -289,20 +271,6 @@ impl ContangoFlow {
     /// budget).
     pub fn run(&self, instance: &ClockNetInstance) -> Result<FlowResult, CoreError> {
         self.run_pipeline(&self.pipeline(), instance, &mut NoopObserver)
-    }
-
-    /// Runs the default pipeline on `instance`, reporting per-pass progress
-    /// to `observer`.
-    ///
-    /// # Errors
-    ///
-    /// See [`ContangoFlow::run`].
-    pub fn run_with_observer(
-        &self,
-        instance: &ClockNetInstance,
-        observer: &mut dyn FlowObserver,
-    ) -> Result<FlowResult, CoreError> {
-        self.run_pipeline(&self.pipeline(), instance, observer)
     }
 
     /// Runs an arbitrary [`Pipeline`] on `instance`, evaluating the tree and
@@ -422,14 +390,15 @@ mod tests {
     #[test]
     fn stages_can_be_disabled() {
         let inst = small_instance();
-        let config = FlowConfig {
-            enable_buffer_sizing: false,
-            enable_wiresnaking: false,
-            enable_bottom_level: false,
-            ..FlowConfig::fast()
-        };
-        let flow = ContangoFlow::new(Technology::ispd09(), config);
-        let result = flow.run(&inst).expect("flow runs");
+        let flow = ContangoFlow::new(Technology::ispd09(), FlowConfig::fast());
+        let pipeline = flow
+            .pipeline()
+            .without("TBSZ")
+            .without("TWSN")
+            .without("BWSN");
+        let result = flow
+            .run_pipeline(&pipeline, &inst, &mut NoopObserver)
+            .expect("flow runs");
         let order: Vec<&str> = result.snapshots.iter().map(|s| s.stage.as_str()).collect();
         assert_eq!(order, vec!["INITIAL", "TWSZ"]);
     }

@@ -8,10 +8,10 @@
 //! user-defined passes — taking a [`StageSnapshot`] after every pass and
 //! reporting progress through a [`FlowObserver`].
 //!
-//! [`ContangoFlow::run`](crate::flow::ContangoFlow::run) is now a thin wrapper over
-//! [`Pipeline::contango`], and the `FlowConfig::enable_*` flags are
-//! compatibility shims interpreted once, when that default pipeline is
-//! built.
+//! [`ContangoFlow::run`](crate::flow::ContangoFlow::run) is a thin wrapper over
+//! [`Pipeline::contango`], which always builds the paper's five passes;
+//! every narrower flow (an ablation, a baseline, a `stages`/`skip`
+//! selection) is derived from it with the combinators.
 //!
 //! # Composing pipelines
 //!
@@ -84,14 +84,13 @@
 use crate::bottomlevel::{bottom_level_tuning, BottomLevelConfig};
 use crate::buffering::BufferingReport;
 use crate::buffersizing::{iterative_buffer_sizing, BufferSizingConfig};
-use crate::construct::{construct_initial, ConstructArena, ConstructConfig, ParallelConfig};
+use crate::construct::{construct_initial, ConstructArena, ConstructConfig};
 use crate::error::CoreError;
 use crate::flow::{FlowConfig, StageSnapshot};
 use crate::instance::ClockNetInstance;
 use crate::opt::{OptContext, PassOutcome, Scope};
 use crate::polarity::PolarityReport;
 use crate::sliding::slide_and_interleave;
-use crate::topology::TopologyKind;
 use crate::tree::ClockTree;
 use crate::wiresizing::{iterative_wiresizing, WireSizingConfig};
 use crate::wiresnaking::{iterative_wiresnaking, WireSnakingConfig};
@@ -170,9 +169,9 @@ impl FlowObserver for NoopObserver {}
 
 /// An ordered, composable list of [`Pass`] objects.
 ///
-/// Built either from a [`FlowConfig`] (via [`Pipeline::contango`], which
-/// interprets the `enable_*` compatibility flags) or pass by pass with
-/// [`Pipeline::with_pass`], then refined with [`Pipeline::without`],
+/// Built either from a [`FlowConfig`] (via [`Pipeline::contango`], the
+/// paper's five passes) or pass by pass with [`Pipeline::with_pass`], then
+/// refined with [`Pipeline::without`], [`Pipeline::select`],
 /// [`Pipeline::replace`], [`Pipeline::insert_after`] and
 /// [`Pipeline::insert_before`]. Run it with
 /// [`ContangoFlow::run_pipeline`](crate::flow::ContangoFlow::run_pipeline).
@@ -195,28 +194,17 @@ impl Pipeline {
         Self::default()
     }
 
-    /// The default Contango pipeline for `config`: INITIAL, then the
-    /// optimization stages whose `enable_*` flag is set, in the order of
-    /// Figure 1 (TBSZ, TWSZ, TWSN, BWSN).
-    ///
-    /// This is the single place where the legacy `FlowConfig::enable_*`
-    /// flags are interpreted; everything downstream sees only the pass
-    /// list.
+    /// The paper's pipeline for `config`: INITIAL, TBSZ, TWSZ, TWSN and
+    /// BWSN in the order of Figure 1, each built by its pass's
+    /// `from_config`. Narrower flows drop or replace passes with the
+    /// combinators.
     pub fn contango(config: &FlowConfig) -> Self {
-        let mut pipeline = Pipeline::new().with_pass(InitialConstruction::from_config(config));
-        if config.enable_buffer_sizing {
-            pipeline = pipeline.with_pass(BufferSizingPass::from_config(config));
-        }
-        if config.enable_wiresizing {
-            pipeline = pipeline.with_pass(WireSizingPass::from_config(config));
-        }
-        if config.enable_wiresnaking {
-            pipeline = pipeline.with_pass(WireSnakingPass::from_config(config));
-        }
-        if config.enable_bottom_level {
-            pipeline = pipeline.with_pass(BottomLevelPass::from_config(config));
-        }
-        pipeline
+        Pipeline::new()
+            .with_pass(InitialConstruction::from_config(config))
+            .with_pass(BufferSizingPass::from_config(config))
+            .with_pass(WireSizingPass::from_config(config))
+            .with_pass(WireSnakingPass::from_config(config))
+            .with_pass(BottomLevelPass::from_config(config))
     }
 
     /// Appends a pass.
@@ -274,84 +262,37 @@ impl Pipeline {
     ///
     /// # Panics
     ///
-    /// Panics when no pass carries `acronym`; use [`Pipeline::try_replace`]
-    /// for a recoverable error, or [`Pipeline::with_pass`] to append.
+    /// Panics when no pass carries `acronym`; use [`Pipeline::with_pass`]
+    /// to append.
     #[must_use]
-    pub fn replace(self, acronym: &str, pass: impl Pass + 'static) -> Self {
-        let available = format!("{:?}", self.acronyms());
-        self.try_replace(acronym, pass)
-            .unwrap_or_else(|_| panic!("no pass with acronym `{acronym}` in pipeline {available}"))
-    }
-
-    /// Replaces the pass with the given acronym in place.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::UnknownPass`] when no pass carries `acronym`.
-    pub fn try_replace(
-        mut self,
-        acronym: &str,
-        pass: impl Pass + 'static,
-    ) -> Result<Self, CoreError> {
-        let at = self.find(acronym)?;
+    pub fn replace(mut self, acronym: &str, pass: impl Pass + 'static) -> Self {
+        let at = self.find(acronym);
         self.passes[at] = Box::new(pass);
-        Ok(self)
+        self
     }
 
     /// Inserts a pass directly after the pass with the given acronym.
     ///
     /// # Panics
     ///
-    /// Panics when no pass carries `acronym`; use
-    /// [`Pipeline::try_insert_after`] for a recoverable error.
+    /// Panics when no pass carries `acronym`.
     #[must_use]
-    pub fn insert_after(self, acronym: &str, pass: impl Pass + 'static) -> Self {
-        let available = format!("{:?}", self.acronyms());
-        self.try_insert_after(acronym, pass)
-            .unwrap_or_else(|_| panic!("no pass with acronym `{acronym}` in pipeline {available}"))
-    }
-
-    /// Inserts a pass directly after the pass with the given acronym.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::UnknownPass`] when no pass carries `acronym`.
-    pub fn try_insert_after(
-        mut self,
-        acronym: &str,
-        pass: impl Pass + 'static,
-    ) -> Result<Self, CoreError> {
-        let at = self.find(acronym)?;
+    pub fn insert_after(mut self, acronym: &str, pass: impl Pass + 'static) -> Self {
+        let at = self.find(acronym);
         self.passes.insert(at + 1, Box::new(pass));
-        Ok(self)
+        self
     }
 
     /// Inserts a pass directly before the pass with the given acronym.
     ///
     /// # Panics
     ///
-    /// Panics when no pass carries `acronym`; use
-    /// [`Pipeline::try_insert_before`] for a recoverable error.
+    /// Panics when no pass carries `acronym`.
     #[must_use]
-    pub fn insert_before(self, acronym: &str, pass: impl Pass + 'static) -> Self {
-        let available = format!("{:?}", self.acronyms());
-        self.try_insert_before(acronym, pass)
-            .unwrap_or_else(|_| panic!("no pass with acronym `{acronym}` in pipeline {available}"))
-    }
-
-    /// Inserts a pass directly before the pass with the given acronym.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::UnknownPass`] when no pass carries `acronym`.
-    pub fn try_insert_before(
-        mut self,
-        acronym: &str,
-        pass: impl Pass + 'static,
-    ) -> Result<Self, CoreError> {
-        let at = self.find(acronym)?;
+    pub fn insert_before(mut self, acronym: &str, pass: impl Pass + 'static) -> Self {
+        let at = self.find(acronym);
         self.passes.insert(at, Box::new(pass));
-        Ok(self)
+        self
     }
 
     /// Position of the pass with the given acronym, if present.
@@ -359,11 +300,14 @@ impl Pipeline {
         self.passes.iter().position(|p| p.acronym() == acronym)
     }
 
-    fn find(&self, acronym: &str) -> Result<usize, CoreError> {
-        self.position(acronym)
-            .ok_or_else(|| CoreError::UnknownPass {
-                acronym: acronym.to_string(),
-            })
+    /// Position of the pass with the given acronym; panics when absent.
+    fn find(&self, acronym: &str) -> usize {
+        self.position(acronym).unwrap_or_else(|| {
+            panic!(
+                "no pass with acronym `{acronym}` in pipeline {:?}",
+                self.acronyms()
+            )
+        })
     }
 
     /// The acronyms of the passes, in execution order.
@@ -397,33 +341,26 @@ impl Pipeline {
 /// The pass body is the construction engine
 /// ([`crate::construct::construct_initial`]): arena-driven topology and
 /// merging, overlay-planned buffering, and a deterministic thread fan-out
-/// controlled by [`InitialConstruction::parallel`]. Observers see the
-/// engine's runtime like any other stage, through the usual
+/// controlled by the [`ConstructConfig::parallel`] setting. Observers see
+/// the engine's runtime like any other stage, through the usual
 /// [`FlowObserver::on_pass_start`]/[`FlowObserver::on_pass_end`] pair.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InitialConstruction {
-    /// How the initial topology is built.
-    pub topology: TopologyKind,
-    /// Drive the tree with groups of large inverters.
-    pub use_large_inverters: bool,
-    /// Maximum edge length before splitting, µm.
-    pub max_edge_len: f64,
-    /// Fraction of the capacitance budget reserved for later optimizations.
-    pub power_reserve: f64,
-    /// Thread fan-out for subtree merges and per-branch buffer planning;
-    /// results are bit-identical for every thread count.
-    pub parallel: ParallelConfig,
+    /// The construction settings handed to the engine.
+    pub config: ConstructConfig,
 }
 
 impl InitialConstruction {
     /// The construction settings implied by a [`FlowConfig`].
     pub fn from_config(config: &FlowConfig) -> Self {
         Self {
-            topology: config.topology,
-            use_large_inverters: config.use_large_inverters,
-            max_edge_len: config.max_edge_len,
-            power_reserve: config.power_reserve,
-            parallel: config.parallel,
+            config: ConstructConfig {
+                topology: config.topology,
+                use_large_inverters: config.use_large_inverters,
+                max_edge_len: config.max_edge_len,
+                power_reserve: config.power_reserve,
+                parallel: config.parallel,
+            },
         }
     }
 }
@@ -438,14 +375,8 @@ impl Pass for InitialConstruction {
     }
 
     fn run(&self, tree: &mut ClockTree, ctx: &mut PassCtx<'_>) -> Result<PassOutcome, CoreError> {
-        let config = ConstructConfig {
-            topology: self.topology,
-            use_large_inverters: self.use_large_inverters,
-            max_edge_len: self.max_edge_len,
-            power_reserve: self.power_reserve,
-            parallel: self.parallel,
-        };
-        let (built, reports) = construct_initial(ctx.instance, ctx.opt.tech, &config, ctx.arena)?;
+        let (built, reports) =
+            construct_initial(ctx.instance, ctx.opt.tech, &self.config, ctx.arena)?;
         *tree = built;
         ctx.polarity = Some(reports.polarity);
         ctx.buffering = Some(reports.buffering);
@@ -458,16 +389,18 @@ impl Pass for InitialConstruction {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BufferSizingPass {
     /// Run buffer sliding and interleaving before sizing (Section IV-H).
+    /// [`BufferSizingPass::from_config`] turns it on; an ablation turns it
+    /// off by replacing the pipeline's TBSZ pass.
     pub enable_sliding: bool,
     /// Iteration budget for trunk buffer sizing.
     pub iterations: usize,
 }
 
 impl BufferSizingPass {
-    /// The sizing settings implied by a [`FlowConfig`].
+    /// The sizing settings implied by a [`FlowConfig`], sliding included.
     pub fn from_config(config: &FlowConfig) -> Self {
         Self {
-            enable_sliding: config.enable_buffer_sliding,
+            enable_sliding: true,
             iterations: config.buffer_sizing_iterations,
         }
     }
@@ -635,17 +568,6 @@ mod tests {
     }
 
     #[test]
-    fn enable_flags_are_interpreted_as_pipeline_shims() {
-        let config = FlowConfig {
-            enable_buffer_sizing: false,
-            enable_wiresnaking: false,
-            ..FlowConfig::default()
-        };
-        let pipeline = Pipeline::contango(&config);
-        assert_eq!(pipeline.acronyms(), ["INITIAL", "TWSZ", "BWSN"]);
-    }
-
-    #[test]
     fn combinators_edit_the_pass_list() {
         let p = Pipeline::contango(&FlowConfig::default())
             .without("TWSN")
@@ -672,24 +594,6 @@ mod tests {
         let p = Pipeline::contango(&FlowConfig::default())
             .select(&["INITIAL", "TWSN", "TWSZ", "TWSN", "NOPE"]);
         assert_eq!(p.acronyms(), ["INITIAL", "TWSN", "TWSZ"]);
-    }
-
-    #[test]
-    fn try_combinators_return_typed_errors_instead_of_panicking() {
-        let err = Pipeline::new()
-            .try_insert_after("NOPE", Dummy("A"))
-            .expect_err("unknown acronym");
-        assert_eq!(
-            err,
-            CoreError::UnknownPass {
-                acronym: "NOPE".to_string()
-            }
-        );
-        let p = Pipeline::contango(&FlowConfig::default())
-            .try_insert_before("TWSZ", Dummy("A"))
-            .and_then(|p| p.try_replace("TWSN", Dummy("B")))
-            .expect("valid anchors");
-        assert_eq!(p.acronyms(), ["INITIAL", "TBSZ", "A", "TWSZ", "B", "BWSN"]);
     }
 
     #[test]

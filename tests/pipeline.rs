@@ -1,11 +1,9 @@
 //! Integration tests for the composable pass-pipeline API.
 //!
-//! The pipeline refactor must be behavior-preserving: the default pipeline
-//! (and every `enable_*`-flag combination, now a compatibility shim over
-//! pipeline construction) has to reproduce the monolithic flow's results
-//! bit-identically — same snapshots, same evaluator ("SPICE run") counts,
-//! same CLR/skew. On top of that, the API must accept user-defined passes
-//! and reordered pipelines without touching `contango_core`.
+//! The pipeline alone picks which passes run: the API must accept
+//! user-defined passes and reordered pipelines without touching
+//! `contango_core`, report every pass to observers in order, and name the
+//! failing pass in its errors.
 
 use contango::prelude::*;
 
@@ -24,86 +22,6 @@ fn instance() -> ClockNetInstance {
         }
     }
     b.build().expect("valid instance")
-}
-
-/// Asserts that two flow results are bit-identical in every deterministic
-/// field (runtime is wall-clock and therefore excluded).
-fn assert_results_identical(a: &FlowResult, b: &FlowResult) {
-    assert_eq!(a.snapshots, b.snapshots);
-    assert_eq!(a.spice_runs, b.spice_runs);
-    assert_eq!(a.polarity, b.polarity);
-    assert_eq!(a.report, b.report);
-    assert_eq!(a.clr().to_bits(), b.clr().to_bits());
-    assert_eq!(a.skew().to_bits(), b.skew().to_bits());
-    assert_eq!(a.tree.wirelength().to_bits(), b.tree.wirelength().to_bits());
-}
-
-#[test]
-fn default_pipeline_reproduces_the_flagged_flow_bit_identically() {
-    let inst = instance();
-    let tech = Technology::ispd09();
-
-    // Every enable_* combination the baselines and ablations use.
-    let configs = [
-        FlowConfig::fast(),
-        FlowConfig {
-            enable_buffer_sizing: false,
-            ..FlowConfig::fast()
-        },
-        FlowConfig {
-            enable_wiresnaking: false,
-            enable_bottom_level: false,
-            ..FlowConfig::fast()
-        },
-        FlowConfig {
-            enable_buffer_sliding: false,
-            ..FlowConfig::fast()
-        },
-        FlowConfig {
-            enable_buffer_sizing: false,
-            enable_wiresizing: false,
-            enable_wiresnaking: false,
-            enable_bottom_level: false,
-            ..FlowConfig::fast()
-        },
-    ];
-
-    for config in configs {
-        let flow = ContangoFlow::new(tech.clone(), config);
-        // `run` interprets the enable_* flags through Pipeline::contango...
-        let via_flags = flow.run(&inst).expect("flagged run succeeds");
-        // ...and must agree bit for bit with an explicitly built pipeline.
-        let pipeline = Pipeline::contango(&config);
-        let via_pipeline = flow
-            .run_pipeline(&pipeline, &inst, &mut NoopObserver)
-            .expect("pipeline run succeeds");
-        assert_results_identical(&via_flags, &via_pipeline);
-    }
-}
-
-#[test]
-fn explicit_without_matches_disabled_flags() {
-    let inst = instance();
-    let tech = Technology::ispd09();
-    let flagged = ContangoFlow::new(
-        tech.clone(),
-        FlowConfig {
-            enable_wiresnaking: false,
-            enable_bottom_level: false,
-            ..FlowConfig::fast()
-        },
-    )
-    .run(&inst)
-    .expect("runs");
-
-    // The same ablation, expressed as pipeline combinators over the full
-    // configuration.
-    let full_flow = ContangoFlow::new(tech, FlowConfig::fast());
-    let trimmed = full_flow.pipeline().without("TWSN").without("BWSN");
-    let composed = full_flow
-        .run_pipeline(&trimmed, &inst, &mut NoopObserver)
-        .expect("runs");
-    assert_results_identical(&flagged, &composed);
 }
 
 /// A user-defined pass that only counts how often it ran: the tree is
@@ -201,7 +119,8 @@ fn observer_sees_every_pass_in_order() {
     let inst = instance();
     let flow = ContangoFlow::new(Technology::ispd09(), FlowConfig::fast());
     let mut recorder = Recorder::default();
-    flow.run_with_observer(&inst, &mut recorder).expect("runs");
+    flow.run_pipeline(&flow.pipeline(), &inst, &mut recorder)
+        .expect("runs");
     assert_eq!(
         recorder.events,
         [
