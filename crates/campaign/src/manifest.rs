@@ -163,11 +163,13 @@ pub struct Manifest {
     /// Drive the tree with groups of large inverters.
     pub large_inverters: bool,
     /// Run only these optimization stages, in order (INITIAL always runs);
-    /// `None` keeps the profile's stages.
+    /// `None` keeps all five of the paper's passes.
     pub stages: Option<Vec<String>>,
     /// Stages dropped from the pipeline.
     pub skip: Vec<String>,
-    /// Baselines run next to Contango on every instance.
+    /// Baselines run next to Contango on every instance, under the
+    /// manifest's technology and delay model with their own fast-profile
+    /// budgets and stages.
     pub baselines: Vec<BaselineKind>,
     /// Campaign worker-pool width (0 = one per core). Offline execution
     /// only; the serve daemon's pool width is fixed by the server.
@@ -1002,8 +1004,10 @@ impl Manifest {
 
     /// Compiles the manifest into the equivalent [`Campaign`]: for every
     /// instance, the Contango job ([`Manifest::job_for`]) followed by one
-    /// job per baseline. `allow_files` gates `file:` sources and the
-    /// `cache-dir` key alike.
+    /// job per baseline. A baseline job ([`Job::baseline`]) runs under the
+    /// manifest's technology, delay model, corners and variation, with its
+    /// own fast-profile budgets and stages. `allow_files` gates `file:`
+    /// sources and the `cache-dir` key alike.
     ///
     /// # Errors
     ///
@@ -1029,11 +1033,11 @@ impl Manifest {
         for instance in self.instances(allow_files)? {
             campaign = campaign.push(self.job_for(&instance));
             for &kind in &self.baselines {
-                campaign = campaign.push(
-                    Job::baseline(kind, &tech, &instance)
-                        .with_corners(self.corners.clone())
-                        .with_variation(self.variation_spec()),
-                );
+                let mut job = Job::baseline(kind, &tech, &instance)
+                    .with_corners(self.corners.clone())
+                    .with_variation(self.variation_spec());
+                job.config.model = self.model;
+                campaign = campaign.push(job);
             }
         }
         Ok(campaign)

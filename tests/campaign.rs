@@ -181,6 +181,31 @@ fn one_failing_job_is_reported_without_aborting_the_others() {
     assert_eq!(result.summaries().len(), 2);
 }
 
+/// A manifest's baseline jobs run under its delay model. Under `model
+/// elmore`, each baseline record equals, tool label aside, the Contango
+/// record of the same manifest narrowed to the baseline's stages.
+#[test]
+fn baseline_jobs_run_under_the_manifests_model() {
+    let records = |extra: &str| {
+        let text = format!("instance ti:6\nprofile fast\nmodel elmore\n{extra}");
+        let manifest = Manifest::parse(&text).expect("valid manifest");
+        mask_runtime(manifest.compile().expect("manifest compiles").run()).records
+    };
+    let with_baselines = records("baselines dme-no-tuning,wiresizing-only\n");
+    for (tool, stages) in [("dme-no-tuning", "INITIAL"), ("wiresizing-only", "TWSZ")] {
+        let baseline = with_baselines
+            .iter()
+            .find(|r| r.tool == tool)
+            .expect("a record per baseline");
+        let mut contango = records(&format!("stages {stages}\n")).remove(0);
+        contango.tool = tool.to_string();
+        if let Ok(metrics) = &mut contango.outcome {
+            metrics.summary.tool = tool.to_string();
+        }
+        assert_eq!(*baseline, contango, "{tool}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
