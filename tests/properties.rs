@@ -1,16 +1,20 @@
 //! Property-based tests on the core data structures and invariants.
 
 use contango::core::dme::{build_zero_skew_tree, DmeOptions};
-use contango::core::flow::{ContangoFlow, FlowConfig, StageSnapshot};
+use contango::core::error::CoreError;
+use contango::core::flow::{ContangoFlow, FlowConfig, FlowStage, StageSnapshot};
 use contango::core::instance::ClockNetInstance;
 use contango::core::lower::to_netlist;
 use contango::core::opt::PassOutcome;
-use contango::core::pipeline::{FlowObserver, Pass};
+use contango::core::pipeline::{FlowObserver, NoopObserver, Pass, PassCtx};
 use contango::core::slack::SlackAnalysis;
+use contango::core::tree::ClockTree;
 use contango::geom::{Point, Rect, TiltedRect};
 use contango::sim::{DelayModel, Evaluator, RcTree, SourceSpec};
 use contango::tech::Technology;
 use proptest::prelude::*;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 fn arbitrary_points(max: usize) -> impl Strategy<Value = Vec<(f64, f64, f64)>> {
     prop::collection::vec((10.0..1990.0_f64, 10.0..1990.0_f64, 2.0..40.0_f64), 2..max)
@@ -23,6 +27,33 @@ struct Snapshots(Vec<StageSnapshot>);
 impl FlowObserver for Snapshots {
     fn on_pass_end(&mut self, _pass: &dyn Pass, snapshot: &StageSnapshot, _outcome: &PassOutcome) {
         self.0.push(snapshot.clone());
+    }
+}
+
+/// A pass that leaves the tree alone and checks the previous stage's
+/// end-of-pass report, the one its snapshot came from, against a fresh full
+/// evaluation of the same tree. It logs the stage and whether the two
+/// match bit for bit: `Debug` prints every float in its shortest
+/// round-trip form, so equal renderings mean equal bits.
+struct FullEvaluationCheck {
+    stage: &'static str,
+    acronym: String,
+    verdicts: Rc<RefCell<Vec<(&'static str, bool)>>>,
+}
+
+impl Pass for FullEvaluationCheck {
+    fn name(&self) -> &str {
+        "full-evaluation check"
+    }
+    fn acronym(&self) -> &str {
+        &self.acronym
+    }
+    fn run(&self, tree: &mut ClockTree, ctx: &mut PassCtx<'_>) -> Result<PassOutcome, CoreError> {
+        let snapshot_report = ctx.last_report.as_ref().expect("the stage was evaluated");
+        let full = ctx.opt.evaluate_full(tree);
+        let same = format!("{snapshot_report:?}") == format!("{full:?}");
+        self.verdicts.borrow_mut().push((self.stage, same));
+        Ok(PassOutcome::zero())
     }
 }
 
@@ -161,6 +192,42 @@ proptest! {
                 prop_assert!(after.total_cap <= cap_limit, "{} ends at {} fF over the {} fF budget",
                              after.stage, after.total_cap, cap_limit);
             }
+        }
+    }
+
+    /// Every stage snapshot of the session's pipeline driver comes from a
+    /// report equal, bit for bit, to a fresh full evaluation of the tree
+    /// (Elmore, fast profile, arbitrary small instances): a
+    /// [`FullEvaluationCheck`] after each of the five stages runs, and
+    /// none finds a difference.
+    #[test]
+    fn stage_snapshots_equal_a_fresh_full_evaluation(points in arbitrary_points(12),
+                                                     cap_per_sink in 800.0..1500.0_f64) {
+        let mut builder = ClockNetInstance::builder("snapshots")
+            .die(0.0, 0.0, 2000.0, 2000.0)
+            .source(Point::new(0.0, 1000.0))
+            .cap_limit(1000.0 + cap_per_sink * points.len() as f64);
+        for &(x, y, c) in &points {
+            builder = builder.sink(Point::new(x, y), c);
+        }
+        let instance = builder.build().expect("valid");
+        let config = FlowConfig { model: DelayModel::Elmore, ..FlowConfig::fast() };
+        let flow = ContangoFlow::new(Technology::ispd09(), config);
+        let verdicts = Rc::new(RefCell::new(Vec::new()));
+        let mut pipeline = flow.pipeline();
+        for stage in FlowStage::all().map(|s| s.acronym()) {
+            pipeline = pipeline.insert_after(stage, FullEvaluationCheck {
+                stage,
+                acronym: format!("{stage}-CHECK"),
+                verdicts: Rc::clone(&verdicts),
+            });
+        }
+        flow.run_pipeline(&pipeline, &instance, &mut NoopObserver).expect("flow runs");
+        let verdicts = verdicts.borrow();
+        let checked: Vec<&str> = verdicts.iter().map(|&(stage, _)| stage).collect();
+        prop_assert_eq!(checked, ["INITIAL", "TBSZ", "TWSZ", "TWSN", "BWSN"]);
+        for &(stage, same) in verdicts.iter() {
+            prop_assert!(same, "{stage}'s snapshot report differs from a full evaluation");
         }
     }
 
