@@ -93,7 +93,7 @@ impl Default for FlowConfig {
 
 impl FlowConfig {
     /// A reduced-effort configuration for tests and quick experiments:
-    /// fewer optimization rounds and coarser segmentation, same stages.
+    /// fewer optimization rounds and coarser segmentation.
     pub fn fast() -> Self {
         Self {
             wiresizing_rounds: 3,
@@ -262,7 +262,8 @@ impl ContangoFlow {
         Pipeline::contango(&self.config)
     }
 
-    /// Runs the default pipeline on `instance`.
+    /// Runs the paper's five-pass pipeline ([`ContangoFlow::pipeline`]) on
+    /// `instance`.
     ///
     /// # Errors
     ///
