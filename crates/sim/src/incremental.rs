@@ -20,8 +20,8 @@
 //!   addition, without re-solving;
 //! * one walk of the stages covers both supply corners. Each stage visit
 //!   asks for four transitions (rise and fall at each corner), and only the
-//!   cache misses among them reach the solver, as one batch that the
-//!   transient kernel steps as lanes in lockstep, two at a time;
+//!   cache misses among them reach the solver, as one batch that one
+//!   transient kernel call steps as lanes in lockstep;
 //! * cached stages and cached solves age by generation, one generation per
 //!   evaluation: each records the evaluation that last used it, and one
 //!   unused for `KEEP_GENERATIONS` (32) evaluations is evicted. A stage's

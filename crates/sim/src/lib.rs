@@ -19,8 +19,8 @@
 //!
 //! The transient solver exploits the tree structure of every buffered stage
 //! to solve each timestep in `O(n)`, and steps a stage's four transitions
-//! (rise and fall at both supply corners) as lanes of one kernel, two at a
-//! time, so full-network evaluations remain fast enough to sit inside
+//! (rise and fall at both supply corners) as the lanes of one kernel call,
+//! so full-network evaluations remain fast enough to sit inside
 //! Contango's iterative optimization loops even for 50 000-sink networks.
 //!
 //! # Example
