@@ -5,16 +5,19 @@
 //! * power reserve γ (0%, 10%, 25%),
 //! * delay model driving the optimization loops.
 //!
-//! Each row reports the final CLR and skew on a truncated ISPD'09-style
-//! benchmark so the relative effect of each choice is visible quickly; run
-//! with `CONTANGO_FULL=1` for full-size instances.
+//! Each row reports the final CLR, skew and capacitance on a truncated
+//! ISPD'09-style benchmark so the relative effect of each choice is visible
+//! quickly; run with `CONTANGO_FULL=1` for full-size instances. Every row's
+//! numbers come from one transient sign-off evaluation of its final
+//! netlist, whichever model drove its loops, so the rows compare under one
+//! model.
 
 use contango_bench::{instance_for, rule, sink_cap};
 use contango_benchmarks::ispd09_suite;
 use contango_core::flow::{ContangoFlow, FlowConfig};
 use contango_core::pipeline::{BufferSizingPass, NoopObserver, Pipeline};
 use contango_core::topology::TopologyKind;
-use contango_sim::DelayModel;
+use contango_sim::{DelayModel, Evaluator};
 use contango_tech::Technology;
 
 fn report(label: &str, config: FlowConfig) {
@@ -25,14 +28,18 @@ fn report_pipeline(label: &str, config: FlowConfig, pipeline: Pipeline) {
     let tech = Technology::ispd09();
     let spec = &ispd09_suite()[0];
     let instance = instance_for(spec, sink_cap());
-    match ContangoFlow::new(tech, config).run_pipeline(&pipeline, &instance, &mut NoopObserver) {
-        Ok(result) => println!(
-            "{label:<34} {:>10.2} {:>10.3} {:>12.0} {:>8}",
-            result.clr(),
-            result.skew(),
-            result.report.total_cap,
-            result.spice_runs
-        ),
+    let flow = ContangoFlow::new(tech.clone(), config);
+    match flow.run_pipeline(&pipeline, &instance, &mut NoopObserver) {
+        Ok(result) => {
+            let signoff = Evaluator::new(tech).evaluate(&result.netlist);
+            println!(
+                "{label:<34} {:>10.2} {:>10.3} {:>12.0} {:>8}",
+                signoff.clr(),
+                signoff.skew(),
+                signoff.total_cap,
+                result.spice_runs
+            )
+        }
         Err(e) => println!("{label:<34} failed: {e}"),
     }
 }
