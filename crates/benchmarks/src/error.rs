@@ -1,9 +1,9 @@
-//! Typed errors for benchmark, solution and technology file parsing.
+//! Typed errors for instance and solution file parsing.
 
 use contango_core::error::{InstanceError, TreeError};
 use std::fmt;
 
-/// A problem found while parsing an instance, benchmark or solution file.
+/// A problem found while parsing an instance or solution file.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ParseError {
     /// A malformed record; `line` is 1-based.
@@ -13,33 +13,11 @@ pub enum ParseError {
         /// What is wrong with the record.
         message: String,
     },
-    /// The file ended in the middle of a counted section.
-    UnexpectedEof {
-        /// The section being read (e.g. `"sink"`).
-        section: &'static str,
-    },
-    /// A required record is missing.
-    MissingRecord {
-        /// The missing record keyword.
-        record: &'static str,
-    },
     /// Sink ids do not form a contiguous range from zero.
     NonContiguousSinkIds {
         /// The first missing id.
         missing: usize,
     },
-    /// The benchmark does not define exactly the two expected wire codes.
-    WireCodeCount {
-        /// How many wire codes the file defines.
-        found: usize,
-    },
-    /// A named wire code is missing.
-    MissingWireCode {
-        /// The expected wire-code label.
-        label: &'static str,
-    },
-    /// The benchmark defines no buffers.
-    NoBuffers,
     /// A solution file contains no nodes.
     EmptySolution,
     /// A solution's node count disagrees with its header.
@@ -59,19 +37,9 @@ impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ParseError::Syntax { line, message } => write!(f, "line {line}: {message}"),
-            ParseError::UnexpectedEof { section } => {
-                write!(f, "unexpected end of file in {section} section")
-            }
-            ParseError::MissingRecord { record } => write!(f, "missing `{record}` record"),
             ParseError::NonContiguousSinkIds { missing } => {
                 write!(f, "sink ids must be contiguous; missing id {missing}")
             }
-            ParseError::WireCodeCount { found } => write!(
-                f,
-                "expected exactly two wire codes (narrow, wide); found {found}"
-            ),
-            ParseError::MissingWireCode { label } => write!(f, "missing `{label}` wire code"),
-            ParseError::NoBuffers => write!(f, "benchmark defines no buffers"),
             ParseError::EmptySolution => write!(f, "solution contains no nodes"),
             ParseError::NodeCountMismatch { declared, seen } => write!(
                 f,

@@ -18,10 +18,8 @@ pub use error::ParseError;
 pub use generator::{
     ispd09_suite, make_instance, stress_instance, ti_instance, BenchmarkSpec, StressLayout,
 };
-pub mod ispd;
 pub mod report;
 pub mod solution;
 
-pub use ispd::{parse_ispd, write_ispd, IspdBenchmark};
 pub use report::{comparison_table, stage_table, RunSummary, Table};
 pub use solution::{parse_solution, write_solution};

@@ -144,13 +144,6 @@ impl Job {
         self
     }
 
-    /// Overrides the reported benchmark name.
-    #[must_use]
-    pub fn with_benchmark(mut self, benchmark: impl Into<String>) -> Self {
-        self.benchmark = benchmark.into();
-        self
-    }
-
     /// Restricts the run to the listed optimization stages (INITIAL always
     /// runs first); `None` keeps all five of the paper's passes.
     #[must_use]

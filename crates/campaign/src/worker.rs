@@ -47,11 +47,6 @@ pub struct ChaosConfig {
 }
 
 impl ChaosConfig {
-    /// Whether no fault is configured.
-    pub fn is_disabled(&self) -> bool {
-        self.kill_after.is_none() && self.drop_after.is_none() && self.stall_after.is_none()
-    }
-
     /// Parses a CLI chaos spec: `kill:N`, `drop:N` or `stall:N`.
     pub fn parse(spec: &str) -> Option<ChaosConfig> {
         let (mode, count) = spec.split_once(':')?;
@@ -390,7 +385,5 @@ mod tests {
         for bad in ["", "kill", "kill:", "kill:x", "explode:1"] {
             assert_eq!(ChaosConfig::parse(bad), None, "{bad}");
         }
-        assert!(ChaosConfig::default().is_disabled());
-        assert!(!ChaosConfig::parse("kill:1").expect("parses").is_disabled());
     }
 }

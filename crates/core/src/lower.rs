@@ -23,9 +23,6 @@ use contango_sim::{
 };
 use contango_tech::Technology;
 
-/// Maximum electrical segment length used when discretizing wires, in µm.
-pub const DEFAULT_SEGMENT_UM: f64 = 100.0;
-
 /// The partition of a [`ClockTree`] into evaluation stages: stage 0 is the
 /// source stage rooted at the tree root; every buffered node starts its own
 /// stage.

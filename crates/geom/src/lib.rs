@@ -40,7 +40,6 @@ mod point;
 mod rect;
 mod segment;
 mod spatial;
-pub mod steiner;
 mod trr;
 
 pub use lshape::{LOrientation, LShape};
@@ -50,7 +49,6 @@ pub use point::Point;
 pub use rect::Rect;
 pub use segment::Segment;
 pub use spatial::SpatialIndex;
-pub use steiner::{half_perimeter_wirelength, rectilinear_mst, SteinerError, SteinerTree};
 pub use trr::TiltedRect;
 
 /// Tolerance used for floating-point geometric comparisons, in micrometres.

@@ -310,17 +310,6 @@ impl ObstacleSet {
     pub fn intersects_segment(&self, seg: &Segment) -> bool {
         self.obstacles.iter().any(|o| seg.intersects_rect(&o.rect))
     }
-
-    /// Indices of compounds crossed by the segment. `rebuild` must have been
-    /// called after the last mutation.
-    pub fn compounds_crossed_by(&self, seg: &Segment) -> Vec<usize> {
-        self.compounds
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.intersects_segment(seg))
-            .map(|(i, _)| i)
-            .collect()
-    }
 }
 
 impl FromIterator<Rect> for ObstacleSet {
@@ -464,7 +453,6 @@ mod tests {
         let outside = Segment::new(Point::new(-5.0, 20.0), Point::new(15.0, 20.0));
         assert!(set.intersects_segment(&crossing));
         assert!(!set.intersects_segment(&outside));
-        assert_eq!(set.compounds_crossed_by(&crossing), vec![0]);
     }
 
     #[test]

@@ -43,15 +43,6 @@ impl Point {
         (self.x - other.x).abs() + (self.y - other.y).abs()
     }
 
-    /// Euclidean (L2) distance to `other`, in micrometres.
-    ///
-    /// Only used for tie-breaking and visualization; routing distances are
-    /// always Manhattan.
-    #[inline]
-    pub fn euclidean(self, other: Point) -> f64 {
-        ((self.x - other.x).powi(2) + (self.y - other.y).powi(2)).sqrt()
-    }
-
     /// Midpoint of the segment between `self` and `other`.
     #[inline]
     pub fn midpoint(self, other: Point) -> Point {

@@ -165,14 +165,6 @@ impl Rect {
         };
         dx + dy
     }
-
-    /// Closest point of the rectangle to `p` (equal to `p` when inside).
-    pub fn clamp_point(&self, p: Point) -> Point {
-        Point::new(
-            p.x.clamp(self.lo.x, self.hi.x),
-            p.y.clamp(self.lo.y, self.hi.y),
-        )
-    }
 }
 
 impl fmt::Display for Rect {

@@ -268,33 +268,6 @@ impl SpatialIndex {
         }
     }
 
-    /// All alive points within Manhattan distance `radius` of `query`,
-    /// sorted ascending by index.
-    ///
-    /// Only the grid buckets overlapping the query ball's bounding box are
-    /// scanned; out-of-bounds points are clamped into the edge cells at
-    /// insertion time, so clamping the scan range the same way keeps them
-    /// reachable.
-    pub fn within_radius(&self, query: Point, radius: f64) -> Vec<usize> {
-        let mut out: Vec<usize> = Vec::new();
-        if self.alive_count == 0 || radius < 0.0 {
-            return out;
-        }
-        let (cx0, cy0) = self.cell_coords(Point::new(query.x - radius, query.y - radius));
-        let (cx1, cy1) = self.cell_coords(Point::new(query.x + radius, query.y + radius));
-        for cy in cy0..=cy1 {
-            for cx in cx0..=cx1 {
-                for &i in &self.buckets[cy * self.cells_x + cx] {
-                    if self.alive[i] && self.points[i].manhattan(query) <= radius {
-                        out.push(i);
-                    }
-                }
-            }
-        }
-        out.sort_unstable();
-        out
-    }
-
     fn bucket_of(&self, p: Point) -> usize {
         let (cx, cy) = self.cell_coords(p);
         cy * self.cells_x + cx
@@ -389,50 +362,6 @@ mod tests {
     }
 
     #[test]
-    fn within_radius_returns_sorted_hits() {
-        let points = grid_points(25, 10.0);
-        let index = SpatialIndex::new(&points);
-        let hits = index.within_radius(Point::new(0.0, 0.0), 10.0);
-        // (0,0), (10,0), (0,10) are within Manhattan distance 10.
-        assert_eq!(hits, vec![0, 1, 5]);
-    }
-
-    #[test]
-    fn within_radius_matches_brute_force() {
-        let mut points = grid_points(80, 7.0);
-        // A far-out-of-grid outlier lands in a clamped edge cell and must
-        // still be found by queries near it.
-        points.push(Point::new(500.0, -300.0));
-        let mut index = SpatialIndex::new(&points);
-        index.remove(13);
-        index.remove(57);
-        let queries = [
-            (Point::new(0.0, 0.0), 15.0),
-            (Point::new(31.0, 42.0), 9.5),
-            (Point::new(-20.0, -20.0), 60.0),
-            (Point::new(495.0, -290.0), 20.0),
-            (Point::new(30.0, 30.0), 0.0),
-            (Point::new(30.0, 30.0), -1.0),
-            (Point::new(30.0, 30.0), 1e6),
-        ];
-        for (q, r) in queries {
-            let brute: Vec<usize> = (0..points.len())
-                .filter(|&i| index.is_alive(i) && r >= 0.0 && points[i].manhattan(q) <= r)
-                .collect();
-            assert_eq!(index.within_radius(q, r), brute, "query {q:?} radius {r}");
-        }
-    }
-
-    #[test]
-    fn within_radius_on_empty_index_is_empty() {
-        let empty = SpatialIndex::new(&[]);
-        assert!(empty.within_radius(Point::new(0.0, 0.0), 100.0).is_empty());
-        let mut index = SpatialIndex::new(&[Point::new(1.0, 1.0)]);
-        index.remove(0);
-        assert!(index.within_radius(Point::new(1.0, 1.0), 100.0).is_empty());
-    }
-
-    #[test]
     fn rebuild_reuses_the_index_like_a_fresh_one() {
         let a = grid_points(70, 9.0);
         let mut b = grid_points(31, 17.0);
@@ -449,7 +378,6 @@ mod tests {
             Point::new(-39.0, 330.0),
         ] {
             assert_eq!(reused.nearest(q, None), fresh.nearest(q, None));
-            assert_eq!(reused.within_radius(q, 25.0), fresh.within_radius(q, 25.0));
         }
         // Removed state from before the rebuild must not leak through.
         assert!(reused.is_alive(3));

@@ -484,23 +484,6 @@ impl IncrementalEvaluator {
         &self.inner
     }
 
-    /// Draws seeded Monte-Carlo variation samples of `netlist` through this
-    /// evaluator's technology and delay model (see
-    /// [`crate::variation::monte_carlo_samples`]). Sample evaluations run in
-    /// per-sample throwaway evaluators (each sample shifts the supply, so
-    /// none can reuse this evaluator's caches) and do not touch the shared
-    /// "SPICE run" counter — Table-V-style run counts stay comparable
-    /// between variation-aware and nominal-only campaigns.
-    pub fn variation_samples(
-        &self,
-        netlist: &crate::Netlist,
-        model: &crate::variation::VariationModel,
-        samples: usize,
-        seed: u64,
-    ) -> Vec<crate::variation::SampleMetrics> {
-        crate::variation::monte_carlo_samples(&self.inner, netlist, model, samples, seed)
-    }
-
     /// The technology in use.
     pub fn technology(&self) -> &Technology {
         self.inner.technology()

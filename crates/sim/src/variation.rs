@@ -74,14 +74,6 @@ impl VariationModel {
             spatial_correlation: 0.0,
         }
     }
-
-    /// Returns `true` when all sigmas are zero.
-    pub fn is_zero(&self) -> bool {
-        self.wire_res_sigma == 0.0
-            && self.wire_cap_sigma == 0.0
-            && self.buffer_res_sigma == 0.0
-            && self.vdd_sigma == 0.0
-    }
 }
 
 /// Summary statistics of one metric across Monte-Carlo samples.

@@ -25,15 +25,6 @@ pub struct InverterKind {
     pub intrinsic_delay: f64,
 }
 
-impl InverterKind {
-    /// Ratio of drive strength relative to another inverter
-    /// (`other.output_res / self.output_res`); values above 1 mean `self`
-    /// is the stronger driver.
-    pub fn strength_vs(&self, other: &InverterKind) -> f64 {
-        other.output_res / self.output_res
-    }
-}
-
 /// The inverters available in a technology.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct InverterLibrary {
@@ -137,15 +128,6 @@ mod tests {
         assert_eq!(lib.strongest().name, "INV_LARGE");
         assert_eq!(lib.len(), 2);
         assert!(!lib.is_empty());
-    }
-
-    #[test]
-    fn strength_ratio() {
-        let lib = lib();
-        let s = lib.kind(0);
-        let l = lib.kind(1);
-        assert!(l.strength_vs(s) > 1.0);
-        assert!(s.strength_vs(l) < 1.0);
     }
 
     #[test]

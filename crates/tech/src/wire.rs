@@ -16,16 +16,6 @@ pub enum WireWidth {
     Wide,
 }
 
-impl WireWidth {
-    /// The other width class.
-    pub fn toggled(self) -> WireWidth {
-        match self {
-            WireWidth::Narrow => WireWidth::Wide,
-            WireWidth::Wide => WireWidth::Narrow,
-        }
-    }
-}
-
 impl fmt::Display for WireWidth {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -129,12 +119,6 @@ mod tests {
         let wide = lib.wide();
         assert_eq!(wide.resistance(100.0), 10.0);
         assert_eq!(wide.capacitance(100.0), 20.0);
-    }
-
-    #[test]
-    fn toggled_width_flips() {
-        assert_eq!(WireWidth::Narrow.toggled(), WireWidth::Wide);
-        assert_eq!(WireWidth::Wide.toggled(), WireWidth::Narrow);
     }
 
     #[test]

@@ -1,14 +1,11 @@
-//! Property-based tests for the supporting substrates: Steiner trees, the
-//! spatial index, reduced-order delay models, the SPICE measurement parser
-//! and the solution file format.
+//! Property-based tests for the supporting substrates: the spatial index,
+//! reduced-order delay models, the SPICE measurement parser and the
+//! solution file format.
 
 use contango::benchmarks::solution::{parse_solution, write_solution};
 use contango::core::instance::ClockNetInstance;
 use contango::core::topology::greedy_matching_tree;
-use contango::geom::steiner::edge_list_length;
-use contango::geom::{
-    half_perimeter_wirelength, rectilinear_mst, Point, SpatialIndex, SteinerTree,
-};
+use contango::geom::{Point, SpatialIndex};
 use contango::sim::spice::{parse_measurements, rise_latency_name};
 use contango::sim::{reduced_order_models, RcTree};
 use contango::tech::Technology;
@@ -31,24 +28,6 @@ fn dedup_points(raw: &[(f64, f64)]) -> Vec<Point> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// The Prim-to-segment Steiner heuristic never uses more wire than the
-    /// rectilinear MST and never less than the half-perimeter lower bound,
-    /// and always produces a structurally valid tree spanning every terminal.
-    #[test]
-    fn steiner_tree_is_bracketed_by_mst_and_hpwl(raw in arbitrary_points(2, 24)) {
-        let points = dedup_points(&raw);
-        prop_assume!(points.len() >= 2);
-        let tree = SteinerTree::build(&points);
-        prop_assert!(tree.validate().is_ok());
-        prop_assert_eq!(tree.terminal_count(), points.len());
-        let mst = edge_list_length(&points, &rectilinear_mst(&points));
-        let hpwl = half_perimeter_wirelength(&points);
-        prop_assert!(tree.wirelength() <= mst + 1e-6,
-            "steiner {} > mst {}", tree.wirelength(), mst);
-        prop_assert!(tree.wirelength() + 1e-6 >= hpwl,
-            "steiner {} < hpwl {}", tree.wirelength(), hpwl);
-    }
 
     /// The grid-bucket index returns exactly the brute-force nearest
     /// neighbour distance for arbitrary point sets and queries.

@@ -6,7 +6,7 @@ use contango::benchmarks::solution::{parse_solution, write_solution};
 use contango::core::instance::ClockNetInstance;
 use contango::core::lower::to_netlist;
 use contango::core::topology::TopologyKind;
-use contango::geom::Point;
+use contango::geom::{Point, Rect};
 use contango::sim::spice::{write_deck, DeckOptions};
 use contango::sim::Evaluator;
 use contango::{ContangoFlow, FlowConfig, Technology};
@@ -82,6 +82,27 @@ fn every_topology_reaches_negligible_skew_through_the_flow() {
     }
 }
 
+/// Weight of the rectilinear minimum spanning tree over `points` (Prim's
+/// algorithm). The weight is the same for every minimum spanning tree.
+fn rectilinear_mst_weight(points: &[Point]) -> f64 {
+    let mut dist: Vec<f64> = points.iter().map(|p| p.manhattan(points[0])).collect();
+    let mut in_tree = vec![false; points.len()];
+    in_tree[0] = true;
+    let mut weight = 0.0;
+    for _ in 1..points.len() {
+        let next = (0..points.len())
+            .filter(|&i| !in_tree[i])
+            .min_by(|&a, &b| dist[a].total_cmp(&dist[b]))
+            .expect("a point is still outside the tree");
+        in_tree[next] = true;
+        weight += dist[next];
+        for (d, p) in dist.iter_mut().zip(points) {
+            *d = d.min(p.manhattan(points[next]));
+        }
+    }
+    weight
+}
+
 #[test]
 fn topology_wirelengths_stay_within_sane_geometric_bounds() {
     let instance = small_instance();
@@ -91,11 +112,13 @@ fn topology_wirelengths_stay_within_sane_geometric_bounds() {
     // spines and H geometry all add wire, but bounded amounts of it.
     let mut points = vec![instance.source];
     points.extend(instance.sinks.iter().map(|s| s.location));
-    let hpwl = contango::geom::half_perimeter_wirelength(&points);
-    let mst: f64 = contango::geom::rectilinear_mst(&points)
+    let bbox = points
         .iter()
-        .map(|&(a, b)| points[a].manhattan(points[b]))
-        .sum();
+        .fold(Rect::from_points(points[0], points[0]), |bbox, &p| {
+            bbox.union(&Rect::from_points(p, p))
+        });
+    let hpwl = bbox.width() + bbox.height();
+    let mst = rectilinear_mst_weight(&points);
     for kind in TopologyKind::all() {
         let wl = contango::core::topology::build_topology(kind, &instance, &tech).wirelength();
         assert!(
