@@ -131,6 +131,7 @@ pub fn parse_instance(text: &str) -> Result<ClockNetInstance, ParseError> {
 mod tests {
     use super::*;
     use crate::generator::{ispd09_suite, make_instance};
+    use contango_core::error::InstanceError;
 
     #[test]
     fn round_trip_preserves_instances() {
@@ -144,6 +145,24 @@ mod tests {
         for (a, b) in back.sinks.iter().zip(inst.sinks.iter()) {
             assert!(a.location.approx_eq(b.location));
             assert!((a.cap - b.cap).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn non_finite_numbers_are_rejected() {
+        use InstanceError::{NonFiniteSource, NonPositiveCapLimit, NonPositiveSinkCap};
+        let bad_cap = NonPositiveSinkCap { sink: 0 };
+        for (records, expected) in [
+            ("source nan 500\nsink 0 200 200 5", NonFiniteSource),
+            ("source 0 inf\nsink 0 200 200 5", NonFiniteSource),
+            ("sink 0 200 200 nan", bad_cap),
+            ("sink 0 200 200 inf", bad_cap),
+            ("cap_limit nan\nsink 0 200 200 5", NonPositiveCapLimit),
+            ("cap_limit inf\nsink 0 200 200 5", NonPositiveCapLimit),
+        ] {
+            let text = format!("name t\ndie 0 0 1000 1000\n{records}\n");
+            let err = parse_instance(&text).unwrap_err();
+            assert_eq!(err, ParseError::Instance(expected), "{records}");
         }
     }
 

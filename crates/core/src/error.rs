@@ -16,8 +16,10 @@ use std::fmt;
 pub enum InstanceError {
     /// The instance has no sinks.
     NoSinks,
-    /// The total capacitance budget is not positive.
+    /// The total capacitance budget is not a positive finite number.
     NonPositiveCapLimit,
+    /// The clock source has a non-finite coordinate.
+    NonFiniteSource,
     /// Sink ids are not contiguous from zero.
     NonContiguousSinkIds {
         /// The id found at the offending position.
@@ -25,7 +27,7 @@ pub enum InstanceError {
         /// The position (and therefore the expected id).
         index: usize,
     },
-    /// A sink has a non-positive pin capacitance.
+    /// A sink's pin capacitance is not a positive finite number.
     NonPositiveSinkCap {
         /// Index of the offending sink.
         sink: usize,
@@ -42,13 +44,17 @@ impl fmt::Display for InstanceError {
         match self {
             InstanceError::NoSinks => write!(f, "instance has no sinks"),
             InstanceError::NonPositiveCapLimit => {
-                write!(f, "capacitance limit must be positive")
+                write!(f, "capacitance limit must be a positive finite number")
             }
+            InstanceError::NonFiniteSource => write!(f, "source location must be finite"),
             InstanceError::NonContiguousSinkIds { found, index } => {
                 write!(f, "sink ids must be contiguous; found {found} at {index}")
             }
             InstanceError::NonPositiveSinkCap { sink } => {
-                write!(f, "sink {sink} has non-positive capacitance")
+                write!(
+                    f,
+                    "sink {sink} capacitance must be a positive finite number"
+                )
             }
             InstanceError::SinkOutsideDie { sink } => {
                 write!(f, "sink {sink} lies outside the die")

@@ -72,15 +72,19 @@ impl ClockNetInstance {
     ///
     /// # Errors
     ///
-    /// Returns the first problem found: no sinks, non-contiguous sink ids,
-    /// sinks outside the die, a non-positive capacitance limit or
-    /// non-positive sink capacitances.
+    /// Returns the first problem found: no sinks, a capacitance limit that
+    /// is not a positive finite number, a non-finite source location,
+    /// non-contiguous sink ids, sink capacitances that are not positive
+    /// finite numbers or sinks outside the die.
     pub fn validate(&self) -> Result<(), InstanceError> {
         if self.sinks.is_empty() {
             return Err(InstanceError::NoSinks);
         }
-        if self.cap_limit <= 0.0 {
+        if !(self.cap_limit.is_finite() && self.cap_limit > 0.0) {
             return Err(InstanceError::NonPositiveCapLimit);
+        }
+        if !(self.source.x.is_finite() && self.source.y.is_finite()) {
+            return Err(InstanceError::NonFiniteSource);
         }
         for (i, sink) in self.sinks.iter().enumerate() {
             if sink.id != i {
@@ -89,7 +93,7 @@ impl ClockNetInstance {
                     index: i,
                 });
             }
-            if sink.cap <= 0.0 {
+            if !(sink.cap.is_finite() && sink.cap > 0.0) {
                 return Err(InstanceError::NonPositiveSinkCap { sink: i });
             }
             if !self.die.contains(sink.location) {
@@ -232,6 +236,23 @@ mod tests {
     fn non_positive_cap_limit_rejected() {
         let err = builder().cap_limit(0.0).build().unwrap_err();
         assert_eq!(err, InstanceError::NonPositiveCapLimit);
+    }
+
+    #[test]
+    fn non_finite_numbers_are_rejected() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for source in [Point::new(bad, 50.0), Point::new(0.0, bad)] {
+                let err = builder().source(source).build().unwrap_err();
+                assert_eq!(err, InstanceError::NonFiniteSource, "{source:?}");
+            }
+            let err = builder()
+                .sink(Point::new(50.0, 50.0), bad)
+                .build()
+                .unwrap_err();
+            assert_eq!(err, InstanceError::NonPositiveSinkCap { sink: 2 }, "{bad}");
+            let err = builder().cap_limit(bad).build().unwrap_err();
+            assert_eq!(err, InstanceError::NonPositiveCapLimit, "{bad}");
+        }
     }
 
     #[test]
