@@ -65,12 +65,12 @@ fn main() {
             }
             rule(95);
             println!(
-                "final: CLR {:.2} ps, skew {:.3} ps, {} evaluator runs, {:.1} s",
+                "final: CLR {:.2} ps, skew {:.3} ps, {} evaluator runs",
                 result.clr(),
                 result.skew(),
-                result.spice_runs,
-                result.runtime_s
+                result.spice_runs
             );
+            eprintln!("flow runtime {:.1} s", result.runtime_s);
         }
         Err(e) => println!("flow failed: {e}"),
     }
