@@ -130,21 +130,22 @@ pub fn parse_instance(text: &str) -> Result<ClockNetInstance, ParseError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generator::{ispd09_suite, make_instance};
+    use crate::generator::{
+        ispd09_suite, make_instance, stress_instance, ti_instance, StressLayout,
+    };
     use contango_core::error::InstanceError;
 
+    /// The construct cache hashes instance content, so a reloaded instance
+    /// must equal the written one bit for bit.
     #[test]
     fn round_trip_preserves_instances() {
-        let inst = make_instance(&ispd09_suite()[3]);
-        let text = write_instance(&inst);
-        let back = parse_instance(&text).expect("parses");
-        assert_eq!(back.name, inst.name);
-        assert_eq!(back.sink_count(), inst.sink_count());
-        assert_eq!(back.obstacles.len(), inst.obstacles.len());
-        assert!((back.cap_limit - inst.cap_limit).abs() < 1e-6);
-        for (a, b) in back.sinks.iter().zip(inst.sinks.iter()) {
-            assert!(a.location.approx_eq(b.location));
-            assert!((a.cap - b.cap).abs() < 1e-9);
+        let mut instances: Vec<ClockNetInstance> =
+            ispd09_suite().iter().map(make_instance).collect();
+        instances.push(ti_instance(300, 7));
+        instances.push(stress_instance(500, 3, StressLayout::Clustered));
+        for inst in instances {
+            let back = parse_instance(&write_instance(&inst)).expect("parses");
+            assert_eq!(back, inst);
         }
     }
 
