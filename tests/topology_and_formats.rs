@@ -112,11 +112,10 @@ fn topology_wirelengths_stay_within_sane_geometric_bounds() {
     // spines and H geometry all add wire, but bounded amounts of it.
     let mut points = vec![instance.source];
     points.extend(instance.sinks.iter().map(|s| s.location));
-    let bbox = points
-        .iter()
-        .fold(Rect::from_points(points[0], points[0]), |bbox, &p| {
-            bbox.union(&Rect::from_points(p, p))
-        });
+    let bbox = instance
+        .sink_bounding_box()
+        .expect("the instance has sinks")
+        .union(&Rect::from_points(instance.source, instance.source));
     let hpwl = bbox.width() + bbox.height();
     let mst = rectilinear_mst_weight(&points);
     for kind in TopologyKind::all() {
