@@ -47,8 +47,9 @@ pub fn write_instance(instance: &ClockNetInstance) -> String {
 ///
 /// # Errors
 ///
-/// Returns a message naming the offending line for any malformed input, and
-/// propagates instance-validation errors.
+/// Returns a message naming the offending line for any malformed input,
+/// including a number that is not finite, and propagates
+/// instance-validation errors.
 pub fn parse_instance(text: &str) -> Result<ClockNetInstance, ParseError> {
     let mut name = String::from("unnamed");
     let mut die = Rect::new(0.0, 0.0, 1000.0, 1000.0);
@@ -63,9 +64,20 @@ pub fn parse_instance(text: &str) -> Result<ClockNetInstance, ParseError> {
             continue;
         }
         let fields: Vec<&str> = line.split_whitespace().collect();
+        // Every number must be finite: `Rect::new` orders corners with
+        // `f64::min`/`max`, which would drop a NaN bound without a trace.
         let parse = |s: &str| -> Result<f64, ParseError> {
-            s.parse::<f64>()
-                .map_err(|_| ParseError::syntax(lineno + 1, format!("invalid number `{s}`")))
+            match s.parse::<f64>() {
+                Ok(v) if v.is_finite() => Ok(v),
+                Ok(_) => Err(ParseError::syntax(
+                    lineno + 1,
+                    format!("number `{s}` is not finite"),
+                )),
+                Err(_) => Err(ParseError::syntax(
+                    lineno + 1,
+                    format!("invalid number `{s}`"),
+                )),
+            }
         };
         match fields[0] {
             "name" if fields.len() >= 2 => name = fields[1].to_string(),
@@ -135,8 +147,10 @@ mod tests {
     };
     use contango_core::error::InstanceError;
 
-    /// The construct cache hashes instance content, so a reloaded instance
-    /// must equal the written one bit for bit.
+    /// `.cns` is the one instance file format, and what `run --input` reads
+    /// must be the instance that was written: a reloaded instance equals
+    /// the written one bit for bit, or a saved benchmark would synthesize
+    /// a different tree than the one it was saved from.
     #[test]
     fn round_trip_preserves_instances() {
         let mut instances: Vec<ClockNetInstance> =
@@ -151,19 +165,39 @@ mod tests {
 
     #[test]
     fn non_finite_numbers_are_rejected() {
-        use InstanceError::{NonFiniteSource, NonPositiveCapLimit, NonPositiveSinkCap};
-        let bad_cap = NonPositiveSinkCap { sink: 0 };
-        for (records, expected) in [
-            ("source nan 500\nsink 0 200 200 5", NonFiniteSource),
-            ("source 0 inf\nsink 0 200 200 5", NonFiniteSource),
-            ("sink 0 200 200 nan", bad_cap),
-            ("sink 0 200 200 inf", bad_cap),
-            ("cap_limit nan\nsink 0 200 200 5", NonPositiveCapLimit),
-            ("cap_limit inf\nsink 0 200 200 5", NonPositiveCapLimit),
+        // Every record's numbers, the source's included, must be finite;
+        // line 3 holds the bad record.
+        for records in [
+            "source nan 500\nsink 0 200 200 5",
+            "source 0 inf\nsink 0 200 200 5",
+            "sink 0 200 200 nan",
+            "sink 0 200 200 inf",
+            "cap_limit nan\nsink 0 200 200 5",
+            "cap_limit inf\nsink 0 200 200 5",
+            "obstacle nan 0 500 500\nsink 0 200 200 5",
+            "obstacle 0 0 inf 5\nsink 0 200 200 5",
         ] {
             let text = format!("name t\ndie 0 0 1000 1000\n{records}\n");
-            let err = parse_instance(&text).unwrap_err();
-            assert_eq!(err, ParseError::Instance(expected), "{records}");
+            match parse_instance(&text) {
+                Err(ParseError::Syntax { line: 3, message }) => {
+                    assert!(message.contains("not finite"), "{records}: {message}")
+                }
+                other => panic!("{records}: {other:?}"),
+            }
+        }
+        let err = parse_instance("name t\ndie 0 0 inf inf\nsink 0 200 200 5\n").unwrap_err();
+        assert!(matches!(err, ParseError::Syntax { line: 2, .. }), "{err:?}");
+    }
+
+    #[test]
+    fn sources_off_the_die_are_rejected() {
+        for source in ["1e12 500", "-1 500"] {
+            let text = format!("name t\ndie 0 0 1000 1000\nsource {source}\nsink 0 200 200 5\n");
+            assert_eq!(
+                parse_instance(&text).unwrap_err(),
+                ParseError::Instance(InstanceError::SourceOutsideDie),
+                "{source}"
+            );
         }
     }
 

@@ -55,10 +55,10 @@ impl Campaign {
     }
 
     /// Attaches a shared persistent [`CacheStore`]: every worker's
-    /// [`EngineSession`] reads evaluation and construction results through
-    /// it and writes fresh ones back. Records gain deterministic
-    /// [`JobRecord::cache`] counters; reports and tables are bit-identical
-    /// with or without a store.
+    /// [`EngineSession`] reads transient solves through it and writes fresh
+    /// ones back. Records gain deterministic [`JobRecord::cache`] counters
+    /// of solve lookups; reports and tables are bit-identical with or
+    /// without a store.
     #[must_use]
     pub fn with_cache(mut self, store: Arc<CacheStore>) -> Self {
         self.cache = Some(store);

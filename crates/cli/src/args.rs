@@ -334,11 +334,11 @@ USAGE:
   and cache state.
 
   --cache-dir DIR opens (or creates) a persistent content-addressed cache
-  store in DIR and reuses stage, solve and construction results across
-  runs and across concurrent workers. Output is byte-identical with or
-  without the store — a warm cache only makes the same reports faster.
-  The per-job hit/miss profile goes to stderr (suite) or the JSONL
-  `cache` field, never into the aggregate tables.
+  store in DIR and reuses transient solves across runs and across
+  concurrent workers. Output is byte-identical with or without the store
+  — a warm cache only makes the same reports faster. The per-job profile
+  of solve lookups goes to stderr (suite) or the JSONL `cache` field,
+  never into the aggregate tables.
 
   suite --workers N runs the suite through the distributed coordinator:
   N worker processes are spawned over pipes (--dispatch local, the

@@ -36,7 +36,6 @@
 //! construction like any other stage.
 
 use crate::buffering::{default_candidates, split_long_edges, BufferingReport};
-use crate::cache::{construct_cache_key, decode_construct, encode_construct};
 use crate::dme::{balance_merge, edge_elmore, DmeOptions, MergeData};
 use crate::error::CoreError;
 use crate::instance::ClockNetInstance;
@@ -45,10 +44,8 @@ use crate::polarity::{correct_polarity, PolarityReport};
 use crate::topology::{fishbone_tree, h_tree, TopologyKind};
 use crate::tree::{ClockTree, NodeId, NodeKind, WireSegment};
 use contango_geom::{ObstacleSet, Point, SpatialIndex, TiltedRect};
-use contango_sim::{CacheCounters, CacheStore, HitTier};
 use contango_tech::{CompositeBuffer, Technology};
 use serde::Serialize;
-use std::sync::Arc;
 
 /// Sentinel for "no node" in the flat topology arena.
 const NONE: usize = usize::MAX;
@@ -57,61 +54,36 @@ const NONE: usize = usize::MAX;
 /// fan-out overhead outweighs the work.
 const MIN_CHUNK: usize = 64;
 
-/// Thread and partition fan-out knob for the construction engine.
+/// Thread fan-out knob for the construction engine.
 ///
 /// `threads == 1` (the default) runs everything on the calling thread;
 /// `threads == 0` resolves to [`std::thread::available_parallelism`]; any
-/// other value is used as given. `partitions` controls how many balanced
-/// sink regions the hierarchical builder carves the instance into before
-/// fanning the region subtrees out over the workers; `partitions == 0`
-/// (the default) derives the region count from the worker count.
-/// Construction results are bit-identical for every thread count and every
-/// partition fan-out: the region splits are exactly the top splits the
-/// serial build would perform, and region results are reduced in a fixed
-/// order along the serial spine.
+/// other value is used as given. The hierarchical builder carves the
+/// instance into one balanced sink region per resolved worker before
+/// fanning the region subtrees out over the workers. Construction results
+/// are bit-identical for every thread count: the region splits are exactly
+/// the top splits the serial build would perform, and region results are
+/// reduced in a fixed order along the serial spine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct ParallelConfig {
     /// Worker threads to fan construction out over (0 = auto-detect).
     pub threads: usize,
-    /// Balanced sink regions for hierarchical construction (0 = derive
-    /// from the resolved thread count).
-    pub partitions: usize,
 }
 
 impl ParallelConfig {
     /// Single-threaded construction (the default).
     pub const fn serial() -> Self {
-        Self {
-            threads: 1,
-            partitions: 0,
-        }
+        Self { threads: 1 }
     }
 
     /// As many threads as the host advertises.
     pub const fn auto() -> Self {
-        Self {
-            threads: 0,
-            partitions: 0,
-        }
+        Self { threads: 0 }
     }
 
     /// Construction with exactly `threads` workers.
     pub const fn with_threads(threads: usize) -> Self {
-        Self {
-            threads,
-            partitions: 0,
-        }
-    }
-
-    /// Construction with exactly `threads` workers over `partitions`
-    /// balanced sink regions (0 derives the region count from the
-    /// workers). More partitions than workers gives the batch scheduler
-    /// finer-grained work items; results stay bit-identical either way.
-    pub const fn with_partitions(threads: usize, partitions: usize) -> Self {
-        Self {
-            threads,
-            partitions,
-        }
+        Self { threads }
     }
 
     /// The effective worker count: `threads`, or the host's available
@@ -123,16 +95,6 @@ impl ParallelConfig {
                 .unwrap_or(1)
         } else {
             self.threads
-        }
-    }
-
-    /// The effective region fan-out of hierarchical construction:
-    /// `partitions`, or the resolved worker count when `partitions == 0`.
-    pub fn partition_fanout(&self) -> usize {
-        if self.partitions == 0 {
-            self.resolved()
-        } else {
-            self.partitions
         }
     }
 }
@@ -310,49 +272,12 @@ pub struct ConstructArena {
     unbuffered: Vec<f64>,
     contribs: Vec<(NodeId, f64, f64, f64)>,
     post: Vec<NodeId>,
-    // --- persistent construct cache ---
-    cache: Option<Arc<CacheStore>>,
-    profile: Option<CacheCounters>,
 }
 
 impl ConstructArena {
     /// Creates an empty arena; buffers grow on first use.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Attaches a persistent store: subsequent [`construct_initial`] calls
-    /// look their full result up by content address in the
-    /// [`contango_sim::NS_CONSTRUCT`] namespace before doing any work, and
-    /// write fresh results back for other workers and later processes.
-    pub fn attach_cache(&mut self, store: Arc<CacheStore>) {
-        self.cache = Some(store);
-    }
-
-    /// Detaches the persistent store; construction runs cold again.
-    pub fn detach_cache(&mut self) {
-        self.cache = None;
-        self.profile = None;
-    }
-
-    /// The attached persistent store, if any.
-    pub fn cache(&self) -> Option<&Arc<CacheStore>> {
-        self.cache.as_ref()
-    }
-
-    /// Starts a deterministic cache profile for one job (see
-    /// [`contango_sim::incremental::IncrementalEvaluator::take_job_profile`]
-    /// for the classification model). A no-op without an attached store.
-    /// The arena's scratch memory stays warm: it holds no results, only
-    /// capacity.
-    pub fn begin_job_profile(&mut self) {
-        self.profile = self.cache.is_some().then(CacheCounters::default);
-    }
-
-    /// Finishes the job profile and returns its counters (zeros when no
-    /// profile was running).
-    pub fn take_job_profile(&mut self) -> CacheCounters {
-        self.profile.take().unwrap_or_default()
     }
 
     /// The arena's current memory watermark: bytes of scratch capacity
@@ -552,16 +477,8 @@ pub fn zero_skew_tree_with(
     }
 
     let threads = options.parallel.resolved();
-    let partitions = options.parallel.partition_fanout();
-    if (threads > 1 || partitions > 1) && n >= 2 * MIN_CHUNK {
-        build_topology_parallel(
-            instance,
-            code.unit_res,
-            code.unit_cap,
-            threads,
-            partitions,
-            arena,
-        );
+    if threads > 1 && n >= 2 * MIN_CHUNK {
+        build_topology_parallel(instance, code.unit_res, code.unit_cap, threads, arena);
     } else {
         let emitted = {
             let builder = TopoBuilder {
@@ -846,22 +763,21 @@ struct SpineMerge {
 /// exact splits the serial build would perform), fans the independent
 /// region subtree builds out over [`std::thread::scope`], then emits the
 /// connecting spine merges in order. The arena content is bit-identical to
-/// the serial build for every thread count and partition fan-out, because
-/// the region boundaries *are* the serial build's top splits and the spine
-/// reduction replays its merges in postorder.
+/// the serial build for every thread count, because the region boundaries
+/// *are* the serial build's top splits and the spine reduction replays its
+/// merges in postorder.
 fn build_topology_parallel(
     instance: &ClockNetInstance,
     unit_res: f64,
     unit_cap: f64,
     threads: usize,
-    partitions: usize,
     arena: &mut ConstructArena,
 ) {
     let n = arena.order_x.len();
     let mut chunks: Vec<Chunk> = Vec::new();
     let mut spine: Vec<SpineMerge> = Vec::new();
-    let depth = partitions.next_power_of_two().trailing_zeros() as usize
-        + usize::from(!partitions.is_power_of_two());
+    let depth = threads.next_power_of_two().trailing_zeros() as usize
+        + usize::from(!threads.is_power_of_two());
     let (root, next_base) = plan_chunks(
         instance,
         &mut arena.order_x[..],
@@ -1595,38 +1511,6 @@ pub fn construct_initial(
     config: &ConstructConfig,
     arena: &mut ConstructArena,
 ) -> Result<(ClockTree, ConstructReports), CoreError> {
-    let Some(store) = arena.cache.clone() else {
-        return construct_initial_uncached(instance, tech, config, arena);
-    };
-    let key = construct_cache_key(instance, tech, config);
-    let served = store.get(key).and_then(|(payload, tier)| {
-        decode_construct(&payload, tech, instance).map(|hit| (hit, tier))
-    });
-    // The job profile counts only an answer from the open-time snapshot
-    // (that decodes) as a disk hit, never one that depends on which
-    // concurrent worker appended the entry first — so the counters are
-    // independent of scheduling.
-    if let Some(p) = arena.profile.as_mut() {
-        if matches!(served, Some((_, HitTier::Snapshot))) {
-            p.disk_hits += 1;
-        } else {
-            p.misses += 1;
-        }
-    }
-    if let Some((hit, _)) = served {
-        return Ok(hit);
-    }
-    let result = construct_initial_uncached(instance, tech, config, arena)?;
-    let _ = store.put(key, &encode_construct(&result.0, &result.1));
-    Ok(result)
-}
-
-fn construct_initial_uncached(
-    instance: &ClockNetInstance,
-    tech: &Technology,
-    config: &ConstructConfig,
-    arena: &mut ConstructArena,
-) -> Result<(ClockTree, ConstructReports), CoreError> {
     let mut tree = build_topology_with(config.topology, instance, tech, config.parallel, arena);
     let candidates = default_candidates(tech, config.use_large_inverters);
     let strongest_res = candidates
@@ -1689,14 +1573,6 @@ mod tests {
         assert_eq!(ParallelConfig::with_threads(6).resolved(), 6);
         assert!(ParallelConfig::auto().resolved() >= 1);
         assert_eq!(ParallelConfig::default(), ParallelConfig::serial());
-        // Partition fan-out: explicit when set, worker-derived when 0.
-        assert_eq!(ParallelConfig::serial().partition_fanout(), 1);
-        assert_eq!(ParallelConfig::with_threads(6).partition_fanout(), 6);
-        assert_eq!(
-            ParallelConfig::with_partitions(2, 16).partition_fanout(),
-            16
-        );
-        assert_eq!(ParallelConfig::with_partitions(4, 0).partition_fanout(), 4);
     }
 
     #[test]
@@ -1705,15 +1581,15 @@ mod tests {
         let instance = grid_instance(13, 10);
         let mut arena = ConstructArena::new();
         let serial = zero_skew_tree_with(&instance, &tech, DmeOptions::default(), &mut arena);
-        // Partitions above, below, and decoupled from the worker count,
-        // including a single-partition parallel dispatch.
-        for (threads, partitions) in [(1usize, 2usize), (1, 7), (2, 16), (4, 3), (8, 1), (3, 0)] {
+        // One region per worker: powers of two and not, and more regions
+        // than the instance has chunks to carve.
+        for threads in [2usize, 3, 4, 7, 16] {
             let opts = DmeOptions {
-                parallel: ParallelConfig::with_partitions(threads, partitions),
+                parallel: ParallelConfig::with_threads(threads),
                 ..DmeOptions::default()
             };
             let fanned = zero_skew_tree_with(&instance, &tech, opts, &mut arena);
-            assert_eq!(serial, fanned, "threads={threads} partitions={partitions}");
+            assert_eq!(serial, fanned, "threads={threads}");
         }
     }
 

@@ -18,8 +18,9 @@ pub enum InstanceError {
     NoSinks,
     /// The total capacitance budget is not a positive finite number.
     NonPositiveCapLimit,
-    /// The clock source has a non-finite coordinate.
-    NonFiniteSource,
+    /// The clock source lies outside the die, or the die has a non-finite
+    /// bound (which also catches a non-finite source).
+    SourceOutsideDie,
     /// Sink ids are not contiguous from zero.
     NonContiguousSinkIds {
         /// The id found at the offending position.
@@ -37,6 +38,11 @@ pub enum InstanceError {
         /// Index of the offending sink.
         sink: usize,
     },
+    /// An obstacle has a non-finite bound.
+    NonFiniteObstacle {
+        /// Index of the offending obstacle.
+        obstacle: usize,
+    },
 }
 
 impl fmt::Display for InstanceError {
@@ -46,7 +52,9 @@ impl fmt::Display for InstanceError {
             InstanceError::NonPositiveCapLimit => {
                 write!(f, "capacitance limit must be a positive finite number")
             }
-            InstanceError::NonFiniteSource => write!(f, "source location must be finite"),
+            InstanceError::SourceOutsideDie => {
+                write!(f, "the clock source must lie on or inside a finite die")
+            }
             InstanceError::NonContiguousSinkIds { found, index } => {
                 write!(f, "sink ids must be contiguous; found {found} at {index}")
             }
@@ -58,6 +66,9 @@ impl fmt::Display for InstanceError {
             }
             InstanceError::SinkOutsideDie { sink } => {
                 write!(f, "sink {sink} lies outside the die")
+            }
+            InstanceError::NonFiniteObstacle { obstacle } => {
+                write!(f, "obstacle {obstacle} must have finite bounds")
             }
         }
     }

@@ -73,9 +73,10 @@ impl ClockNetInstance {
     /// # Errors
     ///
     /// Returns the first problem found: no sinks, a capacitance limit that
-    /// is not a positive finite number, a non-finite source location,
-    /// non-contiguous sink ids, sink capacitances that are not positive
-    /// finite numbers or sinks outside the die.
+    /// is not a positive finite number, a die with a non-finite bound or a
+    /// source outside the die, non-contiguous sink ids, sink capacitances
+    /// that are not positive finite numbers, sinks outside the die or
+    /// obstacles with a non-finite bound.
     pub fn validate(&self) -> Result<(), InstanceError> {
         if self.sinks.is_empty() {
             return Err(InstanceError::NoSinks);
@@ -83,8 +84,10 @@ impl ClockNetInstance {
         if !(self.cap_limit.is_finite() && self.cap_limit > 0.0) {
             return Err(InstanceError::NonPositiveCapLimit);
         }
-        if !(self.source.x.is_finite() && self.source.y.is_finite()) {
-            return Err(InstanceError::NonFiniteSource);
+        // A source far off the die would have construction split its root
+        // edge into as many nodes as the distance allows.
+        if !(is_finite(&self.die) && self.die.contains(self.source)) {
+            return Err(InstanceError::SourceOutsideDie);
         }
         for (i, sink) in self.sinks.iter().enumerate() {
             if sink.id != i {
@@ -100,8 +103,18 @@ impl ClockNetInstance {
                 return Err(InstanceError::SinkOutsideDie { sink: i });
             }
         }
+        if let Some(i) = self.obstacles.iter().position(|o| !is_finite(&o.rect)) {
+            return Err(InstanceError::NonFiniteObstacle { obstacle: i });
+        }
         Ok(())
     }
+}
+
+/// Whether every bound of `r` is a finite number.
+fn is_finite(r: &Rect) -> bool {
+    [r.lo.x, r.lo.y, r.hi.x, r.hi.y]
+        .iter()
+        .all(|v| v.is_finite())
 }
 
 /// Builder for [`ClockNetInstance`].
@@ -243,7 +256,7 @@ mod tests {
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             for source in [Point::new(bad, 50.0), Point::new(0.0, bad)] {
                 let err = builder().source(source).build().unwrap_err();
-                assert_eq!(err, InstanceError::NonFiniteSource, "{source:?}");
+                assert_eq!(err, InstanceError::SourceOutsideDie, "{source:?}");
             }
             let err = builder()
                 .sink(Point::new(50.0, 50.0), bad)
@@ -253,6 +266,41 @@ mod tests {
             let err = builder().cap_limit(bad).build().unwrap_err();
             assert_eq!(err, InstanceError::NonPositiveCapLimit, "{bad}");
         }
+    }
+
+    #[test]
+    fn sources_off_the_die_are_rejected() {
+        // On the die's boundary is fine; anywhere off it is not.
+        for source in [Point::new(0.0, 50.0), Point::new(100.0, 100.0)] {
+            assert!(builder().source(source).build().is_ok(), "{source:?}");
+        }
+        for source in [Point::new(1.0e12, 50.0), Point::new(-1.0, 50.0)] {
+            let err = builder().source(source).build().unwrap_err();
+            assert_eq!(err, InstanceError::SourceOutsideDie, "{source:?}");
+        }
+        // A die with an infinite bound contains its default source, which
+        // then has an infinite coordinate; it is rejected all the same.
+        let err = builder()
+            .die(0.0, 0.0, f64::INFINITY, f64::INFINITY)
+            .build()
+            .unwrap_err();
+        assert_eq!(err, InstanceError::SourceOutsideDie);
+        let err = builder()
+            .die(0.0, 0.0, f64::INFINITY, 100.0)
+            .source(Point::new(0.0, 50.0))
+            .build()
+            .unwrap_err();
+        assert_eq!(err, InstanceError::SourceOutsideDie);
+    }
+
+    #[test]
+    fn obstacles_with_an_infinite_bound_are_rejected() {
+        let err = builder()
+            .obstacle(Rect::new(20.0, 20.0, 30.0, 30.0))
+            .obstacle(Rect::new(0.0, 0.0, f64::INFINITY, 5.0))
+            .build()
+            .unwrap_err();
+        assert_eq!(err, InstanceError::NonFiniteObstacle { obstacle: 1 });
     }
 
     #[test]

@@ -52,7 +52,6 @@
 pub mod bottomlevel;
 pub mod buffering;
 pub mod buffersizing;
-mod cache;
 pub mod construct;
 pub mod crosslink;
 pub mod dme;

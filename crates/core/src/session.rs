@@ -12,10 +12,11 @@
 //!   content-addressed, so entries from one instance can never corrupt the
 //!   evaluation of another), and the [`ConstructArena`] scratch memory. A
 //!   session is created once per worker and reused across arbitrarily many
-//!   runs; reuse affects wall-clock only, never results. With a persistent
-//!   store attached, each job a batch driver profiles starts on empty
-//!   evaluator caches (see [`EngineSession::begin_job_profile`]); the
-//!   construction arena stays warm.
+//!   runs; reuse affects wall-clock only, never results. A persistent
+//!   store, when attached, holds the evaluator's transient solves; each job
+//!   a batch driver profiles starts on empty evaluator caches (see
+//!   [`EngineSession::begin_job_profile`]), and the construction arena
+//!   stays warm.
 //! * `FlowRun` (private to the driver) is the **per-run state**: the tree
 //!   under synthesis, the per-stage snapshots and outcomes, the run timer
 //!   and the evaluator-run baseline. It is created fresh by
@@ -111,21 +112,18 @@ impl EngineSession {
         self.arena.watermark()
     }
 
-    /// Attaches a persistent [`CacheStore`] to the whole session: the
-    /// evaluator's stage and transition-solve caches and the construction
-    /// arena's `INITIAL`-result cache all read through and write back to the
-    /// store. Survives [`EngineSession::retarget`] (the rebuilt evaluator is
-    /// re-attached, and the store's context fingerprint keeps entries from
-    /// different models or technologies apart).
+    /// Attaches a persistent [`CacheStore`] to the session's evaluator: its
+    /// transient solves read through and write back to the store. Survives
+    /// [`EngineSession::retarget`] (the rebuilt evaluator is re-attached,
+    /// and the store's context fingerprint keeps entries from different
+    /// models or technologies apart).
     pub fn attach_cache(&mut self, store: Arc<CacheStore>) {
-        self.evaluator.attach_store(Arc::clone(&store));
-        self.arena.attach_cache(store);
+        self.evaluator.attach_store(store);
     }
 
-    /// Detaches the persistent store from evaluator and arena.
+    /// Detaches the persistent store from the evaluator.
     pub fn detach_cache(&mut self) {
         self.evaluator.detach_store();
-        self.arena.detach_cache();
     }
 
     /// The attached persistent store, if any.
@@ -133,23 +131,20 @@ impl EngineSession {
         self.evaluator.store()
     }
 
-    /// Starts a deterministic per-job cache profile across evaluator and
-    /// arena (see [`IncrementalEvaluator::begin_job_profile`]). With a store
-    /// attached, the evaluator drops its cached stages and solves, so the
-    /// job starts on empty evaluator caches and the store serves what
-    /// earlier jobs computed; the construction arena's scratch memory stays
-    /// warm. A no-op without an attached store.
+    /// Starts a deterministic per-job cache profile (see
+    /// [`IncrementalEvaluator::begin_job_profile`]). With a store attached,
+    /// the evaluator drops its cached stages and solves, so the job starts
+    /// on empty evaluator caches and the store serves the solves earlier
+    /// jobs computed; the construction arena's scratch memory stays warm. A
+    /// no-op without an attached store.
     pub fn begin_job_profile(&mut self) {
         self.evaluator.begin_job_profile();
-        self.arena.begin_job_profile();
     }
 
-    /// Finishes the job profile and returns the aggregated counters
-    /// (evaluator plus construction; zeros when no profile was running).
+    /// Finishes the job profile and returns its counters of solve lookups
+    /// (zeros when no profile was running).
     pub fn take_job_profile(&mut self) -> CacheCounters {
-        let mut counters = self.evaluator.take_job_profile();
-        counters.absorb(self.arena.take_job_profile());
-        counters
+        self.evaluator.take_job_profile()
     }
 
     /// Points the session at a (possibly) different technology or delay

@@ -190,30 +190,6 @@ impl ClockTree {
         id
     }
 
-    /// Raw arena views for the persistent construct-cache codec.
-    pub(crate) fn raw_parts(&self) -> (&[Node], NodeId, &[NodeId], &[f64]) {
-        (&self.nodes, self.root, &self.sink_nodes, &self.sink_caps)
-    }
-
-    /// Rebuilds a tree from raw arena parts, preserving node and child order
-    /// exactly (the public `add_*` API would re-derive child order, which
-    /// must not change for bit-identity with the run that wrote the cache).
-    ///
-    /// Callers must [`ClockTree::validate`] the result before trusting it.
-    pub(crate) fn from_raw_parts(
-        nodes: Vec<Node>,
-        root: NodeId,
-        sink_nodes: Vec<NodeId>,
-        sink_caps: Vec<f64>,
-    ) -> Self {
-        Self {
-            nodes,
-            root,
-            sink_nodes,
-            sink_caps,
-        }
-    }
-
     /// Number of sinks registered in the tree.
     pub fn sink_count(&self) -> usize {
         self.sink_nodes.iter().filter(|&&n| n != usize::MAX).count()

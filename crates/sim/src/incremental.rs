@@ -27,7 +27,10 @@
 //!   unused for `KEEP_GENERATIONS` (32) evaluations is evicted. A stage's
 //!   solves are swept lazily, at its first visit once `KEEP_GENERATIONS`
 //!   evaluations have passed since its last sweep, and always before the
-//!   walk: nothing is evicted while an evaluation looks keys up.
+//!   walk: nothing is evicted while an evaluation looks keys up;
+//! * with a persistent [`CacheStore`] attached, transition solves — the
+//!   one costly result — are also read from and written to the store, so
+//!   they outlive the process. Stages are lowered again by every process.
 //!
 //! With evaluation incremental, tree *construction* dominates what is left
 //! of flow runtime; the complementary construction engine lives in
@@ -52,7 +55,7 @@ use crate::evaluator::{
 use crate::netlist::StageDriver;
 use crate::report::{CornerReport, EvalReport};
 use crate::store::{ByteReader, ByteWriter, CacheCounters, CacheStore, HitTier, StoreKey};
-use crate::{DelayModel, DriverSpec, RcTree, SourceSpec};
+use crate::{DelayModel, RcTree};
 use contango_tech::Technology;
 use std::cell::{Cell, RefCell};
 use std::collections::hash_map::Entry;
@@ -334,9 +337,6 @@ pub struct CacheStats {
     pub stage_hits: u64,
     /// Stage lookups that required a fresh lowering.
     pub stage_misses: u64,
-    /// Stage lowerings loaded from an attached persistent store; each load
-    /// turns what would have been a re-lowering into a memory hit.
-    pub stage_disk_hits: u64,
     /// Transition solves answered from the cache.
     pub solve_hits: u64,
     /// Transition solves that ran the stage solver.
@@ -344,9 +344,9 @@ pub struct CacheStats {
     /// Of the `solve_hits`, those answered from an attached persistent
     /// store rather than the in-memory solve maps.
     pub solve_disk_hits: u64,
-    /// Of the `stage_disk_hits` and `solve_disk_hits`, those answered by
-    /// entries added to the store since it was opened rather than by its
-    /// open-time snapshot ([`HitTier::Added`]).
+    /// Of the `solve_disk_hits`, those answered by entries added to the
+    /// store since it was opened rather than by its open-time snapshot
+    /// ([`HitTier::Added`]).
     pub added_hits: u64,
     /// In-memory entries aged out after `KEEP_GENERATIONS` (32)
     /// evaluations unused: one per stage (its solves leave with it
@@ -356,10 +356,8 @@ pub struct CacheStats {
 }
 
 /// An attached persistent store plus the evaluation-context fingerprint
-/// mixed into its solve keys. Stage signatures cover everything that
-/// affects a stage's lowered form (including the wire codes and buffer
-/// electricals actually used), so stage payloads are keyed by signature
-/// alone; solve results additionally depend on the delay model and the
+/// mixed into its solve keys. A solve depends on its stage's content (the
+/// stage signature), the solve key, and the delay model and the
 /// technology's derating context, which the fingerprint captures.
 #[derive(Debug, Clone)]
 struct StoreBinding {
@@ -375,12 +373,12 @@ struct StoreBinding {
 /// through `contango_core::lower`, which asks [`Self::is_cached`] before
 /// lowering so unchanged stages are never re-lowered.
 ///
-/// With a [`CacheStore`] attached (see [`Self::attach_store`]), cache
+/// With a [`CacheStore`] attached (see [`Self::attach_store`]), solve
 /// misses additionally consult the store's on-disk entries, and fresh
-/// lowerings and solves are appended to it — so results survive process
-/// restarts and are shared across concurrent workers. Stored payloads are
-/// bit-exact (`f64`s round-trip by bit pattern), so a warm run's reports
-/// are byte-identical to a cold run's.
+/// solves are appended to it — so solves survive process restarts and are
+/// shared across concurrent workers. Stored payloads are bit-exact (`f64`s
+/// round-trip by bit pattern), so a warm run's reports are byte-identical
+/// to a cold run's.
 #[derive(Debug)]
 pub struct IncrementalEvaluator {
     inner: Evaluator,
@@ -420,9 +418,9 @@ impl IncrementalEvaluator {
         }
     }
 
-    /// Attaches a persistent store: from now on, stage and solve misses
-    /// consult the store and fresh results are appended to it. Replaces any
-    /// previously attached store.
+    /// Attaches a persistent store: from now on, solve misses consult the
+    /// store and fresh solves are appended to it. Replaces any previously
+    /// attached store.
     pub fn attach_store(&self, store: Arc<CacheStore>) {
         let fingerprint = context_fingerprint(&self.inner);
         *self.store.borrow_mut() = Some(StoreBinding { store, fingerprint });
@@ -453,26 +451,23 @@ impl IncrementalEvaluator {
         self.job_start.set(stored.then(|| self.stats.get()));
     }
 
-    /// Finishes the current job profile and returns the job's lookups
-    /// (zeros when no profile was running). Store answers from the
-    /// open-time snapshot count as `disk_hits`; those from entries added
-    /// since the store opened — by this job or by a concurrent one — count
-    /// as `misses`, so the counters do not depend on scheduling.
+    /// Finishes the current job profile and returns the job's solve
+    /// lookups, the ones a store can answer (zeros when no profile was
+    /// running), and its evictions. Store answers from the open-time
+    /// snapshot count as `disk_hits`; those from entries added since the
+    /// store opened — by this job or by a concurrent one — count as
+    /// `misses`, so the counters do not depend on scheduling.
     pub fn take_job_profile(&self) -> CacheCounters {
         let Some(start) = self.job_start.take() else {
             return CacheCounters::default();
         };
         let now = self.stats.get();
-        let hits = now.stage_hits + now.solve_hits - start.stage_hits - start.solve_hits;
-        let stored = now.stage_disk_hits + now.solve_disk_hits
-            - start.stage_disk_hits
-            - start.solve_disk_hits;
+        let stored = now.solve_disk_hits - start.solve_disk_hits;
         let added = now.added_hits - start.added_hits;
         CacheCounters {
-            mem_hits: hits - stored,
+            mem_hits: now.solve_hits - start.solve_hits - stored,
             disk_hits: stored - added,
-            misses: now.stage_misses + now.solve_misses - start.stage_misses - start.solve_misses
-                + added,
+            misses: now.solve_misses - start.solve_misses + added,
             evictions: now.evictions - start.evictions,
         }
     }
@@ -505,38 +500,10 @@ impl IncrementalEvaluator {
         self.inner.reset_runs();
     }
 
-    /// Returns `true` when a stage with this signature is already cached (in
-    /// which case [`StageSlot::fresh`] may be `None`).
-    ///
-    /// With a store attached, a memory miss additionally probes the store
-    /// and, on success, installs the decoded lowering in the in-memory
-    /// cache — this is how persisted stages avoid re-lowering entirely. A
-    /// payload that fails to decode behaves as a plain miss (the caller
-    /// re-lowers and the entry is rewritten).
+    /// Returns `true` when a stage with this signature is already cached in
+    /// memory (in which case [`StageSlot::fresh`] may be `None`).
     pub fn is_cached(&self, sig: StageSig) -> bool {
-        if self.cache.borrow().contains_key(&sig) {
-            return true;
-        }
-        let binding = self.store.borrow();
-        let Some(binding) = binding.as_ref() else {
-            return false;
-        };
-        let Some((payload, tier)) = binding.store.get(stage_store_key(sig)) else {
-            return false;
-        };
-        let Some(stage) = decode_stage(&payload) else {
-            return false;
-        };
-        let mut stats = self.stats.get();
-        stats.stage_disk_hits += 1;
-        stats.added_hits += u64::from(tier == HitTier::Added);
-        self.stats.set(stats);
-        // Not yet used by an evaluation; pin it to the upcoming generation
-        // so it cannot age out before the evaluation that asked for it runs.
-        self.cache
-            .borrow_mut()
-            .insert(sig, CachedStage::new(stage, self.generation.get() + 1));
-        true
+        self.cache.borrow().contains_key(&sig)
     }
 
     /// Number of distinct stages currently cached.
@@ -594,13 +561,6 @@ impl IncrementalEvaluator {
                     let stage = slot
                         .fresh
                         .expect("stages missing from the cache must be lowered by the caller");
-                    if let Some(b) = binding {
-                        // Cache write failures degrade to a smaller cache,
-                        // never to a failed evaluation.
-                        let _ = b
-                            .store
-                            .put(stage_store_key(slot.sig), &encode_stage(&stage));
-                    }
                     stats.stage_misses += 1;
                     v.insert(CachedStage::new(stage, gen))
                 }
@@ -838,14 +798,8 @@ impl IncrementalEvaluator {
 }
 
 // ---------------------------------------------------------------------------
-// Persistent-store keys and payload codecs
+// Persistent-store key and payload codec of transition solves
 // ---------------------------------------------------------------------------
-
-/// The store key of a lowered stage: its content signature, verbatim.
-fn stage_store_key(sig: StageSig) -> StoreKey {
-    let (lo, hi) = sig.parts();
-    StoreKey::new(crate::store::NS_STAGE, lo, hi)
-}
 
 /// The store key of one transition solve: stage signature, evaluation
 /// fingerprint and solve key, mixed through the signature hasher.
@@ -868,6 +822,12 @@ fn solve_store_key(sig: StageSig, fingerprint: StageSig, key: SolveKey) -> Store
 /// stage content and the solve key: the delay model and the technology's
 /// voltage-derating context. Mixed into every solve store key so stores
 /// shared across models or technologies never serve each other's solves.
+///
+/// Solve entries are keyed by their inputs, not by the solver's code. A
+/// change that moves the solver's numbers (its time step, the kernel's
+/// float operations, a delay model's formula) must therefore change this
+/// fingerprint too, for example by mixing in a new tag; otherwise a store
+/// written before the change keeps serving the old numbers.
 fn context_fingerprint(evaluator: &Evaluator) -> StageSig {
     let tech = evaluator.technology();
     let mut b = SigBuilder::new();
@@ -881,101 +841,6 @@ fn context_fingerprint(evaluator: &Evaluator) -> StageSig {
     b.write_f64(tech.nominal_corner.vdd);
     b.write_f64(tech.slew_limit);
     b.finish()
-}
-
-/// Encodes a [`LoweredStage`] for the store (little-endian, floats by bit
-/// pattern; see [`ByteWriter`]).
-fn encode_stage(stage: &LoweredStage) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    match stage.driver {
-        StageDriver::Source(s) => {
-            w.put_u8(0);
-            w.put_f64(s.output_res);
-            w.put_f64(s.slew);
-        }
-        StageDriver::Buffer(d) => {
-            w.put_u8(1);
-            w.put_f64(d.output_res);
-            w.put_f64(d.output_cap);
-            w.put_f64(d.input_cap);
-            w.put_f64(d.intrinsic_delay);
-            w.put_bool(d.inverting);
-        }
-    }
-    w.put_usize(stage.tree.len());
-    for (parent, res, cap) in stage.tree.iter() {
-        w.put_usize(parent);
-        w.put_f64(res);
-        w.put_f64(cap);
-    }
-    w.put_usize(stage.taps.len());
-    for tap in &stage.taps {
-        w.put_usize(tap.node);
-        match tap.kind {
-            LocalTapKind::Sink(id) => {
-                w.put_u8(0);
-                w.put_usize(id);
-            }
-            LocalTapKind::Child(k) => {
-                w.put_u8(1);
-                w.put_usize(k);
-            }
-        }
-    }
-    w.finish()
-}
-
-/// Decodes a stage payload; `None` (a cold miss, never a panic) on any
-/// structural inconsistency.
-fn decode_stage(payload: &[u8]) -> Option<LoweredStage> {
-    let mut r = ByteReader::new(payload);
-    let driver = match r.take_u8()? {
-        0 => StageDriver::Source(SourceSpec {
-            output_res: r.take_f64()?,
-            slew: r.take_f64()?,
-        }),
-        1 => StageDriver::Buffer(DriverSpec {
-            output_res: r.take_f64()?,
-            output_cap: r.take_f64()?,
-            input_cap: r.take_f64()?,
-            intrinsic_delay: r.take_f64()?,
-            inverting: r.take_bool()?,
-        }),
-        _ => return None,
-    };
-    let node_count = r.take_usize()?;
-    let mut tree = RcTree::new();
-    for i in 0..node_count {
-        let parent = r.take_usize()?;
-        let res = r.take_f64()?;
-        let cap = r.take_f64()?;
-        if i == 0 {
-            if parent != usize::MAX {
-                return None;
-            }
-            tree.add_root(cap);
-        } else {
-            if parent >= i {
-                return None;
-            }
-            tree.add_node(parent, res, cap);
-        }
-    }
-    let tap_count = r.take_usize()?;
-    let mut taps = Vec::new();
-    for _ in 0..tap_count {
-        let node = r.take_usize()?;
-        if node >= node_count {
-            return None;
-        }
-        let kind = match r.take_u8()? {
-            0 => LocalTapKind::Sink(r.take_usize()?),
-            1 => LocalTapKind::Child(r.take_usize()?),
-            _ => return None,
-        };
-        taps.push(LocalTap { node, kind });
-    }
-    r.is_done().then_some(LoweredStage { driver, tree, taps })
 }
 
 /// Encodes one transition solve (the per-tap relative timings).
@@ -1312,11 +1177,8 @@ mod tests {
             "{observed:?}"
         );
         assert_eq!(profile.disk_hits, 0);
-        assert_eq!(profile.mem_hits, observed.stage_hits + observed.solve_hits);
-        assert_eq!(
-            profile.misses,
-            observed.stage_misses + observed.solve_misses
-        );
+        assert_eq!(profile.mem_hits, observed.solve_hits);
+        assert_eq!(profile.misses, observed.solve_misses);
         assert_eq!(profile.evictions, observed.evictions);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1411,16 +1273,8 @@ mod tests {
         // evaluator without a store would make, and nothing as a disk hit.
         let profile = inc.take_job_profile();
         assert_eq!(profile.disk_hits, 0, "{profile:?}");
-        assert_eq!(
-            profile.misses,
-            after.stage_misses + after.solve_misses + 1,
-            "{profile:?}"
-        );
-        assert_eq!(
-            profile.mem_hits,
-            after.stage_hits + after.solve_hits - 1,
-            "{profile:?}"
-        );
+        assert_eq!(profile.misses, after.solve_misses + 1, "{profile:?}");
+        assert_eq!(profile.mem_hits, after.solve_hits - 1, "{profile:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1481,7 +1335,7 @@ mod tests {
     }
 
     #[test]
-    fn warm_store_reloads_stages_and_solves_bit_identically() {
+    fn warm_store_reloads_solves_bit_identically() {
         let dir = temp_store_dir("warm");
         let tech = Technology::ispd09();
         let (netlist, slots) = two_sink_network();
@@ -1492,32 +1346,20 @@ mod tests {
             let inc = IncrementalEvaluator::new(tech.clone());
             inc.attach_store(Arc::new(CacheStore::open(&dir).expect("open")));
             assert_eq!(inc.evaluate_slots(slots.clone()), full);
-            let stats = inc.stats();
-            assert_eq!(stats.stage_disk_hits, 0);
-            assert_eq!(stats.solve_disk_hits, 0);
+            assert_eq!(inc.stats().solve_disk_hits, 0);
         }
 
-        // Warm run in a "new process": the probe finds both stages on disk,
-        // so no slot needs a fresh lowering, every solve comes from disk,
-        // and the report is byte-identical.
+        // Warm run in a "new process": the store holds no stages, so both
+        // are lowered again, but every solve comes from disk and the
+        // report is byte-identical.
         let inc = IncrementalEvaluator::new(tech);
         inc.attach_store(Arc::new(CacheStore::open(&dir).expect("reopen")));
-        let warm_slots: Vec<StageSlot> = slots
-            .iter()
-            .map(|s| {
-                assert!(inc.is_cached(s.sig), "stage should load from the store");
-                StageSlot {
-                    sig: s.sig,
-                    children: s.children.clone(),
-                    fresh: None,
-                }
-            })
-            .collect();
-        assert_eq!(inc.evaluate_slots(warm_slots), full);
+        assert!(slots.iter().all(|s| !inc.is_cached(s.sig)));
+        assert_eq!(inc.evaluate_slots(slots), full);
         let stats = inc.stats();
-        assert_eq!(stats.stage_disk_hits, 2);
-        assert_eq!(stats.stage_misses, 0);
+        assert_eq!(stats.stage_misses, 2);
         assert_eq!(stats.solve_misses, 0);
+        assert_eq!(stats.solve_disk_hits, stats.solve_hits);
         assert!(stats.solve_disk_hits > 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1570,32 +1412,7 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_stage_payloads_degrade_to_cold_misses() {
-        let dir = temp_store_dir("corrupt");
-        let store = CacheStore::open(&dir).expect("open");
-        let (_netlist, slots) = two_sink_network();
-        // A syntactically valid record whose payload is not a stage.
-        store
-            .put(stage_store_key(slots[0].sig), b"not a stage")
-            .expect("put");
-        drop(store);
-        let inc = IncrementalEvaluator::new(Technology::ispd09());
-        inc.attach_store(Arc::new(CacheStore::open(&dir).expect("reopen")));
-        assert!(!inc.is_cached(slots[0].sig), "garbage must read as a miss");
-        assert_eq!(inc.stats().stage_disk_hits, 0);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn stage_and_solve_codecs_round_trip() {
-        let (_netlist, slots) = two_sink_network();
-        for slot in &slots {
-            let stage = slot.fresh.as_ref().expect("fresh");
-            let decoded = decode_stage(&encode_stage(stage)).expect("round trip");
-            assert_eq!(decoded.driver, stage.driver);
-            assert_eq!(decoded.tree, stage.tree);
-            assert_eq!(decoded.taps, stage.taps);
-        }
+    fn solve_codec_round_trips() {
         let rel = vec![
             RelTiming {
                 delay: 12.5,

@@ -68,10 +68,7 @@ pub use netlist::{Netlist, Stage, StageDriver, Tap, TapKind};
 pub use rctree::RcTree;
 pub use report::{CornerReport, EvalReport, SinkTiming, TransitionTiming};
 pub use spice::{parse_measurements, report_from_measurements, write_deck, DeckOptions};
-pub use store::{
-    ByteReader, ByteWriter, CacheCounters, CacheStore, HitTier, StoreError, StoreKey, NS_CONSTRUCT,
-    NS_SOLVE, NS_STAGE,
-};
+pub use store::{CacheCounters, CacheStore, HitTier, StoreError, StoreKey, NS_SOLVE};
 pub use transient::{TransientResult, TransientSolver};
 pub use variation::{
     monte_carlo, monte_carlo_samples, perturb_netlist, scaled_netlist, scaled_technology,

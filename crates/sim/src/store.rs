@@ -2,9 +2,13 @@
 //!
 //! The store maps 128-bit content signatures (see
 //! [`StageSig`](crate::StageSig)) to opaque payload bytes and persists them
-//! in *append-only segment files* under one directory, so evaluation and
-//! construction results survive process restarts and are shared across
-//! concurrent campaign workers and the serve daemon.
+//! in *append-only segment files* under one directory. The evaluator keeps
+//! its transient solves there ([`NS_SOLVE`]), the one result that is
+//! costly to recompute, so they survive process restarts and are shared
+//! across concurrent campaign workers and the serve daemon. Stage
+//! lowerings and `INITIAL` trees are not stored: they are cheap to
+//! recompute, and a key over a run's inputs would not cover the code that
+//! builds them, so a store could replay what an older build computed.
 //!
 //! # Layout and sharing model
 //!
@@ -49,13 +53,13 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Namespace for lowered-stage payloads keyed by stage signature.
-pub const NS_STAGE: u8 = 1;
 /// Namespace for transition-solve payloads keyed by a mix of the stage
 /// signature, the evaluation-context fingerprint and the solve key.
+///
+/// Namespaces 1 (lowered stages) and 3 (`INITIAL` trees) are retired and
+/// not reused: stores written when they were in use still open, and their
+/// entries there are never read.
 pub const NS_SOLVE: u8 = 2;
-/// Namespace for initial-construction payloads keyed by instance content.
-pub const NS_CONSTRUCT: u8 = 3;
 
 /// Magic bytes opening every segment file.
 const MAGIC: [u8; 8] = *b"CTGCACH1";
@@ -68,8 +72,7 @@ const MAX_PAYLOAD: usize = 64 << 20;
 /// A content address: a namespace plus a 128-bit content signature.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StoreKey {
-    /// Payload namespace (one of [`NS_STAGE`], [`NS_SOLVE`],
-    /// [`NS_CONSTRUCT`], or a user-chosen namespace ≥ 16).
+    /// Payload namespace ([`NS_SOLVE`] or a user-chosen namespace ≥ 16).
     pub ns: u8,
     /// Low 64 bits of the content signature.
     pub lo: u64,
@@ -393,54 +396,38 @@ fn record_checksum(key: StoreKey, payload: &[u8]) -> u64 {
 // Payload codecs
 // ---------------------------------------------------------------------------
 
-/// Builds a little-endian payload byte-by-byte. The workspace's vendored
-/// `serde` is a no-op stand-in, so payload encoders are hand-rolled on this
-/// (mirroring the discipline of the campaign crate's `jsonl`/`json`
-/// modules); floats are stored via [`f64::to_bits`], so decoded values are
-/// bit-exact and warm runs stay byte-identical to cold ones.
+/// Builds a little-endian payload word by word. The workspace's vendored
+/// `serde` is a no-op stand-in, so the solve codec is hand-rolled on this;
+/// floats are stored via [`f64::to_bits`], so decoded values are bit-exact
+/// and warm runs stay byte-identical to cold ones.
 #[derive(Debug, Default)]
-pub struct ByteWriter {
+pub(crate) struct ByteWriter {
     buf: Vec<u8>,
 }
 
 impl ByteWriter {
     /// Creates an empty writer.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
-    /// Appends one byte.
-    pub fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Appends a `u32`, little-endian.
-    pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Appends a `u64`, little-endian.
-    pub fn put_u64(&mut self, v: u64) {
+    pub(crate) fn put_u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a `usize` as a `u64`.
-    pub fn put_usize(&mut self, v: usize) {
+    pub(crate) fn put_usize(&mut self, v: usize) {
         self.put_u64(v as u64);
     }
 
     /// Appends an `f64` as its bit pattern.
-    pub fn put_f64(&mut self, v: f64) {
+    pub(crate) fn put_f64(&mut self, v: f64) {
         self.put_u64(v.to_bits());
     }
 
-    /// Appends a `bool` as one byte.
-    pub fn put_bool(&mut self, v: bool) {
-        self.put_u8(u8::from(v));
-    }
-
     /// The encoded bytes.
-    pub fn finish(self) -> Vec<u8> {
+    pub(crate) fn finish(self) -> Vec<u8> {
         self.buf
     }
 }
@@ -450,63 +437,38 @@ impl ByteWriter {
 /// written as `?`-chains degrade corrupt payloads to cold misses instead of
 /// panicking.
 #[derive(Debug)]
-pub struct ByteReader<'a> {
+pub(crate) struct ByteReader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> ByteReader<'a> {
     /// Starts reading `buf` from the beginning.
-    pub fn new(buf: &'a [u8]) -> Self {
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
         Self { buf, pos: 0 }
     }
 
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        let slice = self.buf.get(self.pos..end)?;
-        self.pos = end;
-        Some(slice)
-    }
-
-    /// Reads one byte.
-    pub fn take_u8(&mut self) -> Option<u8> {
-        self.take(1).map(|s| s[0])
-    }
-
-    /// Reads a little-endian `u32`.
-    pub fn take_u32(&mut self) -> Option<u32> {
-        self.take(4)
-            .map(|s| u32::from_le_bytes(s.try_into().expect("4 bytes")))
-    }
-
     /// Reads a little-endian `u64`.
-    pub fn take_u64(&mut self) -> Option<u64> {
-        self.take(8)
-            .map(|s| u64::from_le_bytes(s.try_into().expect("8 bytes")))
+    pub(crate) fn take_u64(&mut self) -> Option<u64> {
+        let end = self.pos.checked_add(8)?;
+        let bytes = self.buf.get(self.pos..end)?;
+        self.pos = end;
+        Some(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
     }
 
     /// Reads a `usize` stored as a `u64`; `None` when it does not fit.
-    pub fn take_usize(&mut self) -> Option<usize> {
+    pub(crate) fn take_usize(&mut self) -> Option<usize> {
         usize::try_from(self.take_u64()?).ok()
     }
 
     /// Reads an `f64` from its bit pattern.
-    pub fn take_f64(&mut self) -> Option<f64> {
+    pub(crate) fn take_f64(&mut self) -> Option<f64> {
         self.take_u64().map(f64::from_bits)
-    }
-
-    /// Reads a `bool`; `None` for any byte other than 0 or 1.
-    pub fn take_bool(&mut self) -> Option<bool> {
-        match self.take_u8()? {
-            0 => Some(false),
-            1 => Some(true),
-            _ => None,
-        }
     }
 
     /// Whether the whole buffer was consumed; decoders check this last so
     /// trailing garbage is rejected.
-    pub fn is_done(&self) -> bool {
+    pub(crate) fn is_done(&self) -> bool {
         self.pos == self.buf.len()
     }
 }
@@ -528,7 +490,7 @@ mod tests {
     #[test]
     fn entries_survive_a_reopen_as_snapshot() {
         let dir = temp_dir("reopen");
-        let key = StoreKey::new(NS_STAGE, 7, 9);
+        let key = StoreKey::new(NS_SOLVE, 7, 9);
         {
             let store = CacheStore::open(&dir).expect("open");
             assert_eq!(store.snapshot_len(), 0);
@@ -567,8 +529,12 @@ mod tests {
         let dir = temp_dir("trunc");
         {
             let store = CacheStore::open(&dir).expect("open");
-            store.put(StoreKey::new(1, 1, 1), b"first").expect("put");
-            store.put(StoreKey::new(1, 2, 2), b"second").expect("put");
+            store
+                .put(StoreKey::new(NS_SOLVE, 1, 1), b"first")
+                .expect("put");
+            store
+                .put(StoreKey::new(NS_SOLVE, 2, 2), b"second")
+                .expect("put");
         }
         // Chop bytes off the single segment file's tail: the first record
         // must survive, the second must vanish, and nothing may panic.
@@ -581,10 +547,10 @@ mod tests {
         fs::write(&seg, &bytes[..bytes.len() - 3]).expect("truncate");
         let store = CacheStore::open(&dir).expect("reopen");
         assert_eq!(
-            store.get(StoreKey::new(1, 1, 1)),
+            store.get(StoreKey::new(NS_SOLVE, 1, 1)),
             Some((b"first".to_vec(), HitTier::Snapshot))
         );
-        assert_eq!(store.get(StoreKey::new(1, 2, 2)), None);
+        assert_eq!(store.get(StoreKey::new(NS_SOLVE, 2, 2)), None);
         assert_eq!(store.corrupt_segments(), 1);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -594,7 +560,9 @@ mod tests {
         let dir = temp_dir("flip");
         {
             let store = CacheStore::open(&dir).expect("open");
-            store.put(StoreKey::new(2, 3, 4), b"payload!").expect("put");
+            store
+                .put(StoreKey::new(NS_SOLVE, 3, 4), b"payload!")
+                .expect("put");
         }
         let seg = fs::read_dir(&dir)
             .expect("dir")
@@ -614,24 +582,16 @@ mod tests {
     #[test]
     fn byte_writer_and_reader_round_trip() {
         let mut w = ByteWriter::new();
-        w.put_u8(7);
-        w.put_u32(0xdead_beef);
         w.put_u64(u64::MAX - 1);
         w.put_usize(42);
         w.put_f64(-0.125);
-        w.put_bool(true);
-        w.put_bool(false);
         let bytes = w.finish();
         let mut r = ByteReader::new(&bytes);
-        assert_eq!(r.take_u8(), Some(7));
-        assert_eq!(r.take_u32(), Some(0xdead_beef));
         assert_eq!(r.take_u64(), Some(u64::MAX - 1));
         assert_eq!(r.take_usize(), Some(42));
         assert_eq!(r.take_f64(), Some(-0.125));
-        assert_eq!(r.take_bool(), Some(true));
-        assert_eq!(r.take_bool(), Some(false));
         assert!(r.is_done());
-        assert_eq!(r.take_u8(), None);
+        assert_eq!(r.take_u64(), None);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Demonstrate the persistent content-addressed cache store: run a small
-//! benchmark suite cold (empty store), rerun it warm (every stage,
-//! transition-solve and construction result served from disk), and show
-//! that the aggregate report is byte-identical while the wall clock drops.
+//! benchmark suite cold (empty store), rerun it warm (every transient
+//! solve served from disk, so no job solves anything), and show that the
+//! aggregate report is byte-identical while the wall clock drops.
 //!
 //! Run with `cargo run --release --example warm_cache_demo`.
 

@@ -7,7 +7,7 @@
 
 use contango::campaign::output::suite_output;
 use contango::prelude::*;
-use contango::sim::{CacheStore, HitTier, StoreKey, NS_CONSTRUCT, NS_SOLVE, NS_STAGE};
+use contango::sim::{CacheStore, HitTier, StoreKey, NS_SOLVE};
 use proptest::prelude::*;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -34,11 +34,8 @@ fn unique_entries(raw: &[(usize, usize, usize, Vec<usize>)]) -> Vec<(StoreKey, V
     for (ns, lo, hi, payload) in raw {
         // Spread the fuzz-chosen seeds over the whole 64-bit key space.
         let mix = |seed: usize| (seed as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        let key = StoreKey::new(
-            [NS_STAGE, NS_SOLVE, NS_CONSTRUCT][ns % 3],
-            mix(*lo),
-            mix(*hi),
-        );
+        // The store's own namespace and two user namespaces (16 and up).
+        let key = StoreKey::new([NS_SOLVE, 16, 17][ns % 3], mix(*lo), mix(*hi));
         if entries.iter().all(|(k, _)| *k != key) {
             let payload: Vec<u8> = payload.iter().map(|&b| b as u8).collect();
             entries.push((key, payload));
@@ -178,7 +175,7 @@ fn concurrent_writers_share_a_directory_without_corruption() {
                         1000 * (worker + 1) + i
                     };
                     store
-                        .put(StoreKey::new(NS_STAGE, key, !key), &payload_for(key))
+                        .put(StoreKey::new(NS_SOLVE, key, !key), &payload_for(key))
                         .expect("concurrent put");
                 }
             })
@@ -199,7 +196,7 @@ fn concurrent_writers_share_a_directory_without_corruption() {
                 1000 * (worker + 1) + i
             };
             let (got, _) = store
-                .get(StoreKey::new(NS_STAGE, key, !key))
+                .get(StoreKey::new(NS_SOLVE, key, !key))
                 .expect("entry present after join");
             assert_eq!(got, payload_for(key));
         }
@@ -326,7 +323,7 @@ fn cache_profiles_are_deterministic_across_worker_counts() {
     fs::remove_dir_all(&dir).ok();
 }
 
-/// The per-job profile counts the job's own lookups on an evaluator
+/// The per-job profile counts the job's own solve lookups on an evaluator
 /// whose caches were emptied for it, with store answers added since the
 /// store opened counted as misses. Against an empty store, its counters on
 /// ispd09f11 (default profile, Elmore model) equal what a cold session
@@ -363,13 +360,11 @@ fn job_profile_mirrors_a_cold_evaluator_exactly() {
 
     assert_eq!(profile.disk_hits, 0, "{profile:?}");
     assert_eq!(
-        profile.mem_hits,
-        observed.stage_hits + observed.solve_hits,
+        profile.mem_hits, observed.solve_hits,
         "{profile:?} against {observed:?}"
     );
     assert_eq!(
-        profile.misses,
-        observed.stage_misses + observed.solve_misses,
+        profile.misses, observed.solve_misses,
         "{profile:?} against {observed:?}"
     );
     assert_eq!(

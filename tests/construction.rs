@@ -268,67 +268,6 @@ fn full_flow_is_bit_identical_across_thread_counts() {
     }
 }
 
-/// A construction configuration with an explicit partition fan-out,
-/// independent of the worker count.
-fn config_partitioned(threads: usize, partitions: usize) -> ConstructConfig {
-    ConstructConfig {
-        parallel: ParallelConfig::with_partitions(threads, partitions),
-        ..config(threads)
-    }
-}
-
-/// The SoA refactor and the partitioned builder must not move the
-/// construct-cache key: a store written by a cold serial run serves disk
-/// hits to a warm run under any thread count and partition fan-out, and
-/// the served tree is the serial tree bit for bit.
-#[test]
-fn warm_construct_cache_is_partition_invariant() {
-    use contango::sim::CacheStore;
-    use std::sync::Arc;
-    let dir = std::env::temp_dir().join(format!(
-        "contango-test-construct-cache-{}",
-        std::process::id()
-    ));
-    std::fs::remove_dir_all(&dir).ok();
-    let tech = Technology::ispd09();
-    let instance = ti_style(400, 21);
-
-    // Cold write under the strictly serial flat engine.
-    let mut cold_arena = ConstructArena::new();
-    cold_arena.attach_cache(Arc::new(CacheStore::open(&dir).expect("open store")));
-    cold_arena.begin_job_profile();
-    let (reference, _) =
-        construct_initial(&instance, &tech, &config(1), &mut cold_arena).expect("constructs");
-    let cold = cold_arena.take_job_profile();
-    assert_eq!(cold.disk_hits, 0, "an empty store cannot hit");
-    assert!(cold.misses > 0, "the cold run must record its miss");
-
-    // Warm reads through a reopened store, fanned out both ways.
-    for (threads, partitions) in [(4usize, 0usize), (4, 16), (1, 8), (2, 5)] {
-        let mut warm_arena = ConstructArena::new();
-        warm_arena.attach_cache(Arc::new(CacheStore::open(&dir).expect("reopen store")));
-        warm_arena.begin_job_profile();
-        let (warm, _) = construct_initial(
-            &instance,
-            &tech,
-            &config_partitioned(threads, partitions),
-            &mut warm_arena,
-        )
-        .expect("constructs");
-        let profile = warm_arena.take_job_profile();
-        assert!(
-            profile.disk_hits > 0,
-            "threads {threads} / partitions {partitions} missed the warm store: \
-             the construct key must not depend on the parallel fan-out"
-        );
-        assert_eq!(
-            warm, reference,
-            "cache-served tree diverged (threads {threads}, partitions {partitions})"
-        );
-    }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -369,16 +308,15 @@ proptest! {
         }
     }
 
-    /// The hierarchical partitioned builder reproduces the flat serial
-    /// engine bit for bit on randomized instances, for every combination
-    /// of worker count and partition fan-out — including fan-outs that
-    /// are not powers of two and fan-outs exceeding the worker count.
+    /// The hierarchical partitioned builder, which carves one region per
+    /// worker, reproduces the flat serial engine bit for bit on randomized
+    /// instances for every worker count — including counts that are not
+    /// powers of two and counts exceeding the regions an instance holds.
     #[test]
     fn construction_is_partition_invariant(
         sinks in prop::collection::vec(
             (100.0..7800.0_f64, 100.0..5800.0_f64, 3.0..40.0_f64), 2..220),
-        threads in 1..9usize,
-        partitions in 0..17usize,
+        threads in 1..17usize,
     ) {
         let tech = Technology::ispd09();
         let mut b = ClockNetInstance::builder("prop-partition")
@@ -392,13 +330,8 @@ proptest! {
         let mut arena = ConstructArena::new();
         let (serial, _) = construct_initial(&instance, &tech, &config(1), &mut arena)
             .expect("serial constructs");
-        let (partitioned, _) = construct_initial(
-            &instance,
-            &tech,
-            &config_partitioned(threads, partitions),
-            &mut arena,
-        )
-        .expect("partitioned constructs");
+        let (partitioned, _) = construct_initial(&instance, &tech, &config(threads), &mut arena)
+            .expect("partitioned constructs");
         prop_assert_eq!(&serial, &partitioned);
     }
 }

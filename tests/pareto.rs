@@ -99,7 +99,7 @@ fn frontier_is_byte_identical_across_thread_counts() {
     }
 }
 
-/// Warm-vs-cold cache: serving every stage from the persistent store must
+/// Warm-vs-cold cache: serving every solve from the persistent store must
 /// not move a single frontier byte.
 #[test]
 fn frontier_is_byte_identical_between_cold_and_warm_cache() {
