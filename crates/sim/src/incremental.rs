@@ -48,6 +48,7 @@
 //! evaluate_slots`] call increments the shared run counter by one, cache
 //! hits notwithstanding, so Table-V-style reporting is unchanged.
 
+use crate::driver::DriverSpec;
 use crate::evaluator::{
     record_tap, stage_requests, tap_states, EdgeState, EvalOptions, Evaluator, NodeState,
     RelTiming, SolveKey,
@@ -819,16 +820,25 @@ fn solve_store_key(sig: StageSig, fingerprint: StageSig, key: SolveKey) -> Store
 }
 
 /// Fingerprint of everything a transition solve depends on *besides* the
-/// stage content and the solve key: the delay model and the technology's
-/// voltage-derating context. Mixed into every solve store key so stores
-/// shared across models or technologies never serve each other's solves.
+/// stage content and the solve key: the delay model, the technology's
+/// voltage-derating context and the solver's own numbers. Mixed into every
+/// solve store key so stores shared across models, technologies or builds
+/// never serve each other's solves.
 ///
-/// Solve entries are keyed by their inputs, not by the solver's code. A
-/// change that moves the solver's numbers (its time step, the kernel's
-/// float operations, a delay model's formula) must therefore change this
-/// fingerprint too, for example by mixing in a new tag; otherwise a store
-/// written before the change keeps serving the old numbers.
+/// Solve entries are keyed by their inputs, so the solver's code enters
+/// the key through the bits of one fixed [`canary_solve`]. A change that
+/// moves the solver's numbers (its time step, the kernel's float
+/// operations, a delay model's formula) moves the canary's bits, and a
+/// store written before the change serves nothing after it. A change that
+/// moves only solves the canary does not reach (a clamp on extreme values,
+/// say) must still mix something new in here. Computed once per
+/// [`IncrementalEvaluator::attach_store`].
 fn context_fingerprint(evaluator: &Evaluator) -> StageSig {
+    fingerprint_with_canary(evaluator, &canary_solve(evaluator))
+}
+
+/// [`context_fingerprint`] over the given canary tap timings.
+fn fingerprint_with_canary(evaluator: &Evaluator, canary: &[Vec<RelTiming>]) -> StageSig {
     let tech = evaluator.technology();
     let mut b = SigBuilder::new();
     b.write_tag(match evaluator.model() {
@@ -840,7 +850,36 @@ fn context_fingerprint(evaluator: &Evaluator) -> StageSig {
     b.write_f64(tech.alpha);
     b.write_f64(tech.nominal_corner.vdd);
     b.write_f64(tech.slew_limit);
+    for timing in canary.iter().flatten() {
+        b.write_f64(timing.delay);
+        b.write_f64(timing.slew);
+    }
     b.finish()
+}
+
+/// One fixed stage solved as a flow's stage visit is: a trunk that
+/// branches into two taps, driven by eight of the technology's smallest
+/// inverters in parallel, for the four transitions (rise and fall at the
+/// nominal and the low supply) of a 30 ps input edge.
+fn canary_solve(evaluator: &Evaluator) -> Vec<Vec<RelTiming>> {
+    let tech = evaluator.technology();
+    let mut tree = RcTree::new();
+    let root = tree.add_root(6.0);
+    let trunk = tree.add_node(root, 30.0, 14.0);
+    let near = tree.add_node(trunk, 18.0, 9.0);
+    let far = tree.add_node(trunk, 45.0, 21.0);
+    let driver = DriverSpec::from_composite(&tech.composite(tech.small_inverter(), 8));
+    let edge = EdgeState {
+        arrival: 0.0,
+        slew: 30.0,
+    };
+    let input = NodeState {
+        rise: edge,
+        fall: edge,
+    };
+    let vdds = [tech.nominal_corner.vdd, tech.low_corner.vdd];
+    let keys = stage_requests(vdds, &[input; 2], driver.inverting).map(|(_, key)| key);
+    evaluator.stage_rel_outputs(&tree, &[near, far], &driver, false, &keys)
 }
 
 /// Encodes one transition solve (the per-tap relative timings).
@@ -1409,6 +1448,40 @@ mod tests {
         let inc = IncrementalEvaluator::new(tech.clone());
         assert_eq!(inc.take_job_profile(), CacheCounters::default());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn fingerprint_follows_every_bit_of_the_canary_solve() {
+        let evaluator = Evaluator::new(Technology::ispd09());
+        let canary = canary_solve(&evaluator);
+        assert_eq!(canary.len(), 4, "four transitions");
+        assert!(canary.iter().all(|taps| taps.len() == 2), "two taps each");
+        let base = fingerprint_with_canary(&evaluator, &canary);
+        assert_eq!(base, context_fingerprint(&evaluator));
+        for k in 0..canary.len() {
+            for tap in 0..2 {
+                for field in ["delay", "slew"] {
+                    for bit in 0..64 {
+                        let mut flipped = canary.clone();
+                        let t = &mut flipped[k][tap];
+                        let x = if field == "delay" {
+                            &mut t.delay
+                        } else {
+                            &mut t.slew
+                        };
+                        *x = f64::from_bits(x.to_bits() ^ (1 << bit));
+                        assert_ne!(
+                            fingerprint_with_canary(&evaluator, &flipped),
+                            base,
+                            "transition {k}, tap {tap}: {field} bit {bit}"
+                        );
+                    }
+                }
+            }
+        }
+        // Each model solves the canary its own way.
+        let elmore = Evaluator::with_model(Technology::ispd09(), DelayModel::Elmore);
+        assert_ne!(canary_solve(&elmore), canary);
     }
 
     #[test]

@@ -57,9 +57,14 @@ use std::sync::Mutex;
 /// signature, the evaluation-context fingerprint and the solve key.
 ///
 /// Namespaces 1 (lowered stages) and 3 (`INITIAL` trees) are retired and
-/// not reused: stores written when they were in use still open, and their
-/// entries there are never read.
+/// not reused: stores written when they were in use still open, and
+/// [`CacheStore::open`] leaves their entries out of the snapshot.
 pub const NS_SOLVE: u8 = 2;
+
+/// Namespaces no build reads any more. [`CacheStore::open`] checks their
+/// records like any other, so the scan still walks past them, and then
+/// leaves them out of the snapshot.
+const RETIRED_NAMESPACES: [u8; 2] = [1, 3];
 
 /// Magic bytes opening every segment file.
 const MAGIC: [u8; 8] = *b"CTGCACH1";
@@ -343,8 +348,9 @@ impl CacheStore {
     }
 }
 
-/// Scans one segment file's bytes into `snapshot`. Returns `false` when
-/// the scan stopped early at a corrupt or partial record.
+/// Scans one segment file's bytes into `snapshot`, leaving out the records
+/// of [`RETIRED_NAMESPACES`]. Returns `false` when the scan stopped early
+/// at a corrupt or partial record.
 fn scan_segment(bytes: &[u8], snapshot: &mut HashMap<StoreKey, Vec<u8>>) -> bool {
     if bytes.len() < MAGIC.len() || bytes[..MAGIC.len()] != MAGIC {
         return false;
@@ -369,7 +375,9 @@ fn scan_segment(bytes: &[u8], snapshot: &mut HashMap<StoreKey, Vec<u8>>) -> bool
         if record_checksum(key, payload) != checksum {
             return false;
         }
-        snapshot.entry(key).or_insert_with(|| payload.to_vec());
+        if !RETIRED_NAMESPACES.contains(&ns) {
+            snapshot.entry(key).or_insert_with(|| payload.to_vec());
+        }
         pos += len;
     }
     true
@@ -504,6 +512,27 @@ mod tests {
             store.get(key),
             Some((b"payload".to_vec(), HitTier::Snapshot))
         );
+        assert_eq!(store.corrupt_segments(), 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn retired_namespaces_stay_out_of_the_snapshot() {
+        let dir = temp_dir("retired");
+        let solve = StoreKey::new(NS_SOLVE, 5, 6);
+        {
+            let store = CacheStore::open(&dir).expect("open");
+            store.put(StoreKey::new(1, 5, 6), b"stage").expect("put");
+            store.put(solve, b"solve").expect("put");
+            store.put(StoreKey::new(3, 5, 6), b"tree").expect("put");
+        }
+        let store = CacheStore::open(&dir).expect("reopen");
+        assert_eq!(store.snapshot_len(), 1);
+        assert_eq!(
+            store.get(solve),
+            Some((b"solve".to_vec(), HitTier::Snapshot))
+        );
+        assert_eq!(store.get(StoreKey::new(1, 5, 6)), None);
         assert_eq!(store.corrupt_segments(), 0);
         let _ = fs::remove_dir_all(&dir);
     }
