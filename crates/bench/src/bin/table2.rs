@@ -3,15 +3,18 @@
 
 use contango_bench::{instance_for, sink_cap};
 use contango_benchmarks::ispd09_suite;
-use contango_core::buffering::{choose_and_insert_buffers, default_candidates, split_long_edges};
-use contango_core::dme::{build_zero_skew_tree, DmeOptions};
-use contango_core::obstacles::repair_obstacle_violations;
-use contango_core::polarity::{correct_polarity, count_inverted_sinks};
+use contango_core::construct::{construct_initial, ConstructArena};
+use contango_core::flow::FlowConfig;
+use contango_core::pipeline::InitialConstruction;
+use contango_core::polarity::count_inverted_sinks;
 use contango_tech::Technology;
 
 fn main() {
     let tech = Technology::ispd09();
     let cap = sink_cap();
+    // The flow's own INITIAL construction, polarity correction included.
+    let config = InitialConstruction::from_config(&FlowConfig::default()).config;
+    let mut arena = ConstructArena::new();
     println!("Table II — inverted sinks vs. polarity-correcting inverters");
     println!(
         "{:<14} {:>8} {:>16} {:>16}",
@@ -20,22 +23,10 @@ fn main() {
     contango_bench::rule(58);
     for spec in ispd09_suite() {
         let instance = instance_for(&spec, cap);
-        let mut tree = build_zero_skew_tree(&instance, &tech, DmeOptions::default());
-        repair_obstacle_violations(&mut tree, &instance, &tech, 55.0);
-        split_long_edges(&mut tree, 250.0);
-        let buffering = choose_and_insert_buffers(
-            &mut tree,
-            &tech,
-            &default_candidates(&tech, false),
-            instance.cap_limit,
-            0.1,
-            &instance.obstacles,
-        )
-        .expect("buffering fits");
-        let inverted_before = count_inverted_sinks(&tree);
-        let report = correct_polarity(&mut tree, buffering.composite);
-        assert_eq!(report.inverted_sinks, inverted_before);
+        let (tree, reports) =
+            construct_initial(&instance, &tech, &config, &mut arena).expect("buffering fits");
         assert_eq!(count_inverted_sinks(&tree), 0);
+        let report = reports.polarity;
         println!(
             "{:<14} {:>8} {:>16} {:>16}",
             spec.name,

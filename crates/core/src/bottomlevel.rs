@@ -9,22 +9,8 @@
 
 use crate::opt::{OptContext, PassOutcome, Scope, IMPROVEMENT_MARGIN};
 use crate::tree::ClockTree;
-use crate::wiresizing::{iterative_wiresizing, WireSizingConfig};
-use crate::wiresnaking::{iterative_wiresnaking, snake, SnakeStep, WireSnakingConfig};
-use serde::Serialize;
-
-/// Configuration of the bottom-level fine-tuning pass.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub struct BottomLevelConfig {
-    /// Maximum number of sizing+snaking sweeps.
-    pub max_rounds: usize,
-}
-
-impl Default for BottomLevelConfig {
-    fn default() -> Self {
-        Self { max_rounds: 4 }
-    }
-}
+use crate::wiresizing::iterative_wiresizing;
+use crate::wiresnaking::{iterative_wiresnaking, snake, SnakeStep};
 
 /// The final per-sink micro-snake: bottom-level units, at most 8 per sink,
 /// spending 80% of each sink's own slack.
@@ -34,28 +20,21 @@ const MICRO_SNAKE: SnakeStep = SnakeStep {
     ..Scope::BottomLevel.snake_step()
 };
 
-/// Runs bottom-level wiresizing and wiresnaking until the skew stops
-/// improving, then one micro-snaking round.
+/// Runs up to `max_rounds` sweeps of bottom-level wiresizing and
+/// wiresnaking until the skew stops improving, then one micro-snaking
+/// round.
 pub fn bottom_level_tuning(
     tree: &mut ClockTree,
     ctx: &OptContext<'_>,
-    config: BottomLevelConfig,
+    max_rounds: usize,
 ) -> PassOutcome {
     let initial = ctx.evaluate(tree);
     let mut best_skew = initial.skew();
     let mut rounds = 0;
 
-    for _ in 0..config.max_rounds {
-        let sizing_cfg = WireSizingConfig {
-            max_rounds: 2,
-            scope: Scope::BottomLevel,
-        };
-        let snaking_cfg = WireSnakingConfig {
-            max_rounds: 2,
-            scope: Scope::BottomLevel,
-        };
-        let a = iterative_wiresizing(tree, ctx, sizing_cfg);
-        let b = iterative_wiresnaking(tree, ctx, snaking_cfg);
+    for _ in 0..max_rounds {
+        let a = iterative_wiresizing(tree, ctx, 2, Scope::BottomLevel);
+        let b = iterative_wiresnaking(tree, ctx, 2, Scope::BottomLevel);
         let new_skew = b.skew_after.min(a.skew_after);
         if new_skew + IMPROVEMENT_MARGIN >= best_skew {
             break;
@@ -66,11 +45,7 @@ pub fn bottom_level_tuning(
 
     // Slow down each fast sink individually by the amount its own slack
     // allows, in one careful round.
-    let micro_cfg = WireSnakingConfig {
-        max_rounds: 1,
-        scope: Scope::BottomLevel,
-    };
-    let micro = snake(tree, ctx, micro_cfg, MICRO_SNAKE);
+    let micro = snake(tree, ctx, 1, Scope::BottomLevel, MICRO_SNAKE);
     PassOutcome {
         rounds: rounds + micro.rounds,
         skew_before: initial.skew(),
@@ -83,8 +58,9 @@ pub fn bottom_level_tuning(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::buffering::{choose_and_insert_buffers, default_candidates, split_long_edges};
-    use crate::dme::{build_zero_skew_tree, DmeOptions};
+    use crate::buffering::{default_candidates, split_long_edges};
+    use crate::construct::{choose_buffers_with, ConstructArena, ParallelConfig};
+    use crate::dme::build_zero_skew_tree;
     use crate::instance::ClockNetInstance;
     use crate::polarity::correct_polarity;
     use contango_geom::Point;
@@ -108,15 +84,17 @@ mod tests {
             b = b.sink(Point::new(x, y), c);
         }
         let inst = b.build().expect("valid");
-        let mut tree = build_zero_skew_tree(&inst, &tech, DmeOptions::default());
+        let mut tree = build_zero_skew_tree(&inst, &tech);
         split_long_edges(&mut tree, 250.0);
-        choose_and_insert_buffers(
+        choose_buffers_with(
             &mut tree,
             &tech,
             &default_candidates(&tech, false),
             inst.cap_limit,
             0.1,
             &inst.obstacles,
+            ParallelConfig::serial(),
+            &mut ConstructArena::new(),
         )
         .expect("buffers fit");
         correct_polarity(&mut tree, tech.composite(tech.small_inverter(), 32));
@@ -129,7 +107,7 @@ mod tests {
             segment_um: 100.0,
             cap_limit: inst.cap_limit,
         };
-        let outcome = bottom_level_tuning(&mut tree, &ctx, BottomLevelConfig::default());
+        let outcome = bottom_level_tuning(&mut tree, &ctx, 4);
         assert!(outcome.skew_after <= outcome.skew_before + 1e-9);
         let report = ctx.evaluate(&tree);
         assert!(!report.has_slew_violation());

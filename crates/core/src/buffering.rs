@@ -8,23 +8,20 @@
 //! 1. splits long edges so buffers can be spaced closely enough to satisfy
 //!    the slew limit ([`split_long_edges`]);
 //! 2. inserts composite inverters bottom-up whenever the accumulated
-//!    downstream capacitance approaches the driver's slew-free capacitance
-//!    ([`insert_buffers_by_cap`]), never placing a buffer strictly inside an
-//!    obstacle;
-//! 3. sweeps composite-buffer configurations from strongest to weakest and
-//!    keeps the strongest one that fits within 90% of the capacitance
-//!    budget, reserving γ = 10% for downstream optimizations
-//!    ([`choose_and_insert_buffers`]).
+//!    downstream capacitance approaches the driver's slew-free capacitance,
+//!    never placing a buffer strictly inside an obstacle;
+//! 3. sweeps composite-buffer configurations ([`default_candidates`]) from
+//!    strongest to weakest and keeps the strongest one that fits within 90%
+//!    of the capacitance budget, reserving γ = 10% for downstream
+//!    optimizations.
 //!
-//! These functions are the *pinned reference* formulation: the `INITIAL`
-//! pipeline pass runs the allocation-lean engine equivalent
-//! ([`crate::construct::choose_buffers_with`]), which plans the same
-//! decisions on an overlay instead of cloning the tree per candidate and
-//! is tested bit-for-bit against this module.
+//! Steps 2 and 3 are the buffer planner of the construction engine,
+//! [`crate::construct::choose_buffers_with`]; this module holds edge
+//! splitting, the candidate set and the [`BufferingReport`] the planner
+//! returns.
 
-use crate::error::CoreError;
-use crate::tree::{ClockTree, NodeId, NodeKind};
-use contango_geom::{LShape, ObstacleSet, Point};
+use crate::tree::{ClockTree, NodeId};
+use contango_geom::{LShape, Point};
 use contango_tech::{CompositeBuffer, Technology};
 use serde::Serialize;
 
@@ -144,171 +141,6 @@ fn point_along_lshape(from: Point, to: Point, dist: f64) -> Point {
     }
 }
 
-/// Inserts `composite` inverters bottom-up wherever the accumulated
-/// downstream capacitance would otherwise exceed `max_cap` femtofarads.
-/// Buffers are never placed strictly inside an obstacle. Returns the number
-/// of buffers inserted.
-///
-/// A buffer is also always placed at the top of the tree (the first node
-/// below the root) so that the clock source never drives the tree directly.
-pub fn insert_buffers_by_cap(
-    tree: &mut ClockTree,
-    tech: &Technology,
-    composite: CompositeBuffer,
-    max_cap: f64,
-    obstacles: &ObstacleSet,
-) -> usize {
-    let mut inserted = 0;
-    let mut load = vec![0.0_f64; tree.len()];
-    // Longest unbuffered wire path below each node, used to bound the
-    // wire-resistance contribution to the stage's output slew (resistive
-    // shielding makes far-away taps slower than a lumped estimate).
-    let mut unbuffered_len = vec![0.0_f64; tree.len()];
-    // The 1.4 factor covers rise/fall asymmetry and the slew degradation a
-    // finite input ramp adds on top of the single-pole estimate.
-    let worst_res = composite.output_res() * tech.derate(tech.low_corner.vdd) * 1.4;
-    let slew_target = 0.6 * tech.slew_limit;
-    // Single-pole slew estimate of a stage with `cap` fF of load and a
-    // `longest` µm unbuffered wire path, driven by the chosen composite.
-    let est_slew = |cap: f64, longest: f64, wire_res_per_um: f64| -> f64 {
-        contango_tech::units::SLEW_LN9
-            * contango_tech::units::rc_ps(
-                worst_res + wire_res_per_um * longest,
-                cap + composite.output_cap(),
-            )
-    };
-
-    for id in tree.postorder() {
-        let kind = tree.node(id).kind;
-        let children: Vec<NodeId> = tree.node(id).children.clone();
-        let own = match kind {
-            NodeKind::Sink(sid) => tree.sink_cap(sid),
-            NodeKind::Internal => 0.0,
-        };
-        // Gather the children's contributions, largest first, buffering
-        // children *before* the accumulated stage would violate the slew
-        // estimate (a buffer placed higher would be too late: its own stage
-        // would already carry the excessive load).
-        let mut contributions: Vec<(NodeId, f64, f64, f64)> = children
-            .into_iter()
-            .map(|c| {
-                let code = tech.wire(tree.node(c).wire.width);
-                let len = tree.edge_length(c);
-                (
-                    c,
-                    code.capacitance(len) + load[c],
-                    len + unbuffered_len[c],
-                    len,
-                )
-            })
-            .collect();
-        contributions.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite caps"));
-
-        let wire_res_per_um = tech.wire(tree.node(id).wire.width).unit_res;
-        let mut acc = own;
-        let mut longest = 0.0_f64;
-        for (c, contrib, path, edge_len) in contributions {
-            let cand_acc = acc + contrib;
-            let cand_longest = longest.max(path);
-            let child_legal = !obstacles.contains_point_strict(tree.node(c).location);
-            let child_buffered = tree.node(c).buffer.is_some();
-            let too_slow = est_slew(cand_acc, cand_longest, wire_res_per_um) > slew_target
-                || cand_acc > max_cap;
-            if too_slow && child_legal && !child_buffered {
-                tree.node_mut(c).buffer = Some(composite);
-                inserted += 1;
-                let code = tech.wire(tree.node(c).wire.width);
-                acc += code.capacitance(edge_len) + composite.input_cap();
-                longest = longest.max(edge_len);
-            } else {
-                acc = cand_acc;
-                longest = cand_longest;
-            }
-        }
-
-        let is_root = tree.node(id).parent.is_none();
-        let legal_site = !obstacles.contains_point_strict(tree.node(id).location);
-        let top_of_tree = tree
-            .node(id)
-            .parent
-            .map(|p| p == tree.root())
-            .unwrap_or(false);
-        if !is_root && legal_site && tree.node(id).buffer.is_none() && top_of_tree {
-            tree.node_mut(id).buffer = Some(composite);
-            inserted += 1;
-        }
-        if tree.node(id).buffer.is_some() {
-            load[id] = composite.input_cap();
-            unbuffered_len[id] = 0.0;
-        } else {
-            load[id] = acc;
-            unbuffered_len[id] = longest;
-        }
-    }
-    inserted
-}
-
-/// Removes every buffer from the tree (used when re-running the buffering
-/// sweep with a different composite).
-pub fn strip_buffers(tree: &mut ClockTree) {
-    for id in 0..tree.len() {
-        tree.node_mut(id).buffer = None;
-    }
-}
-
-/// Sweeps composite-buffer configurations from strongest to weakest and
-/// inserts the strongest one whose resulting network capacitance stays
-/// within `(1 − power_reserve) × cap_limit`, as in Section IV-C of the paper
-/// (γ = `power_reserve` of the budget is kept for later optimizations).
-///
-/// `candidates` must be ordered from weakest to strongest or in any order;
-/// the function sorts them by drive strength internally.
-///
-/// # Errors
-///
-/// Returns an error if even the weakest candidate exceeds the budget.
-pub fn choose_and_insert_buffers(
-    tree: &mut ClockTree,
-    tech: &Technology,
-    candidates: &[CompositeBuffer],
-    cap_limit: f64,
-    power_reserve: f64,
-    obstacles: &ObstacleSet,
-) -> Result<BufferingReport, CoreError> {
-    assert!(
-        !candidates.is_empty(),
-        "need at least one composite candidate"
-    );
-    let budget = cap_limit * (1.0 - power_reserve.clamp(0.0, 0.9));
-    let mut sorted: Vec<CompositeBuffer> = candidates.to_vec();
-    // Strongest (lowest output resistance) first.
-    sorted.sort_by(|a, b| {
-        a.output_res()
-            .partial_cmp(&b.output_res())
-            .expect("finite resistances")
-    });
-
-    for composite in sorted {
-        let mut attempt = tree.clone();
-        strip_buffers(&mut attempt);
-        let max_cap = tech.slew_free_cap(composite.output_res());
-        let buffers = insert_buffers_by_cap(&mut attempt, tech, composite, max_cap, obstacles);
-        let total_cap = attempt.total_cap(tech);
-        if total_cap <= budget {
-            *tree = attempt;
-            return Ok(BufferingReport {
-                composite,
-                buffers,
-                total_cap,
-            });
-        }
-    }
-    Err(CoreError::BufferBudget {
-        budget_ff: budget,
-        budget_pct: 100.0 * (1.0 - power_reserve),
-    })
-}
-
 /// Default composite-buffer candidates for a technology: groups of parallel
 /// small inverters in powers of two (8×, 16×, 24×, 32×) as used by Contango
 /// on the ISPD'09 benchmarks, plus the single large inverter and groups of
@@ -338,9 +170,11 @@ pub fn buffered_nodes(tree: &ClockTree) -> Vec<NodeId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dme::{build_zero_skew_tree, DmeOptions};
+    use crate::construct::{choose_buffers_with, ConstructArena, ParallelConfig};
+    use crate::dme::build_zero_skew_tree;
+    use crate::error::CoreError;
     use crate::instance::ClockNetInstance;
-    use contango_geom::Rect;
+    use contango_geom::{ObstacleSet, Rect};
 
     fn instance() -> ClockNetInstance {
         let mut b = ClockNetInstance::builder("buf")
@@ -360,8 +194,29 @@ mod tests {
 
     fn base_tree() -> (ClockNetInstance, ClockTree) {
         let inst = instance();
-        let tree = build_zero_skew_tree(&inst, &Technology::ispd09(), DmeOptions::default());
+        let tree = build_zero_skew_tree(&inst, &Technology::ispd09());
         (inst, tree)
+    }
+
+    /// The engine's planner, serial, keeping γ = 10%. One candidate under an
+    /// unbounded budget plans it with its slew-free capacitance as limit.
+    fn plan(
+        tree: &mut ClockTree,
+        tech: &Technology,
+        candidates: &[CompositeBuffer],
+        cap_limit: f64,
+        obstacles: &ObstacleSet,
+    ) -> Result<BufferingReport, CoreError> {
+        choose_buffers_with(
+            tree,
+            tech,
+            candidates,
+            cap_limit,
+            0.1,
+            obstacles,
+            ParallelConfig::serial(),
+            &mut ConstructArena::new(),
+        )
     }
 
     #[test]
@@ -386,9 +241,10 @@ mod tests {
         let (_inst, mut tree) = base_tree();
         split_long_edges(&mut tree, 200.0);
         let composite = tech.composite(tech.small_inverter(), 8);
-        let max_cap = tech.slew_free_cap(composite.output_res());
         let obstacles = ObstacleSet::new();
-        let n = insert_buffers_by_cap(&mut tree, &tech, composite, max_cap, &obstacles);
+        let n = plan(&mut tree, &tech, &[composite], f64::INFINITY, &obstacles)
+            .expect("an unbounded budget fits")
+            .buffers;
         assert!(n > 0);
         assert!(tree.validate().is_ok());
         // Every buffered stage, lowered and evaluated, must satisfy slews.
@@ -408,19 +264,14 @@ mod tests {
     fn buffers_avoid_obstacle_interiors() {
         let tech = Technology::ispd09();
         let inst = instance();
-        let mut tree = build_zero_skew_tree(&inst, &tech, DmeOptions::default());
+        let mut tree = build_zero_skew_tree(&inst, &tech);
         split_long_edges(&mut tree, 150.0);
         let blockage: ObstacleSet = vec![Rect::new(1000.0, 1000.0, 3000.0, 3000.0)]
             .into_iter()
             .collect();
         let composite = tech.composite(tech.small_inverter(), 8);
-        insert_buffers_by_cap(
-            &mut tree,
-            &tech,
-            composite,
-            tech.slew_free_cap(composite.output_res()),
-            &blockage,
-        );
+        plan(&mut tree, &tech, &[composite], f64::INFINITY, &blockage)
+            .expect("an unbounded budget fits");
         for id in buffered_nodes(&tree) {
             assert!(
                 !blockage.contains_point_strict(tree.node(id).location),
@@ -436,12 +287,11 @@ mod tests {
         let (inst, mut tree) = base_tree();
         split_long_edges(&mut tree, 200.0);
         let candidates = default_candidates(&tech, false);
-        let report = choose_and_insert_buffers(
+        let report = plan(
             &mut tree,
             &tech,
             &candidates,
             inst.cap_limit,
-            0.1,
             &inst.obstacles,
         )
         .expect("a configuration fits");
@@ -459,30 +309,11 @@ mod tests {
         let candidates = default_candidates(&tech, false);
         // A tight budget forces a weaker configuration (or an error).
         let tight = inst.total_sink_cap() + 6000.0;
-        let result =
-            choose_and_insert_buffers(&mut tree, &tech, &candidates, tight, 0.1, &inst.obstacles);
+        let result = plan(&mut tree, &tech, &candidates, tight, &inst.obstacles);
         if let Ok(report) = result {
             assert!(report.composite.parallel() < 32);
             assert!(report.total_cap <= 0.9 * tight);
         }
-    }
-
-    #[test]
-    fn strip_buffers_removes_everything() {
-        let tech = Technology::ispd09();
-        let (_inst, mut tree) = base_tree();
-        split_long_edges(&mut tree, 300.0);
-        let composite = tech.composite(tech.small_inverter(), 8);
-        insert_buffers_by_cap(
-            &mut tree,
-            &tech,
-            composite,
-            tech.slew_free_cap(composite.output_res()),
-            &ObstacleSet::new(),
-        );
-        assert!(tree.buffer_count() > 0);
-        strip_buffers(&mut tree);
-        assert_eq!(tree.buffer_count(), 0);
     }
 
     #[test]

@@ -19,20 +19,6 @@ use crate::opt::{Objective, OptContext, PassOutcome, RoundDriver};
 use crate::tree::{ClockTree, NodeId, NodeKind};
 use contango_sim::EvalReport;
 use contango_tech::CompositeBuffer;
-use serde::Serialize;
-
-/// Configuration of the buffer-sizing pass.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub struct BufferSizingConfig {
-    /// Maximum number of trunk-sizing iterations.
-    pub max_iterations: usize,
-}
-
-impl Default for BufferSizingConfig {
-    fn default() -> Self {
-        Self { max_iterations: 5 }
-    }
-}
 
 /// Number of buffer levels below the trunk eligible for
 /// capacitance-borrowing upsizing.
@@ -118,21 +104,21 @@ pub fn slide_buffer_up(tree: &mut ClockTree, node: NodeId, fraction: f64) {
     tree.node_mut(node).location = new_loc;
 }
 
-/// Runs trunk buffer sizing followed by branch sizing with capacitance
-/// borrowing. The primary objective is CLR; skew regressions are tolerated
+/// Runs up to `max_iterations` iterations of trunk buffer sizing followed
+/// by branch sizing with capacitance borrowing. The primary objective is CLR; skew regressions are tolerated
 /// (they are repaired by the subsequent wire-sizing/snaking passes, exactly
 /// as in Table III of the paper where TBSZ temporarily increases skew).
 pub fn iterative_buffer_sizing(
     tree: &mut ClockTree,
     ctx: &OptContext<'_>,
-    config: BufferSizingConfig,
+    max_iterations: usize,
 ) -> PassOutcome {
     let mut pass = RoundDriver::open(ctx, tree, Objective::Clr);
 
     // Phase 1: trunk upsizing. A round that leaves a slew violation first
     // slides the upsized trunk buffers toward their parents and is
     // evaluated once more.
-    for i in 1..=config.max_iterations {
+    for i in 1..=max_iterations {
         let trunk = trunk_buffers(tree);
         let growth = 1.0 + 1.0 / (i as f64 + 3.0);
         let upsize = |tree: &mut ClockTree, _: &EvalReport| {
@@ -184,8 +170,9 @@ pub fn iterative_buffer_sizing(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::buffering::{choose_and_insert_buffers, default_candidates, split_long_edges};
-    use crate::dme::{build_zero_skew_tree, DmeOptions};
+    use crate::buffering::{default_candidates, split_long_edges};
+    use crate::construct::{choose_buffers_with, ConstructArena, ParallelConfig};
+    use crate::dme::build_zero_skew_tree;
     use crate::instance::ClockNetInstance;
     use crate::polarity::correct_polarity;
     use contango_geom::Point;
@@ -207,15 +194,17 @@ mod tests {
             }
         }
         let inst = b.build().expect("valid");
-        let mut tree = build_zero_skew_tree(&inst, &tech, DmeOptions::default());
+        let mut tree = build_zero_skew_tree(&inst, &tech);
         split_long_edges(&mut tree, 250.0);
-        choose_and_insert_buffers(
+        choose_buffers_with(
             &mut tree,
             &tech,
             &default_candidates(&tech, false),
             inst.cap_limit,
             0.1,
             &inst.obstacles,
+            ParallelConfig::serial(),
+            &mut ConstructArena::new(),
         )
         .expect("buffers fit");
         correct_polarity(&mut tree, tech.composite(tech.small_inverter(), 32));
@@ -258,7 +247,7 @@ mod tests {
             segment_um: 100.0,
             cap_limit: inst.cap_limit,
         };
-        let outcome = iterative_buffer_sizing(&mut tree, &ctx, BufferSizingConfig::default());
+        let outcome = iterative_buffer_sizing(&mut tree, &ctx, 5);
         assert!(outcome.clr_after <= outcome.clr_before + 1e-9);
         let report = ctx.evaluate(&tree);
         assert!(!report.has_slew_violation());

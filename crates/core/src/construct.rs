@@ -24,19 +24,18 @@
 //!    multi-thread construction are *bit-identical* — same tree shape, same
 //!    snaking, same buffer placements.
 //!
-//! The recursive formulations are kept as executable specifications
-//! ([`crate::dme::reference_zero_skew_tree`],
-//! [`crate::topology::reference_greedy_matching_tree`],
-//! [`crate::buffering::choose_and_insert_buffers`]); equivalence tests pin
-//! the engine to them bit-for-bit, and an ignored timing test in
-//! `tests/construction.rs` asserts the engine's speedup over them.
+//! The engine is the library's one ZST builder, greedy matcher and buffer
+//! planner. The pre-engine recursive formulations live on as test oracles
+//! in `tests/support/reference.rs`: `tests/construction.rs` pins the engine
+//! to them bit for bit, and an ignored timing test there asserts the
+//! engine's speedup over them.
 //!
 //! The engine is what the `INITIAL` construction pass of the
 //! [`crate::pipeline`] runs (see [`construct_initial`]), so observers see
 //! construction like any other stage.
 
 use crate::buffering::{default_candidates, split_long_edges, BufferingReport};
-use crate::dme::{balance_merge, edge_elmore, DmeOptions, MergeData};
+use crate::dme::{balance_merge, edge_elmore, MergeData};
 use crate::error::CoreError;
 use crate::instance::ClockNetInstance;
 use crate::obstacles::{repair_obstacle_violations, ObstacleRepairReport};
@@ -44,8 +43,12 @@ use crate::polarity::{correct_polarity, PolarityReport};
 use crate::topology::{fishbone_tree, h_tree, TopologyKind};
 use crate::tree::{ClockTree, NodeId, NodeKind, WireSegment};
 use contango_geom::{ObstacleSet, Point, SpatialIndex, TiltedRect};
-use contango_tech::{CompositeBuffer, Technology};
+use contango_tech::{CompositeBuffer, Technology, WireWidth};
 use serde::Serialize;
+
+/// Wire width of every edge of the initial ZST: wide, leaving the narrow
+/// width available as a slow-down knob for wire sizing.
+const INITIAL_WIDTH: WireWidth = WireWidth::Wide;
 
 /// Sentinel for "no node" in the flat topology arena.
 const NONE: usize = usize::MAX;
@@ -269,6 +272,8 @@ pub struct ConstructArena {
     // --- buffer planning ---
     overlay: Vec<Option<CompositeBuffer>>,
     load: Vec<f64>,
+    // Longest unbuffered wire path below each node: resistive shielding
+    // makes far taps slower than the lumped slew estimate.
     unbuffered: Vec<f64>,
     contribs: Vec<(NodeId, f64, f64, f64)>,
     post: Vec<NodeId>,
@@ -395,13 +400,14 @@ struct Frame {
 // ZST/DME construction
 // ---------------------------------------------------------------------------
 
-/// Engine entry point for [`crate::dme::build_zero_skew_tree`]: identical
-/// output, but all scratch memory comes from (and stays in) `arena`, and
-/// independent subtree merges fan out over `options.parallel` threads.
+/// Builds the initial zero-skew tree of [`crate::dme::build_zero_skew_tree`]
+/// with all scratch memory taken from (and left in) `arena`, fanning
+/// independent subtree merges out over `parallel`'s threads. The tree is
+/// bit-identical for every thread count.
 pub fn zero_skew_tree_with(
     instance: &ClockNetInstance,
     tech: &Technology,
-    options: DmeOptions,
+    parallel: ParallelConfig,
     arena: &mut ConstructArena,
 ) -> ClockTree {
     let mut tree = ClockTree::new(instance.source);
@@ -414,14 +420,14 @@ pub fn zero_skew_tree_with(
         tree.add_sink(
             tree.root(),
             s.location,
-            WireSegment::direct(options.wire_width),
+            WireSegment::direct(INITIAL_WIDTH),
             s.id,
             s.cap,
         );
         return tree;
     }
 
-    let code = *tech.wire(options.wire_width);
+    let code = *tech.wire(INITIAL_WIDTH);
     let m = 2 * n - 1;
 
     // Presort the sink indices once per axis; every later split is a
@@ -476,7 +482,7 @@ pub fn zero_skew_tree_with(
         col.resize(m, 0.0);
     }
 
-    let threads = options.parallel.resolved();
+    let threads = parallel.resolved();
     if threads > 1 && n >= 2 * MIN_CHUNK {
         build_topology_parallel(instance, code.unit_res, code.unit_cap, threads, arena);
     } else {
@@ -515,7 +521,7 @@ pub fn zero_skew_tree_with(
         debug_assert_eq!(emitted, m);
     }
 
-    embed_and_materialize(instance, options, arena, &mut tree);
+    embed_and_materialize(instance, arena, &mut tree);
     tree
 }
 
@@ -523,7 +529,6 @@ pub fn zero_skew_tree_with(
 /// materialization. Serial by construction so node ids are deterministic.
 fn embed_and_materialize(
     instance: &ClockNetInstance,
-    options: DmeOptions,
     arena: &mut ConstructArena,
     tree: &mut ClockTree,
 ) {
@@ -556,11 +561,7 @@ fn embed_and_materialize(
         }
     }
 
-    let dme_root = tree.add_internal(
-        tree.root(),
-        root_loc,
-        WireSegment::direct(options.wire_width),
-    );
+    let dme_root = tree.add_internal(tree.root(), root_loc, WireSegment::direct(INITIAL_WIDTH));
     // Iterative preorder: identical node-id assignment to the recursive
     // reference (parent, left subtree, right subtree).
     arena.attach.clear();
@@ -572,7 +573,7 @@ fn embed_and_materialize(
         .push((arena.topo_left[root] as usize, dme_root));
     while let Some((id, parent)) = arena.attach.pop() {
         let wire = WireSegment {
-            width: options.wire_width,
+            width: INITIAL_WIDTH,
             route: Vec::new(),
             extra_length: arena.extra[id],
         };
@@ -1081,7 +1082,9 @@ impl BufferPlanner<'_> {
         max_cap: f64,
         obstacles: &'a ObstacleSet,
     ) -> BufferPlanner<'a> {
-        // Constants mirror `buffering::insert_buffers_by_cap` exactly.
+        // The 1.4 factor covers rise/fall asymmetry and the slew
+        // degradation a finite input ramp adds on top of the single-pole
+        // estimate.
         let worst_res = composite.output_res() * tech.derate(tech.low_corner.vdd) * 1.4;
         let slew_target = 0.6 * tech.slew_limit;
         BufferPlanner {
@@ -1095,7 +1098,8 @@ impl BufferPlanner<'_> {
         }
     }
 
-    /// Single-pole slew estimate of a stage; mirrors the reference.
+    /// Single-pole slew estimate of a stage with `cap` fF of load and a
+    /// `longest` µm unbuffered wire path, driven by the planned composite.
     fn est_slew(&self, cap: f64, longest: f64, wire_res_per_um: f64) -> f64 {
         contango_tech::units::SLEW_LN9
             * contango_tech::units::rc_ps(
@@ -1105,8 +1109,12 @@ impl BufferPlanner<'_> {
     }
 
     /// Plans the buffer decision for one node given its children's already
-    /// planned state. Decision-for-decision identical to the mutation-based
-    /// reference; returns the number of buffers added at this node.
+    /// planned state: children are taken largest load first and buffered
+    /// *before* the accumulated stage would break the slew estimate or
+    /// `max_cap`, and the node below the root is always buffered so the
+    /// clock source never drives the tree directly. Buffers never sit
+    /// strictly inside an obstacle. Returns the number of buffers added at
+    /// this node.
     fn plan_node(
         &self,
         id: NodeId,
@@ -1171,9 +1179,8 @@ impl BufferPlanner<'_> {
     }
 }
 
-/// Plans cap-driven buffer insertion into `overlay` without touching the
-/// tree: the overlay-of-`None` equivalent of
-/// [`crate::buffering::insert_buffers_by_cap`] on a stripped tree. Returns
+/// Plans cap-driven buffer insertion of `composite` into the arena's
+/// overlay, bottom-up from no buffers, without touching the tree. Returns
 /// the number of planned buffers.
 #[allow(clippy::too_many_arguments)]
 fn plan_buffers(
@@ -1346,7 +1353,7 @@ fn plan_buffers_parallel(
 
 /// Total network capacitance the tree would have with `overlay`'s buffers:
 /// term-for-term identical to [`ClockTree::total_cap`] on the buffered
-/// tree, so the budget comparison matches the reference bit-for-bit.
+/// tree, so the budget comparison is exact.
 fn overlay_total_cap(
     tree: &ClockTree,
     tech: &Technology,
@@ -1366,15 +1373,22 @@ fn overlay_total_cap(
     total
 }
 
-/// Engine equivalent of [`crate::buffering::choose_and_insert_buffers`]:
-/// sweeps composites strongest-to-weakest and commits the strongest fitting
-/// plan — but candidate attempts are planned on an overlay instead of a
-/// cloned tree, and per-branch planning fans out over `parallel`.
+/// Sweeps composite-buffer configurations from strongest to weakest and
+/// commits the strongest one whose buffered network capacitance stays
+/// within `(1 − power_reserve) × cap_limit`, as in Section IV-C of the
+/// paper (γ = `power_reserve` of the budget is kept for later
+/// optimizations). Each candidate plans cap-driven insertion with its
+/// slew-free capacitance as the stage limit, replacing any buffers the
+/// tree carries.
+///
+/// Candidates may come in any order. Each attempt is planned on an overlay
+/// instead of a cloned tree, and per-branch planning fans out over
+/// `parallel`; the result is bit-identical for every thread count.
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::BufferBudget`] when even the weakest candidate
-/// exceeds the budget, exactly like the reference.
+/// exceeds the budget.
 #[allow(clippy::too_many_arguments)]
 pub fn choose_buffers_with(
     tree: &mut ClockTree,
@@ -1471,8 +1485,11 @@ pub struct ConstructReports {
     pub polarity: PolarityReport,
 }
 
-/// Builds the initial topology with the engine (DME and greedy matching are
-/// arena-driven; H-tree and fishbone are cheap and stay recursive).
+/// Builds the initial clock tree for `instance` with the requested topology:
+/// an unbuffered tree rooted at the instance's clock source that spans
+/// every sink. Obstacle repair, buffering and the skew/CLR optimizations
+/// come afterwards. DME and greedy matching are arena-driven; H-tree and
+/// fishbone are cheap and stay recursive.
 pub fn build_topology_with(
     kind: TopologyKind,
     instance: &ClockNetInstance,
@@ -1481,15 +1498,7 @@ pub fn build_topology_with(
     arena: &mut ConstructArena,
 ) -> ClockTree {
     match kind {
-        TopologyKind::Dme => zero_skew_tree_with(
-            instance,
-            tech,
-            DmeOptions {
-                parallel,
-                ..DmeOptions::default()
-            },
-            arena,
-        ),
+        TopologyKind::Dme => zero_skew_tree_with(instance, tech, parallel, arena),
         TopologyKind::GreedyMatching => greedy_matching_with(instance, arena),
         TopologyKind::HTree => h_tree(instance),
         TopologyKind::Fishbone => fishbone_tree(instance),
@@ -1497,9 +1506,8 @@ pub fn build_topology_with(
 }
 
 /// Runs the full initial construction: topology, obstacle repair, edge
-/// splitting, buffer-candidate sweep and polarity correction — the engine
-/// equivalent of the `INITIAL` pass body, bit-identical to the reference
-/// sequence for every thread count.
+/// splitting, buffer-candidate sweep and polarity correction — the body of
+/// the `INITIAL` pass, bit-identical for every thread count.
 ///
 /// # Errors
 ///
@@ -1546,8 +1554,6 @@ pub fn construct_initial(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dme::reference_zero_skew_tree;
-    use crate::topology::reference_greedy_matching_tree;
 
     fn grid_instance(nx: usize, ny: usize) -> ClockNetInstance {
         let die_w = 600.0 + 420.0 * nx as f64;
@@ -1580,15 +1586,12 @@ mod tests {
         let tech = Technology::ispd09();
         let instance = grid_instance(13, 10);
         let mut arena = ConstructArena::new();
-        let serial = zero_skew_tree_with(&instance, &tech, DmeOptions::default(), &mut arena);
+        let serial = zero_skew_tree_with(&instance, &tech, ParallelConfig::serial(), &mut arena);
         // One region per worker: powers of two and not, and more regions
         // than the instance has chunks to carve.
         for threads in [2usize, 3, 4, 7, 16] {
-            let opts = DmeOptions {
-                parallel: ParallelConfig::with_threads(threads),
-                ..DmeOptions::default()
-            };
-            let fanned = zero_skew_tree_with(&instance, &tech, opts, &mut arena);
+            let parallel = ParallelConfig::with_threads(threads);
+            let fanned = zero_skew_tree_with(&instance, &tech, parallel, &mut arena);
             assert_eq!(serial, fanned, "threads={threads}");
         }
     }
@@ -1599,13 +1602,13 @@ mod tests {
         assert_eq!(arena.watermark().total_bytes(), 0);
         let tech = Technology::ispd09();
         let instance = grid_instance(9, 8);
-        let _ = zero_skew_tree_with(&instance, &tech, DmeOptions::default(), &mut arena);
+        let _ = zero_skew_tree_with(&instance, &tech, ParallelConfig::serial(), &mut arena);
         let after = arena.watermark();
         assert!(after.zst_bytes > 0);
         assert_eq!(after.greedy_bytes, 0);
         // Watermarks never shrink: a smaller build retains the capacity.
         let small = grid_instance(2, 2);
-        let _ = zero_skew_tree_with(&small, &tech, DmeOptions::default(), &mut arena);
+        let _ = zero_skew_tree_with(&small, &tech, ParallelConfig::serial(), &mut arena);
         let _ = greedy_matching_with(&small, &mut arena);
         let again = arena.watermark();
         assert!(again.zst_bytes >= after.zst_bytes);
@@ -1618,31 +1621,12 @@ mod tests {
         let tech = Technology::ispd09();
         let instance = grid_instance(7, 6);
         let mut arena = ConstructArena::new();
-        let first = zero_skew_tree_with(&instance, &tech, DmeOptions::default(), &mut arena);
+        let first = zero_skew_tree_with(&instance, &tech, ParallelConfig::serial(), &mut arena);
         // Re-running on the warm arena (and after unrelated greedy use)
         // must not leak state between builds.
         let _ = greedy_matching_with(&instance, &mut arena);
-        let second = zero_skew_tree_with(&instance, &tech, DmeOptions::default(), &mut arena);
+        let second = zero_skew_tree_with(&instance, &tech, ParallelConfig::serial(), &mut arena);
         assert_eq!(first, second);
-    }
-
-    #[test]
-    fn engine_handles_tiny_instances_like_the_reference() {
-        let tech = Technology::ispd09();
-        let mut arena = ConstructArena::new();
-        for (nx, ny) in [(1usize, 1usize), (2, 1), (1, 3)] {
-            let instance = grid_instance(nx, ny);
-            assert_eq!(
-                reference_zero_skew_tree(&instance, &tech, DmeOptions::default()),
-                zero_skew_tree_with(&instance, &tech, DmeOptions::default(), &mut arena),
-                "{nx}x{ny} grid"
-            );
-            assert_eq!(
-                reference_greedy_matching_tree(&instance),
-                greedy_matching_with(&instance, &mut arena),
-                "{nx}x{ny} grid greedy"
-            );
-        }
     }
 
     #[test]
@@ -1650,14 +1634,11 @@ mod tests {
         let tech = Technology::ispd09();
         let instance = grid_instance(12, 11);
         let mut arena = ConstructArena::new();
-        let serial = zero_skew_tree_with(&instance, &tech, DmeOptions::default(), &mut arena);
+        let serial = zero_skew_tree_with(&instance, &tech, ParallelConfig::serial(), &mut arena);
         // More threads than sinks/chunks, odd counts, and auto.
         for threads in [2usize, 3, 5, 64, 0] {
-            let opts = DmeOptions {
-                parallel: ParallelConfig::with_threads(threads),
-                ..DmeOptions::default()
-            };
-            let fanned = zero_skew_tree_with(&instance, &tech, opts, &mut arena);
+            let parallel = ParallelConfig::with_threads(threads);
+            let fanned = zero_skew_tree_with(&instance, &tech, parallel, &mut arena);
             assert_eq!(serial, fanned, "threads={threads}");
         }
     }
@@ -1672,11 +1653,6 @@ mod tests {
                 build_topology_with(kind, &instance, &tech, ParallelConfig::serial(), &mut arena);
             assert_eq!(tree.sink_count(), instance.sink_count(), "{kind:?}");
             assert!(tree.validate().is_ok(), "{kind:?}");
-            // The engine path agrees with the legacy entry point.
-            assert_eq!(
-                tree,
-                crate::topology::build_topology(kind, &instance, &tech)
-            );
         }
     }
 

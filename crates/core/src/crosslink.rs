@@ -251,7 +251,7 @@ impl MeshOverlay {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dme::{build_zero_skew_tree, DmeOptions};
+    use crate::dme::build_zero_skew_tree;
     use crate::instance::ClockNetInstance;
     use crate::lower::to_netlist;
     use contango_geom::Point;
@@ -276,7 +276,7 @@ mod tests {
     fn evaluated_tree() -> (ClockTree, EvalReport, Technology) {
         let tech = Technology::ispd09();
         let inst = instance();
-        let tree = build_zero_skew_tree(&inst, &tech, DmeOptions::default());
+        let tree = build_zero_skew_tree(&inst, &tech);
         let netlist = to_netlist(&tree, &tech, &SourceSpec::ispd09(), 150.0).expect("lowers");
         let report = Evaluator::new(tech.clone()).evaluate(&netlist);
         (tree, report, tech)

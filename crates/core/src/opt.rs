@@ -269,7 +269,7 @@ pub(crate) fn rslack_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dme::{build_zero_skew_tree, DmeOptions};
+    use crate::dme::build_zero_skew_tree;
     use crate::instance::ClockNetInstance;
     use contango_geom::Point;
     use contango_sim::DelayModel;
@@ -284,7 +284,7 @@ mod tests {
             .cap_limit(1e9)
             .build()
             .expect("valid");
-        let tree = build_zero_skew_tree(&inst, &tech, DmeOptions::default());
+        let tree = build_zero_skew_tree(&inst, &tech);
         let evaluator = IncrementalEvaluator::new(tech.clone());
         let ctx = OptContext {
             tech: &tech,
@@ -315,7 +315,7 @@ mod tests {
             .cap_limit(1e9)
             .build()
             .expect("valid");
-        let mut tree = build_zero_skew_tree(&inst, tech, DmeOptions::default());
+        let mut tree = build_zero_skew_tree(&inst, tech);
         let late = tree.sink_node(0);
         tree.node_mut(late).wire.extra_length += 400.0;
         tree

@@ -81,9 +81,9 @@
 //! # Ok::<(), contango_core::error::CoreError>(())
 //! ```
 
-use crate::bottomlevel::{bottom_level_tuning, BottomLevelConfig};
+use crate::bottomlevel::bottom_level_tuning;
 use crate::buffering::BufferingReport;
-use crate::buffersizing::{iterative_buffer_sizing, BufferSizingConfig};
+use crate::buffersizing::iterative_buffer_sizing;
 use crate::construct::{construct_initial, ConstructArena, ConstructConfig};
 use crate::error::CoreError;
 use crate::flow::{FlowConfig, StageSnapshot};
@@ -92,8 +92,8 @@ use crate::opt::{OptContext, PassOutcome, Scope};
 use crate::polarity::PolarityReport;
 use crate::sliding::slide_and_interleave;
 use crate::tree::ClockTree;
-use crate::wiresizing::{iterative_wiresizing, WireSizingConfig};
-use crate::wiresnaking::{iterative_wiresnaking, WireSnakingConfig};
+use crate::wiresizing::iterative_wiresizing;
+use crate::wiresnaking::iterative_wiresnaking;
 use contango_sim::EvalReport;
 use std::fmt;
 
@@ -419,10 +419,7 @@ impl Pass for BufferSizingPass {
         let sliding = self
             .enable_sliding
             .then(|| slide_and_interleave(tree, &ctx.opt));
-        let cfg = BufferSizingConfig {
-            max_iterations: self.iterations,
-        };
-        let sizing = iterative_buffer_sizing(tree, &ctx.opt, cfg);
+        let sizing = iterative_buffer_sizing(tree, &ctx.opt, self.iterations);
         // Fold the sliding rounds into the stage outcome so the combined
         // stage reports its full trajectory (sliding's "before" is the
         // stage's "before").
@@ -464,11 +461,8 @@ impl Pass for WireSizingPass {
     }
 
     fn run(&self, tree: &mut ClockTree, ctx: &mut PassCtx<'_>) -> Result<PassOutcome, CoreError> {
-        let cfg = WireSizingConfig {
-            max_rounds: self.rounds,
-            scope: Scope::TopDown,
-        };
-        Ok(iterative_wiresizing(tree, &ctx.opt, cfg))
+        let outcome = iterative_wiresizing(tree, &ctx.opt, self.rounds, Scope::TopDown);
+        Ok(outcome)
     }
 }
 
@@ -498,11 +492,8 @@ impl Pass for WireSnakingPass {
     }
 
     fn run(&self, tree: &mut ClockTree, ctx: &mut PassCtx<'_>) -> Result<PassOutcome, CoreError> {
-        let cfg = WireSnakingConfig {
-            max_rounds: self.rounds,
-            scope: Scope::TopDown,
-        };
-        Ok(iterative_wiresnaking(tree, &ctx.opt, cfg))
+        let outcome = iterative_wiresnaking(tree, &ctx.opt, self.rounds, Scope::TopDown);
+        Ok(outcome)
     }
 }
 
@@ -532,10 +523,7 @@ impl Pass for BottomLevelPass {
     }
 
     fn run(&self, tree: &mut ClockTree, ctx: &mut PassCtx<'_>) -> Result<PassOutcome, CoreError> {
-        let cfg = BottomLevelConfig {
-            max_rounds: self.rounds,
-        };
-        Ok(bottom_level_tuning(tree, &ctx.opt, cfg))
+        Ok(bottom_level_tuning(tree, &ctx.opt, self.rounds))
     }
 }
 

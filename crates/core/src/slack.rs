@@ -152,7 +152,7 @@ impl SlackAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dme::{build_zero_skew_tree, DmeOptions};
+    use crate::dme::build_zero_skew_tree;
     use crate::instance::ClockNetInstance;
     use crate::lower::to_netlist;
     use contango_geom::Point;
@@ -172,7 +172,7 @@ mod tests {
             .cap_limit(1e9)
             .build()
             .expect("valid");
-        let mut tree = build_zero_skew_tree(&inst, &tech, DmeOptions::default());
+        let mut tree = build_zero_skew_tree(&inst, &tech);
         // Perturb one sink edge so the tree has real skew and hence slack.
         let victim = tree.sink_node(0);
         tree.node_mut(victim).wire.extra_length += 400.0;

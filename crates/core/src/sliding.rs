@@ -83,8 +83,9 @@ fn interleave_pair(tree: &mut ClockTree, node: NodeId) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::buffering::{choose_and_insert_buffers, default_candidates, split_long_edges};
-    use crate::dme::{build_zero_skew_tree, DmeOptions};
+    use crate::buffering::{default_candidates, split_long_edges};
+    use crate::construct::{choose_buffers_with, ConstructArena, ParallelConfig};
+    use crate::dme::build_zero_skew_tree;
     use crate::instance::ClockNetInstance;
     use crate::polarity::correct_polarity;
     use contango_geom::Point;
@@ -105,16 +106,18 @@ mod tests {
             }
         }
         let instance = b.build().expect("valid");
-        let mut tree = build_zero_skew_tree(&instance, tech, DmeOptions::default());
+        let mut tree = build_zero_skew_tree(&instance, tech);
         split_long_edges(&mut tree, 300.0);
         let candidates = default_candidates(tech, false);
-        let buffering = choose_and_insert_buffers(
+        let buffering = choose_buffers_with(
             &mut tree,
             tech,
             &candidates,
             instance.cap_limit,
             0.10,
             &instance.obstacles,
+            ParallelConfig::serial(),
+            &mut ConstructArena::new(),
         )
         .expect("buffering succeeds");
         correct_polarity(&mut tree, buffering.composite);
@@ -152,7 +155,7 @@ mod tests {
             .cap_limit(1e9)
             .build()
             .expect("valid");
-        let mut tree = build_zero_skew_tree(&instance, &tech, DmeOptions::default());
+        let mut tree = build_zero_skew_tree(&instance, &tech);
         let evaluator = IncrementalEvaluator::new(tech.clone());
         let ctx = OptContext {
             tech: &tech,

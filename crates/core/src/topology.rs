@@ -4,9 +4,10 @@
 //! surrounding literature (Section II of the paper) compares against older
 //! topology families — H-trees and fishbones — and DME itself descends from
 //! clustering/greedy-matching constructions (Edahiro). This module provides
-//! those alternatives behind a single [`TopologyKind`] switch so the flow,
-//! the baselines and the ablation benches can swap the front-end while
-//! keeping every downstream optimization identical:
+//! those alternatives, selected by one [`TopologyKind`] switch in
+//! [`crate::construct::build_topology_with`], so the flow, the baselines
+//! and the ablation benches can swap the front-end while keeping every
+//! downstream optimization identical:
 //!
 //! * [`TopologyKind::Dme`] — the paper's ZST/DME construction.
 //! * [`TopologyKind::GreedyMatching`] — recursive nearest-neighbour pairing
@@ -16,11 +17,9 @@
 //! * [`TopologyKind::Fishbone`] — a central spine with one rib per sink.
 
 use crate::construct::{greedy_matching_with, ConstructArena};
-use crate::dme::{build_zero_skew_tree, DmeOptions};
 use crate::instance::ClockNetInstance;
 use crate::tree::{ClockTree, NodeId, WireSegment};
 use contango_geom::{Point, Rect};
-use contango_tech::Technology;
 use serde::Serialize;
 
 /// Selects how the initial (pre-optimization) clock tree is built.
@@ -59,24 +58,6 @@ impl TopologyKind {
     }
 }
 
-/// Builds the initial clock tree for `instance` with the requested topology.
-///
-/// All constructions return an unbuffered tree rooted at the instance's
-/// clock source that spans every sink; obstacle repair, buffering and the
-/// skew/CLR optimizations are applied afterwards by the flow.
-pub fn build_topology(
-    kind: TopologyKind,
-    instance: &ClockNetInstance,
-    tech: &Technology,
-) -> ClockTree {
-    match kind {
-        TopologyKind::Dme => build_zero_skew_tree(instance, tech, DmeOptions::default()),
-        TopologyKind::GreedyMatching => greedy_matching_tree(instance),
-        TopologyKind::HTree => h_tree(instance),
-        TopologyKind::Fishbone => fishbone_tree(instance),
-    }
-}
-
 /// Builds a clock tree by iterated nearest-neighbour pairing.
 ///
 /// Each round pairs every cluster with its nearest unpaired neighbour and
@@ -86,278 +67,13 @@ pub fn build_topology(
 /// clock source.
 ///
 /// This drives the O(n log n) engine in [`crate::construct`]
-/// ([`greedy_matching_with`]); the pairing is bit-identical to
-/// [`reference_greedy_matching_tree`], which retains the original
-/// per-round index rebuild and mask-based removal.
+/// ([`greedy_matching_with`]) on a fresh arena. `tests/construction.rs`
+/// pins its pairing bit for bit to the pre-engine formulation kept in
+/// `tests/support/reference.rs`, which rebuilds its index every round and
+/// removes points by mask.
 pub fn greedy_matching_tree(instance: &ClockNetInstance) -> ClockTree {
     let mut arena = ConstructArena::new();
     greedy_matching_with(instance, &mut arena)
-}
-
-/// A verbatim copy of the pre-engine grid index, pinning the baseline cost
-/// profile of [`reference_greedy_matching_tree`]: removal is a mask (dead
-/// points stay in the buckets and are re-scanned by every later query),
-/// cell *counts* are square regardless of the die aspect ratio, and every
-/// pairing round pays a fresh allocation. Query results are identical to
-/// [`SpatialIndex`]; only the cost differs.
-mod frozen_index {
-    use contango_geom::{Point, Rect};
-
-    pub(super) struct FrozenSpatialIndex {
-        points: Vec<Point>,
-        bounds: Rect,
-        cells_x: usize,
-        cells_y: usize,
-        cell_w: f64,
-        cell_h: f64,
-        buckets: Vec<Vec<usize>>,
-        alive: Vec<bool>,
-        alive_count: usize,
-    }
-
-    impl FrozenSpatialIndex {
-        pub(super) fn new(points: &[Point]) -> Self {
-            let n = points.len();
-            let bounds = bounding_box(points);
-            let target_cells = (n.max(1) as f64 / 2.0).sqrt().ceil() as usize;
-            let cells_x = target_cells.max(1);
-            let cells_y = target_cells.max(1);
-            let cell_w = (bounds.width() / cells_x as f64).max(1e-9);
-            let cell_h = (bounds.height() / cells_y as f64).max(1e-9);
-            let mut index = Self {
-                points: points.to_vec(),
-                bounds,
-                cells_x,
-                cells_y,
-                cell_w,
-                cell_h,
-                buckets: vec![Vec::new(); cells_x * cells_y],
-                alive: vec![true; n],
-                alive_count: n,
-            };
-            for (i, &p) in points.iter().enumerate() {
-                let b = index.bucket_of(p);
-                index.buckets[b].push(i);
-            }
-            index
-        }
-
-        pub(super) fn remove(&mut self, index: usize) {
-            if index < self.alive.len() && self.alive[index] {
-                self.alive[index] = false;
-                self.alive_count -= 1;
-            }
-        }
-
-        pub(super) fn nearest(&self, query: Point, exclude: Option<usize>) -> Option<usize> {
-            if self.alive_count == 0 {
-                return None;
-            }
-            let (qx, qy) = self.cell_coords(query);
-            let max_ring = self.cells_x.max(self.cells_y);
-            let mut best: Option<(f64, usize)> = None;
-            for ring in 0..=max_ring {
-                if let Some((dist, _)) = best {
-                    let ring_min = (ring.saturating_sub(1)) as f64 * self.cell_w.min(self.cell_h);
-                    if ring_min > dist {
-                        break;
-                    }
-                }
-                self.for_each_ring_cell(qx, qy, ring, |cx, cy| {
-                    for &i in &self.buckets[cy * self.cells_x + cx] {
-                        if !self.alive[i] || Some(i) == exclude {
-                            continue;
-                        }
-                        let d = self.points[i].manhattan(query);
-                        if best.is_none_or(|(bd, bi)| d < bd || (d == bd && i < bi)) {
-                            best = Some((d, i));
-                        }
-                    }
-                });
-            }
-            best.map(|(_, i)| i)
-        }
-
-        fn bucket_of(&self, p: Point) -> usize {
-            let (cx, cy) = self.cell_coords(p);
-            cy * self.cells_x + cx
-        }
-
-        fn cell_coords(&self, p: Point) -> (usize, usize) {
-            let cx = ((p.x - self.bounds.lo.x) / self.cell_w).floor() as isize;
-            let cy = ((p.y - self.bounds.lo.y) / self.cell_h).floor() as isize;
-            (
-                cx.clamp(0, self.cells_x as isize - 1) as usize,
-                cy.clamp(0, self.cells_y as isize - 1) as usize,
-            )
-        }
-
-        fn for_each_ring_cell(
-            &self,
-            qx: usize,
-            qy: usize,
-            ring: usize,
-            mut f: impl FnMut(usize, usize),
-        ) {
-            let r = ring as isize;
-            let (qx, qy) = (qx as isize, qy as isize);
-            let visit = |cx: isize, cy: isize, f: &mut dyn FnMut(usize, usize)| {
-                if cx >= 0
-                    && cy >= 0
-                    && (cx as usize) < self.cells_x
-                    && (cy as usize) < self.cells_y
-                {
-                    f(cx as usize, cy as usize);
-                }
-            };
-            if r == 0 {
-                visit(qx, qy, &mut f);
-                return;
-            }
-            for dx in -r..=r {
-                visit(qx + dx, qy - r, &mut f);
-                visit(qx + dx, qy + r, &mut f);
-            }
-            for dy in (-r + 1)..=(r - 1) {
-                visit(qx - r, qy + dy, &mut f);
-                visit(qx + r, qy + dy, &mut f);
-            }
-        }
-    }
-
-    fn bounding_box(points: &[Point]) -> Rect {
-        if points.is_empty() {
-            return Rect::new(0.0, 0.0, 1.0, 1.0);
-        }
-        let mut r = Rect::new(points[0].x, points[0].y, points[0].x, points[0].y);
-        for p in points {
-            r = r.union(&Rect::new(p.x, p.y, p.x, p.y));
-        }
-        Rect::new(
-            r.lo.x,
-            r.lo.y,
-            r.hi.x.max(r.lo.x + 1.0),
-            r.hi.y.max(r.lo.y + 1.0),
-        )
-    }
-}
-
-/// The pre-engine greedy-matching formulation: the pinned reference the
-/// engine is tested against and benchmarked over.
-///
-/// Runs verbatim pre-engine code, including its own frozen copy of the
-/// grid index: per-round index construction allocates from scratch,
-/// removal is mask-only (dead points stay in the buckets), and the grid's
-/// cell count is square regardless of the die aspect ratio — so
-/// late-round nearest-neighbour queries degenerate towards full scans
-/// (the O(n²) tail the engine removes).
-pub fn reference_greedy_matching_tree(instance: &ClockNetInstance) -> ClockTree {
-    let mut tree = ClockTree::new(instance.source);
-
-    /// One cluster of the matching hierarchy.
-    struct Cluster {
-        /// Balance point of the cluster.
-        location: Point,
-        /// Total sink capacitance below the cluster (weights the merge).
-        cap: f64,
-        /// Node in the output tree representing this cluster, created
-        /// lazily when the cluster is attached to its parent.
-        build: ClusterBuild,
-    }
-
-    enum ClusterBuild {
-        Sink { sink_id: usize, cap: f64 },
-        Merge(Box<Cluster>, Box<Cluster>),
-    }
-
-    if instance.sinks.is_empty() {
-        return tree;
-    }
-
-    let mut clusters: Vec<Cluster> = instance
-        .sinks
-        .iter()
-        .map(|s| Cluster {
-            location: s.location,
-            cap: s.cap,
-            build: ClusterBuild::Sink {
-                sink_id: s.id,
-                cap: s.cap,
-            },
-        })
-        .collect();
-
-    while clusters.len() > 1 {
-        let points: Vec<Point> = clusters.iter().map(|c| c.location).collect();
-        let mut index = frozen_index::FrozenSpatialIndex::new(&points);
-        let mut order: Vec<usize> = (0..clusters.len()).collect();
-        // Pair clusters in a deterministic order: densest neighbourhoods
-        // first is not required for correctness, plain index order keeps the
-        // construction reproducible.
-        order.sort_unstable();
-        let mut taken = vec![false; clusters.len()];
-        let mut next_round: Vec<Cluster> = Vec::with_capacity(clusters.len() / 2 + 1);
-        // Drain clusters into the vector below so they can be moved out.
-        let mut slots: Vec<Option<Cluster>> = clusters.drain(..).map(Some).collect();
-
-        for i in order {
-            if taken[i] {
-                continue;
-            }
-            index.remove(i);
-            let partner = index.nearest(slots[i].as_ref().expect("present").location, None);
-            match partner {
-                Some(j) if !taken[j] => {
-                    index.remove(j);
-                    taken[i] = true;
-                    taken[j] = true;
-                    let a = slots[i].take().expect("cluster i present");
-                    let b = slots[j].take().expect("cluster j present");
-                    let total = a.cap + b.cap;
-                    let w = if total > 0.0 { a.cap / total } else { 0.5 };
-                    let location = Point::new(
-                        a.location.x * w + b.location.x * (1.0 - w),
-                        a.location.y * w + b.location.y * (1.0 - w),
-                    );
-                    next_round.push(Cluster {
-                        location,
-                        cap: total,
-                        build: ClusterBuild::Merge(Box::new(a), Box::new(b)),
-                    });
-                }
-                _ => {
-                    // Odd cluster out: promote it to the next round as-is.
-                    taken[i] = true;
-                    next_round.push(slots[i].take().expect("cluster i present"));
-                }
-            }
-        }
-        clusters = next_round;
-    }
-
-    // Materialize the hierarchy into the clock tree.
-    fn attach(tree: &mut ClockTree, parent: NodeId, cluster: Cluster) {
-        match cluster.build {
-            ClusterBuild::Sink { sink_id, cap } => {
-                tree.add_sink(
-                    parent,
-                    cluster.location,
-                    WireSegment::default(),
-                    sink_id,
-                    cap,
-                );
-            }
-            ClusterBuild::Merge(a, b) => {
-                let node = tree.add_internal(parent, cluster.location, WireSegment::default());
-                attach(tree, node, *a);
-                attach(tree, node, *b);
-            }
-        }
-    }
-    let top = clusters.pop().expect("at least one cluster remains");
-    let root = tree.root();
-    attach(&mut tree, root, top);
-    tree
 }
 
 /// Builds a recursive H-tree over the sink bounding box.
@@ -529,7 +245,8 @@ pub fn fishbone_tree(instance: &ClockNetInstance) -> ClockTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::instance::ClockNetInstance;
+    use crate::construct::{build_topology_with, ParallelConfig};
+    use contango_tech::Technology;
 
     fn grid_instance(nx: usize, ny: usize) -> ClockNetInstance {
         let mut b = ClockNetInstance::builder("topology-test")
@@ -558,12 +275,22 @@ mod tests {
         assert!(tree.wirelength() > 0.0);
     }
 
+    /// The flow's dispatch over every kind, serially on a fresh arena.
+    fn build(kind: TopologyKind, instance: &ClockNetInstance) -> ClockTree {
+        build_topology_with(
+            kind,
+            instance,
+            &Technology::ispd09(),
+            ParallelConfig::serial(),
+            &mut ConstructArena::new(),
+        )
+    }
+
     #[test]
     fn every_topology_spans_every_sink() {
         let instance = grid_instance(5, 4);
-        let tech = Technology::ispd09();
         for kind in TopologyKind::all() {
-            let tree = build_topology(kind, &instance, &tech);
+            let tree = build(kind, &instance);
             check_spans_all_sinks(&tree, &instance);
         }
     }
@@ -682,7 +409,7 @@ mod tests {
                 TopologyKind::HTree,
                 TopologyKind::Fishbone,
             ] {
-                let tree = build_topology(kind, &instance, &Technology::ispd09());
+                let tree = build(kind, &instance);
                 assert!(tree.is_empty());
             }
         }

@@ -113,7 +113,7 @@ fn slack_color(t: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dme::{build_zero_skew_tree, DmeOptions};
+    use crate::dme::build_zero_skew_tree;
     use contango_geom::{Point, Rect};
     use contango_tech::Technology;
 
@@ -127,7 +127,7 @@ mod tests {
             .cap_limit(1e9)
             .build()
             .expect("valid");
-        let tree = build_zero_skew_tree(&inst, &Technology::ispd09(), DmeOptions::default());
+        let tree = build_zero_skew_tree(&inst, &Technology::ispd09());
         (inst, tree)
     }
 

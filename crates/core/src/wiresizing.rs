@@ -12,25 +12,6 @@ use crate::opt::{rslack_sweep, Objective, OptContext, PassOutcome, RoundDriver, 
 use crate::tree::{ClockTree, NodeId};
 use contango_sim::EvalReport;
 use contango_tech::WireWidth;
-use serde::Serialize;
-
-/// Configuration of the iterative wiresizing pass.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub struct WireSizingConfig {
-    /// Maximum number of improvement rounds.
-    pub max_rounds: usize,
-    /// Which edges may be downsized.
-    pub scope: Scope,
-}
-
-impl Default for WireSizingConfig {
-    fn default() -> Self {
-        Self {
-            max_rounds: 6,
-            scope: Scope::TopDown,
-        }
-    }
-}
 
 /// Estimates `Tws`: the worst-case sink-latency increase per micrometre of
 /// downsized wire, measured by downsizing a handful of independent mid-tree
@@ -96,22 +77,24 @@ fn sample_mid_tree_edges(tree: &ClockTree, count: usize) -> Vec<NodeId> {
     picked
 }
 
-/// Runs iterative wiresizing on `tree`: one `Tws` calibration, then one
-/// slack-computing evaluation per round.
+/// Runs iterative wiresizing on `tree`: one `Tws` calibration, then up to
+/// `max_rounds` rounds of one slack-computing evaluation each, downsizing
+/// the edges `scope` allows.
 pub fn iterative_wiresizing(
     tree: &mut ClockTree,
     ctx: &OptContext<'_>,
-    config: WireSizingConfig,
+    max_rounds: usize,
+    scope: Scope,
 ) -> PassOutcome {
     // Fraction of the available slack a round may consume: a safety margin
     // against the error of the linear model.
-    let usage = match config.scope {
+    let usage = match scope {
         Scope::TopDown => 0.8,
         Scope::BottomLevel => 0.9,
     };
     let mut pass = RoundDriver::open(ctx, tree, Objective::Skew);
     let tws = estimate_tws(tree, ctx, pass.current());
-    pass.repeat(tree, config.max_rounds, |tree, current| {
+    pass.repeat(tree, max_rounds, |tree, current| {
         let downsize = |tree: &mut ClockTree, id: NodeId, available: f64| {
             let est = tws * tree.edge_length(id);
             let wide = tree.node(id).wire.width == WireWidth::Wide;
@@ -120,7 +103,7 @@ pub fn iterative_wiresizing(
                 est
             })
         };
-        rslack_sweep(tree, current, config.scope, usage, downsize)
+        rslack_sweep(tree, current, scope, usage, downsize)
     });
     pass.finish()
 }
@@ -128,8 +111,9 @@ pub fn iterative_wiresizing(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::buffering::{choose_and_insert_buffers, default_candidates, split_long_edges};
-    use crate::dme::{build_zero_skew_tree, DmeOptions};
+    use crate::buffering::{default_candidates, split_long_edges};
+    use crate::construct::{choose_buffers_with, ConstructArena, ParallelConfig};
+    use crate::dme::build_zero_skew_tree;
     use crate::instance::ClockNetInstance;
     use crate::polarity::correct_polarity;
     use contango_geom::Point;
@@ -151,15 +135,17 @@ mod tests {
             }
         }
         let inst = b.build().expect("valid");
-        let mut tree = build_zero_skew_tree(&inst, &tech, DmeOptions::default());
+        let mut tree = build_zero_skew_tree(&inst, &tech);
         split_long_edges(&mut tree, 250.0);
-        choose_and_insert_buffers(
+        choose_buffers_with(
             &mut tree,
             &tech,
             &default_candidates(&tech, false),
             inst.cap_limit,
             0.1,
             &inst.obstacles,
+            ParallelConfig::serial(),
+            &mut ConstructArena::new(),
         )
         .expect("buffers fit");
         correct_polarity(&mut tree, tech.composite(tech.small_inverter(), 32));
@@ -199,7 +185,7 @@ mod tests {
             segment_um: 100.0,
             cap_limit: inst.cap_limit,
         };
-        let outcome = iterative_wiresizing(&mut tree, &ctx, WireSizingConfig::default());
+        let outcome = iterative_wiresizing(&mut tree, &ctx, 6, Scope::TopDown);
         assert!(outcome.skew_after <= outcome.skew_before + 1e-9);
         let final_report = ctx.evaluate(&tree);
         assert!(!final_report.has_slew_violation());
@@ -220,7 +206,7 @@ mod tests {
             segment_um: 100.0,
             cap_limit: inst.cap_limit,
         };
-        let outcome = iterative_wiresizing(&mut tree, &ctx, WireSizingConfig::default());
+        let outcome = iterative_wiresizing(&mut tree, &ctx, 6, Scope::TopDown);
         if outcome.rounds > 0 {
             assert!(tree.total_cap(&tech) < cap_before);
         }
@@ -239,11 +225,7 @@ mod tests {
             segment_um: 100.0,
             cap_limit: inst.cap_limit,
         };
-        let cfg = WireSizingConfig {
-            scope: Scope::BottomLevel,
-            ..WireSizingConfig::default()
-        };
-        let _ = iterative_wiresizing(&mut tree, &ctx, cfg);
+        let _ = iterative_wiresizing(&mut tree, &ctx, 6, Scope::BottomLevel);
         for (id, &width_before) in widths_before.iter().enumerate() {
             if tree.node(id).wire.width != width_before {
                 assert!(

@@ -10,26 +10,6 @@
 use crate::opt::{rslack_sweep, Objective, OptContext, PassOutcome, RoundDriver, Scope};
 use crate::tree::{ClockTree, NodeId};
 use contango_sim::EvalReport;
-use serde::Serialize;
-
-/// Configuration of the iterative wiresnaking pass.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub struct WireSnakingConfig {
-    /// Maximum number of improvement rounds.
-    pub max_rounds: usize,
-    /// Which edges may be snaked; it also sets the snake unit, the most
-    /// units per edge and round, and the share of slack a round spends.
-    pub scope: Scope,
-}
-
-impl Default for WireSnakingConfig {
-    fn default() -> Self {
-        Self {
-            max_rounds: 8,
-            scope: Scope::TopDown,
-        }
-    }
-}
 
 /// How one snaking round spends slack.
 #[derive(Debug, Clone, Copy)]
@@ -85,27 +65,32 @@ pub fn estimate_twn(
     (delta).max(1e-5)
 }
 
-/// Runs iterative wiresnaking on `tree`.
+/// Runs up to `max_rounds` rounds of iterative wiresnaking on `tree`.
+/// `scope` picks the edges that may be snaked, and also the snake unit,
+/// the most units per edge and round, and the share of slack a round
+/// spends.
 pub fn iterative_wiresnaking(
     tree: &mut ClockTree,
     ctx: &OptContext<'_>,
-    config: WireSnakingConfig,
+    max_rounds: usize,
+    scope: Scope,
 ) -> PassOutcome {
-    snake(tree, ctx, config, config.scope.snake_step())
+    snake(tree, ctx, max_rounds, scope, scope.snake_step())
 }
 
 /// Wiresnaking with an explicit step: one `Twn` calibration at the step's
-/// unit, then up to `config.max_rounds` rounds.
+/// unit, then up to `max_rounds` rounds over the edges `scope` allows.
 pub(crate) fn snake(
     tree: &mut ClockTree,
     ctx: &OptContext<'_>,
-    config: WireSnakingConfig,
+    max_rounds: usize,
+    scope: Scope,
     step: SnakeStep,
 ) -> PassOutcome {
     let mut pass = RoundDriver::open(ctx, tree, Objective::Skew);
     // Never below 1e-5, so the unit count below stays finite.
     let twn = estimate_twn(tree, ctx, pass.current(), step.unit);
-    pass.repeat(tree, config.max_rounds, |tree, current| {
+    pass.repeat(tree, max_rounds, |tree, current| {
         let add_units = |tree: &mut ClockTree, id: NodeId, available: f64| {
             let units =
                 ((available / twn).floor() as isize).clamp(0, step.max_units as isize) as usize;
@@ -114,7 +99,7 @@ pub(crate) fn snake(
                 units as f64 * twn
             })
         };
-        rslack_sweep(tree, current, config.scope, step.usage, add_units)
+        rslack_sweep(tree, current, scope, step.usage, add_units)
     });
     pass.finish()
 }
@@ -122,12 +107,13 @@ pub(crate) fn snake(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::buffering::{choose_and_insert_buffers, default_candidates, split_long_edges};
-    use crate::dme::{build_zero_skew_tree, DmeOptions};
+    use crate::buffering::{default_candidates, split_long_edges};
+    use crate::construct::{choose_buffers_with, ConstructArena, ParallelConfig};
+    use crate::dme::build_zero_skew_tree;
     use crate::instance::ClockNetInstance;
     use crate::polarity::correct_polarity;
     use crate::tree::NodeKind;
-    use crate::wiresizing::{iterative_wiresizing, WireSizingConfig};
+    use crate::wiresizing::iterative_wiresizing;
     use contango_geom::Point;
     use contango_sim::{IncrementalEvaluator, SourceSpec};
     use contango_tech::Technology;
@@ -150,15 +136,17 @@ mod tests {
             b = b.sink(Point::new(x, y), c);
         }
         let inst = b.build().expect("valid");
-        let mut tree = build_zero_skew_tree(&inst, &tech, DmeOptions::default());
+        let mut tree = build_zero_skew_tree(&inst, &tech);
         split_long_edges(&mut tree, 250.0);
-        choose_and_insert_buffers(
+        choose_buffers_with(
             &mut tree,
             &tech,
             &default_candidates(&tech, false),
             inst.cap_limit,
             0.1,
             &inst.obstacles,
+            ParallelConfig::serial(),
+            &mut ConstructArena::new(),
         )
         .expect("buffers fit");
         correct_polarity(&mut tree, tech.composite(tech.small_inverter(), 32));
@@ -196,8 +184,8 @@ mod tests {
         let (inst, mut tree) = buffered_instance();
         let evaluator = IncrementalEvaluator::new(tech.clone());
         let c = ctx(&tech, &evaluator, inst.cap_limit);
-        let _ = iterative_wiresizing(&mut tree, &c, WireSizingConfig::default());
-        let outcome = iterative_wiresnaking(&mut tree, &c, WireSnakingConfig::default());
+        let _ = iterative_wiresizing(&mut tree, &c, 6, Scope::TopDown);
+        let outcome = iterative_wiresnaking(&mut tree, &c, 8, Scope::TopDown);
         assert!(outcome.skew_after <= outcome.skew_before + 1e-9);
         let report = c.evaluate(&tree);
         assert!(!report.has_slew_violation());
@@ -211,7 +199,7 @@ mod tests {
         let wl_before = tree.wirelength();
         let evaluator = IncrementalEvaluator::new(tech.clone());
         let c = ctx(&tech, &evaluator, inst.cap_limit);
-        let _ = iterative_wiresnaking(&mut tree, &c, WireSnakingConfig::default());
+        let _ = iterative_wiresnaking(&mut tree, &c, 8, Scope::TopDown);
         assert!(tree.wirelength() + 1e-9 >= wl_before);
     }
 
@@ -224,11 +212,7 @@ mod tests {
             .collect();
         let evaluator = IncrementalEvaluator::new(tech.clone());
         let c = ctx(&tech, &evaluator, inst.cap_limit);
-        let cfg = WireSnakingConfig {
-            scope: Scope::BottomLevel,
-            ..WireSnakingConfig::default()
-        };
-        let _ = iterative_wiresnaking(&mut tree, &c, cfg);
+        let _ = iterative_wiresnaking(&mut tree, &c, 8, Scope::BottomLevel);
         for (id, &before) in snapshot.iter().enumerate() {
             if (tree.node(id).wire.extra_length - before).abs() > 1e-9 {
                 assert!(matches!(tree.node(id).kind, NodeKind::Sink(_)));

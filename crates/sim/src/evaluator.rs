@@ -12,23 +12,7 @@ use crate::netlist::{Netlist, StageDriver, TapKind};
 use crate::report::{CornerReport, EvalReport, SinkTiming, TransitionTiming};
 use crate::transient::{solve_lanes, Lane};
 use contango_tech::Technology;
-use serde::{Deserialize, Serialize};
 use std::cell::Cell;
-
-/// Options controlling an evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct EvalOptions {
-    /// Delay model to use.
-    pub model: DelayModel,
-}
-
-impl Default for EvalOptions {
-    fn default() -> Self {
-        Self {
-            model: DelayModel::Transient,
-        }
-    }
-}
 
 /// State of one transition edge arriving at a stage's driver input.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -156,28 +140,23 @@ pub(crate) fn record_tap(
 #[derive(Debug, Clone)]
 pub struct Evaluator {
     tech: Technology,
-    options: EvalOptions,
+    model: DelayModel,
     runs: Cell<usize>,
 }
 
 impl Evaluator {
     /// Creates an evaluator with the default (transient) delay model.
     pub fn new(tech: Technology) -> Self {
-        Self::with_options(tech, EvalOptions::default())
-    }
-
-    /// Creates an evaluator with explicit options.
-    pub fn with_options(tech: Technology, options: EvalOptions) -> Self {
-        Self {
-            tech,
-            options,
-            runs: Cell::new(0),
-        }
+        Self::with_model(tech, DelayModel::Transient)
     }
 
     /// Creates an evaluator using a specific delay model.
     pub fn with_model(tech: Technology, model: DelayModel) -> Self {
-        Self::with_options(tech, EvalOptions { model })
+        Self {
+            tech,
+            model,
+            runs: Cell::new(0),
+        }
     }
 
     /// The technology this evaluator uses.
@@ -187,7 +166,7 @@ impl Evaluator {
 
     /// The delay model in use.
     pub fn model(&self) -> DelayModel {
-        self.options.model
+        self.model
     }
 
     /// Number of evaluations performed so far (the "SPICE run" count).
@@ -306,9 +285,9 @@ impl Evaluator {
             })
             .collect();
 
-        match self.options.model {
+        match self.model {
             DelayModel::Elmore | DelayModel::TwoPole => {
-                let two_pole = self.options.model == DelayModel::TwoPole;
+                let two_pole = self.model == DelayModel::TwoPole;
                 drives
                     .iter()
                     .map(|d| {

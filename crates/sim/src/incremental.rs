@@ -50,8 +50,7 @@
 
 use crate::driver::DriverSpec;
 use crate::evaluator::{
-    record_tap, stage_requests, tap_states, EdgeState, EvalOptions, Evaluator, NodeState,
-    RelTiming, SolveKey,
+    record_tap, stage_requests, tap_states, EdgeState, Evaluator, NodeState, RelTiming, SolveKey,
 };
 use crate::netlist::StageDriver;
 use crate::report::{CornerReport, EvalReport};
@@ -394,23 +393,13 @@ pub struct IncrementalEvaluator {
 impl IncrementalEvaluator {
     /// Creates an incremental evaluator with the default (transient) model.
     pub fn new(tech: Technology) -> Self {
-        Self::from_evaluator(Evaluator::new(tech))
-    }
-
-    /// Creates an incremental evaluator with explicit options.
-    pub fn with_options(tech: Technology, options: EvalOptions) -> Self {
-        Self::from_evaluator(Evaluator::with_options(tech, options))
+        Self::with_model(tech, crate::DelayModel::Transient)
     }
 
     /// Creates an incremental evaluator using a specific delay model.
     pub fn with_model(tech: Technology, model: crate::DelayModel) -> Self {
-        Self::from_evaluator(Evaluator::with_model(tech, model))
-    }
-
-    /// Wraps an existing full evaluator (its run counter is shared).
-    pub fn from_evaluator(inner: Evaluator) -> Self {
         Self {
-            inner,
+            inner: Evaluator::with_model(tech, model),
             cache: RefCell::new(WordMap::default()),
             generation: Cell::new(0),
             stats: Cell::new(CacheStats::default()),

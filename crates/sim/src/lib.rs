@@ -58,7 +58,7 @@ pub mod variation;
 pub use arnoldi::{higher_moments, reduced_order_models, Moments, ReducedOrderModel};
 pub use driver::{DriverSpec, SourceSpec, RISE_FALL_ASYMMETRY, SLEW_DELAY_SENSITIVITY};
 pub use error::{NetlistError, SpiceError};
-pub use evaluator::{EvalOptions, Evaluator};
+pub use evaluator::Evaluator;
 pub use incremental::{
     CacheStats, IncrementalEvaluator, LocalTap, LocalTapKind, LoweredStage, SigBuilder, StageSig,
     StageSlot,

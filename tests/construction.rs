@@ -3,10 +3,11 @@
 //! Three guarantees are pinned here:
 //!
 //! 1. **Reference equivalence** — the engine reproduces the recursive
-//!    pre-engine implementations (`reference_zero_skew_tree`,
-//!    `reference_greedy_matching_tree`, `choose_and_insert_buffers`) bit
-//!    for bit: same node ids, same locations, same snaking, same buffer
-//!    placements.
+//!    pre-engine implementations, kept as test oracles in
+//!    `tests/support/reference.rs` (`reference_zero_skew_tree` with its own
+//!    merge mathematics, `reference_greedy_matching_tree`,
+//!    `choose_and_insert_buffers`), bit for bit: same node ids, same
+//!    locations, same snaking, same buffer placements.
 //! 2. **Thread-count invariance** — `threads = 1` and `threads = 4`
 //!    construction are bit-identical on randomized instances (proptest)
 //!    and on obstacle-dense instances, and whole flows (ti60/ti300-style)
@@ -17,17 +18,22 @@
 //!
 //! One ignored test holds the engine's speed floors over the references.
 
+#[path = "support/reference.rs"]
+mod reference;
+
 use contango::prelude::*;
-use contango_core::buffering::{choose_and_insert_buffers, default_candidates, split_long_edges};
+use contango::tech::WireWidth;
+use contango_core::buffering::{default_candidates, split_long_edges};
 use contango_core::construct::{
     choose_buffers_with, construct_initial, greedy_matching_with, zero_skew_tree_with,
     ConstructConfig,
 };
-use contango_core::dme::{reference_zero_skew_tree, DmeOptions};
 use contango_core::obstacles::repair_obstacle_violations;
 use contango_core::polarity::correct_polarity;
-use contango_core::topology::reference_greedy_matching_tree;
 use proptest::prelude::*;
+use reference::{
+    choose_and_insert_buffers, reference_greedy_matching_tree, reference_zero_skew_tree,
+};
 use std::hint::black_box;
 use std::io::Write;
 use std::time::Instant;
@@ -84,15 +90,12 @@ fn engine_zst_matches_reference_bit_for_bit() {
     let mut arena = ConstructArena::new();
     for (sinks, seed) in [(3usize, 1u64), (17, 2), (64, 3), (257, 4), (1000, 7)] {
         let instance = ti_style(sinks, seed);
-        let reference = reference_zero_skew_tree(&instance, &tech, DmeOptions::default());
-        let engine = zero_skew_tree_with(&instance, &tech, DmeOptions::default(), &mut arena);
+        let reference = reference_zero_skew_tree(&instance, &tech, WireWidth::Wide);
+        let engine = zero_skew_tree_with(&instance, &tech, ParallelConfig::serial(), &mut arena);
         assert_eq!(reference, engine, "ZST diverged at {sinks} sinks");
         for threads in [2usize, 4, 7] {
-            let opts = DmeOptions {
-                parallel: ParallelConfig::with_threads(threads),
-                ..DmeOptions::default()
-            };
-            let fanned = zero_skew_tree_with(&instance, &tech, opts, &mut arena);
+            let parallel = ParallelConfig::with_threads(threads);
+            let fanned = zero_skew_tree_with(&instance, &tech, parallel, &mut arena);
             assert_eq!(
                 reference, fanned,
                 "ZST diverged at {sinks} sinks with {threads} threads"
@@ -123,7 +126,7 @@ fn engine_buffer_planning_matches_reference() {
     let tech = Technology::ispd09();
     let mut arena = ConstructArena::new();
     for instance in [ti_style(300, 5), obstacle_dense(300)] {
-        let mut tree = reference_zero_skew_tree(&instance, &tech, DmeOptions::default());
+        let mut tree = reference_zero_skew_tree(&instance, &tech, WireWidth::Wide);
         split_long_edges(&mut tree, 250.0);
         let candidates = default_candidates(&tech, false);
         let mut t_ref = tree.clone();
@@ -159,7 +162,7 @@ fn engine_buffer_planning_matches_reference() {
 /// obstacle repair, long-edge splitting, reference buffer planning and
 /// polarity correction.
 fn reference_initial(instance: &ClockNetInstance, tech: &Technology) -> ClockTree {
-    let mut tree = reference_zero_skew_tree(instance, tech, DmeOptions::default());
+    let mut tree = reference_zero_skew_tree(instance, tech, WireWidth::Wide);
     let candidates = default_candidates(tech, false);
     let strongest = candidates
         .iter()
@@ -195,6 +198,44 @@ fn engine_initial_matches_the_reference_sequence() {
                 instance.name
             );
         }
+    }
+}
+
+/// A die-filling `nx`×`ny` grid of sinks with varied pin capacitance.
+fn grid_instance(nx: usize, ny: usize) -> ClockNetInstance {
+    let die_w = 600.0 + 420.0 * nx as f64;
+    let die_h = 700.0 + 430.0 * ny as f64;
+    let mut b = ClockNetInstance::builder("construct-test")
+        .die(0.0, 0.0, die_w, die_h)
+        .source(Point::new(0.0, die_h / 2.0))
+        .cap_limit(1.0e8);
+    for j in 0..ny {
+        for i in 0..nx {
+            b = b.sink(
+                Point::new(300.0 + 420.0 * i as f64, 350.0 + 430.0 * j as f64),
+                8.0 + ((i * 3 + j) % 5) as f64,
+            );
+        }
+    }
+    b.build().expect("valid instance")
+}
+
+#[test]
+fn engine_handles_tiny_instances_like_the_reference() {
+    let tech = Technology::ispd09();
+    let mut arena = ConstructArena::new();
+    for (nx, ny) in [(1usize, 1usize), (2, 1), (1, 3)] {
+        let instance = grid_instance(nx, ny);
+        assert_eq!(
+            reference_zero_skew_tree(&instance, &tech, WireWidth::Wide),
+            zero_skew_tree_with(&instance, &tech, ParallelConfig::serial(), &mut arena),
+            "{nx}x{ny} grid"
+        );
+        assert_eq!(
+            reference_greedy_matching_tree(&instance),
+            greedy_matching_with(&instance, &mut arena),
+            "{nx}x{ny} grid greedy"
+        );
     }
 }
 
@@ -380,7 +421,7 @@ fn assert_floor(name: &str, reference_us: f64, engine_us: f64, floor: f64) {
 }
 
 /// Serial engine speed over the references at 1k sinks, each kernel
-/// checked bit-identical first. The engine shares the references' merge
+/// checked bit-identical first. The engine computes the references' merge
 /// mathematics, so its headroom is the allocation and traversal overhead
 /// it removes; the floors sit well below the measured ratios.
 #[test]
@@ -391,9 +432,9 @@ fn engine_construction_floors_over_the_references_at_1k() {
     let mut arena = ConstructArena::new();
     let iters = 8;
 
-    let zst_ref = || reference_zero_skew_tree(&instance, &tech, DmeOptions::default());
+    let zst_ref = || reference_zero_skew_tree(&instance, &tech, WireWidth::Wide);
     let zst_eng = |arena: &mut ConstructArena| {
-        zero_skew_tree_with(&instance, &tech, DmeOptions::default(), arena)
+        zero_skew_tree_with(&instance, &tech, ParallelConfig::serial(), arena)
     };
     assert_eq!(zst_ref(), zst_eng(&mut arena));
     let reference_us = mean_us(iters, zst_ref);

@@ -7,17 +7,18 @@
 //! keys. One ignored test holds the engine's speed floor over full
 //! evaluation.
 
-use contango::core::bottomlevel::{bottom_level_tuning, BottomLevelConfig};
-use contango::core::buffering::{choose_and_insert_buffers, default_candidates, split_long_edges};
-use contango::core::buffersizing::{iterative_buffer_sizing, BufferSizingConfig};
-use contango::core::dme::{build_zero_skew_tree, DmeOptions};
+use contango::core::bottomlevel::bottom_level_tuning;
+use contango::core::buffering::{default_candidates, split_long_edges};
+use contango::core::buffersizing::iterative_buffer_sizing;
+use contango::core::construct::{choose_buffers_with, ConstructArena, ParallelConfig};
+use contango::core::dme::build_zero_skew_tree;
 use contango::core::instance::ClockNetInstance;
-use contango::core::opt::OptContext;
+use contango::core::opt::{OptContext, Scope};
 use contango::core::polarity::correct_polarity;
 use contango::core::sliding::slide_and_interleave;
 use contango::core::tree::ClockTree;
-use contango::core::wiresizing::{iterative_wiresizing, WireSizingConfig};
-use contango::core::wiresnaking::{iterative_wiresnaking, WireSnakingConfig};
+use contango::core::wiresizing::iterative_wiresizing;
+use contango::core::wiresnaking::iterative_wiresnaking;
 use contango::geom::Point;
 use contango::sim::{EvalReport, IncrementalEvaluator, SourceSpec};
 use contango::tech::{Technology, WireWidth};
@@ -107,15 +108,17 @@ fn buffered_tree(
 /// The INITIAL construction of `inst`: zero-skew tree, long edges split,
 /// buffers inserted, sink polarity corrected.
 fn initial_tree(tech: &Technology, inst: &ClockNetInstance) -> ClockTree {
-    let mut tree = build_zero_skew_tree(inst, tech, DmeOptions::default());
+    let mut tree = build_zero_skew_tree(inst, tech);
     split_long_edges(&mut tree, 250.0);
-    choose_and_insert_buffers(
+    choose_buffers_with(
         &mut tree,
         tech,
         &default_candidates(tech, false),
         inst.cap_limit,
         0.1,
         &inst.obstacles,
+        ParallelConfig::serial(),
+        &mut ConstructArena::new(),
     )
     .expect("buffers fit");
     correct_polarity(&mut tree, tech.composite(tech.small_inverter(), 32));
@@ -165,13 +168,13 @@ fn every_pass_preserves_incremental_full_equivalence() {
 
     check(&tree, "INITIAL");
     slide_and_interleave(&mut tree, &ctx);
-    iterative_buffer_sizing(&mut tree, &ctx, BufferSizingConfig::default());
+    iterative_buffer_sizing(&mut tree, &ctx, 5);
     check(&tree, "TBSZ");
-    iterative_wiresizing(&mut tree, &ctx, WireSizingConfig::default());
+    iterative_wiresizing(&mut tree, &ctx, 6, Scope::TopDown);
     check(&tree, "TWSZ");
-    iterative_wiresnaking(&mut tree, &ctx, WireSnakingConfig::default());
+    iterative_wiresnaking(&mut tree, &ctx, 8, Scope::TopDown);
     check(&tree, "TWSN");
-    bottom_level_tuning(&mut tree, &ctx, BottomLevelConfig::default());
+    bottom_level_tuning(&mut tree, &ctx, 4);
     check(&tree, "BWSN");
 
     // The caches must actually have been doing work (otherwise this test

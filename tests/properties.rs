@@ -1,6 +1,6 @@
 //! Property-based tests on the core data structures and invariants.
 
-use contango::core::dme::{build_zero_skew_tree, DmeOptions};
+use contango::core::dme::build_zero_skew_tree;
 use contango::core::error::CoreError;
 use contango::core::flow::{ContangoFlow, FlowConfig, FlowStage, StageSnapshot};
 use contango::core::instance::ClockNetInstance;
@@ -118,7 +118,7 @@ proptest! {
         }
         let instance = builder.build().expect("valid");
         let tech = Technology::ispd09();
-        let tree = build_zero_skew_tree(&instance, &tech, DmeOptions::default());
+        let tree = build_zero_skew_tree(&instance, &tech);
         prop_assert_eq!(tree.sink_count(), points.len());
         prop_assert!(tree.validate().is_ok());
         let netlist = to_netlist(&tree, &tech, &SourceSpec::ispd09(), 50.0).expect("lowers");
@@ -139,7 +139,7 @@ proptest! {
         }
         let instance = builder.build().expect("valid");
         let tech = Technology::ispd09();
-        let mut tree = build_zero_skew_tree(&instance, &tech, DmeOptions::default());
+        let mut tree = build_zero_skew_tree(&instance, &tech);
         let victim = tree.sink_node(0);
         tree.node_mut(victim).wire.extra_length += extra;
         let netlist = to_netlist(&tree, &tech, &SourceSpec::ispd09(), 50.0).expect("lowers");

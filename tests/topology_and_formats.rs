@@ -3,6 +3,7 @@
 
 use contango::benchmarks::generator::{ispd09_suite, make_instance};
 use contango::benchmarks::solution::{parse_solution, write_solution};
+use contango::core::construct::{build_topology_with, ConstructArena, ParallelConfig};
 use contango::core::instance::ClockNetInstance;
 use contango::core::lower::to_netlist;
 use contango::core::topology::TopologyKind;
@@ -118,8 +119,11 @@ fn topology_wirelengths_stay_within_sane_geometric_bounds() {
         .union(&Rect::from_points(instance.source, instance.source));
     let hpwl = bbox.width() + bbox.height();
     let mst = rectilinear_mst_weight(&points);
+    let mut arena = ConstructArena::new();
     for kind in TopologyKind::all() {
-        let wl = contango::core::topology::build_topology(kind, &instance, &tech).wirelength();
+        let tree =
+            build_topology_with(kind, &instance, &tech, ParallelConfig::serial(), &mut arena);
+        let wl = tree.wirelength();
         assert!(
             wl + 1e-9 >= hpwl,
             "{}: wirelength {wl} below the HPWL lower bound {hpwl}",
