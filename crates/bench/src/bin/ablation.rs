@@ -91,11 +91,7 @@ fn main() {
     rule(80);
 
     // Delay model driving the optimization loops.
-    for model in [
-        DelayModel::Elmore,
-        DelayModel::TwoPole,
-        DelayModel::Transient,
-    ] {
+    for model in [DelayModel::Elmore, DelayModel::Transient] {
         report(
             &format!("delay model = {model:?}"),
             FlowConfig {

@@ -40,7 +40,7 @@ fn main() {
             Ok(result) => {
                 let netlist = to_netlist(&result.tree, &tech, &instance.source_spec, 150.0)
                     .expect("flow trees lower cleanly");
-                let evaluator = Evaluator::with_model(tech.clone(), DelayModel::TwoPole);
+                let evaluator = Evaluator::with_model(tech.clone(), DelayModel::Elmore);
                 let report = monte_carlo(&evaluator, &netlist, &model, samples, 20.0, 2010);
                 println!(
                     "{label:<26} {:>10.3} {:>10.3} {:>12.3} {:>12.2} {:>9.0}%",

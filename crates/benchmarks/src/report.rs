@@ -210,37 +210,6 @@ pub fn stage_table(benchmark: &str, result: &FlowResult) -> Table {
     table
 }
 
-/// Builds a suite summary table from run summaries: one row per
-/// (benchmark, tool), canonically sorted so the table is identical however
-/// the runs were scheduled. Unlike [`comparison_table`] it carries no
-/// wall-clock column, so suite reports are bit-identical for every worker
-/// count.
-pub fn suite_table(rows: &[RunSummary]) -> Table {
-    let mut sorted: Vec<&RunSummary> = rows.iter().collect();
-    sorted.sort_by(|a, b| (&a.benchmark, &a.tool).cmp(&(&b.benchmark, &b.tool)));
-    let mut table = Table::new([
-        "benchmark",
-        "tool",
-        "CLR (ps)",
-        "skew (ps)",
-        "cap (%)",
-        "buffers",
-        "SPICE runs",
-    ]);
-    for r in sorted {
-        table.push_row([
-            r.benchmark.clone(),
-            r.tool.clone(),
-            format_ps(r.clr),
-            format_ps(r.skew),
-            format!("{:.2}", r.cap_pct),
-            r.buffers.to_string(),
-            r.spice_runs.to_string(),
-        ]);
-    }
-    table
-}
-
 /// Per-stage CLR/skew means of one tool across a benchmark suite (an
 /// aggregated Table-III row).
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -361,34 +330,6 @@ pub fn run_count_table(rows: &[RunSummary]) -> Table {
     table
 }
 
-/// Ratio of each tool's average CLR to the reference tool's average CLR,
-/// reproducing the "Relative" row of Table IV. Returns `(tool, ratio)` pairs
-/// for every tool present in `rows`; the reference tool has ratio 1.0.
-pub fn relative_clr(rows: &[RunSummary], reference_tool: &str) -> Vec<(String, f64)> {
-    let mut tools: Vec<String> = rows.iter().map(|r| r.tool.clone()).collect();
-    tools.sort();
-    tools.dedup();
-    let average = |tool: &str| -> Option<f64> {
-        let values: Vec<f64> = rows
-            .iter()
-            .filter(|r| r.tool == tool)
-            .map(|r| r.clr)
-            .collect();
-        if values.is_empty() {
-            None
-        } else {
-            Some(values.iter().sum::<f64>() / values.len() as f64)
-        }
-    };
-    let Some(reference) = average(reference_tool) else {
-        return Vec::new();
-    };
-    tools
-        .into_iter()
-        .filter_map(|tool| average(&tool).map(|avg| (tool, avg / reference.max(1e-12))))
-        .collect()
-}
-
 /// Formats a picosecond quantity with the precision the paper uses
 /// (two decimals below 100 ps, one above).
 pub fn format_ps(value: f64) -> String {
@@ -456,21 +397,7 @@ mod tests {
     }
 
     #[test]
-    fn relative_clr_is_one_for_the_reference() {
-        let (instance, result) = small_run();
-        let contango = RunSummary::from_result("b", "contango", &instance, &result);
-        let mut worse = contango.clone();
-        worse.tool = "baseline".to_string();
-        worse.clr *= 2.0;
-        let ratios = relative_clr(&[contango, worse], "contango");
-        let find = |tool: &str| ratios.iter().find(|(t, _)| t == tool).expect("present").1;
-        assert!((find("contango") - 1.0).abs() < 1e-12);
-        assert!((find("baseline") - 2.0).abs() < 1e-9);
-        assert!(relative_clr(&[], "contango").is_empty());
-    }
-
-    #[test]
-    fn suite_and_run_count_tables_sort_canonically_and_drop_wallclock() {
+    fn run_count_table_sorts_canonically_and_drops_wallclock() {
         let (instance, result) = small_run();
         let mut a = RunSummary::from_result("bbb", "contango", &instance, &result);
         a.runtime_s = 1.23;
@@ -478,11 +405,8 @@ mod tests {
         b.benchmark = "aaa".to_string();
         b.tool = "dme-no-tuning".to_string();
         let rows = vec![a, b];
-        let suite = suite_table(&rows);
-        assert_eq!(suite.rows[0][0], "aaa");
-        assert_eq!(suite.rows[1][0], "bbb");
-        assert!(!suite.to_text().contains("runtime"));
         let runs = run_count_table(&rows);
+        assert!(!runs.to_text().contains("runtime"));
         assert_eq!(runs.rows[0][1], "dme-no-tuning");
         assert_eq!(runs.rows[1][2], rows[0].spice_runs.to_string());
     }

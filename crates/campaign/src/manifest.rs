@@ -677,7 +677,6 @@ impl Manifest {
                 "model" => {
                     manifest.model = match value {
                         "elmore" => DelayModel::Elmore,
-                        "two-pole" => DelayModel::TwoPole,
                         "transient" => DelayModel::Transient,
                         _ => return Err(invalid("model")),
                     };
@@ -835,7 +834,6 @@ impl Manifest {
         if self.model != defaults.model {
             let model = match self.model {
                 DelayModel::Elmore => "elmore",
-                DelayModel::TwoPole => "two-pole",
                 DelayModel::Transient => "transient",
             };
             let _ = writeln!(out, "model {model}");
@@ -1069,7 +1067,7 @@ instance ti:80:0xbeef
 profile fast
 technology ti45
 topology h-tree
-model two-pole
+model elmore
 large-inverters on
 stages TBSZ,twsz
 skip bwsn
@@ -1094,7 +1092,7 @@ threads 4
         assert_eq!(m.profile, Profile::Fast);
         assert_eq!(m.technology, TechnologyKind::Ti45);
         assert_eq!(m.topology, TopologyKind::HTree);
-        assert_eq!(m.model, DelayModel::TwoPole);
+        assert_eq!(m.model, DelayModel::Elmore);
         assert!(m.large_inverters);
         assert_eq!(m.stages, Some(vec!["TBSZ".to_string(), "TWSZ".to_string()]));
         assert_eq!(m.skip, vec!["BWSN".to_string()]);
@@ -1114,7 +1112,7 @@ instance file:runs/bench#1.cts
 technology ti45
 profile fast
 topology h-tree
-model two-pole
+model elmore
 large-inverters true
 stages TBSZ,TWSZ
 skip BWSN
@@ -1181,6 +1179,15 @@ dispatch tcp:127.0.0.1:7979
         assert!(matches!(err, ManifestError::InvalidValue { line: 1, .. }));
         let err = Manifest::parse("baselines ntu2009\n").unwrap_err();
         assert!(matches!(err, ManifestError::InvalidValue { line: 1, .. }));
+        let err = Manifest::parse("instance ti:6\nmodel two-pole\n").unwrap_err();
+        assert_eq!(
+            err,
+            ManifestError::InvalidValue {
+                line: 2,
+                key: "model".to_string(),
+                value: "two-pole".to_string(),
+            }
+        );
         for err in [
             Manifest::parse("instance socket:9\n").unwrap_err(),
             Manifest::parse("instance file:\n").unwrap_err(),

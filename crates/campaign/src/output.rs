@@ -92,55 +92,41 @@ pub fn render_table(table: &Table, format: TableFormat) -> String {
 }
 
 /// Renders a campaign result the way the CLI `suite` command reports it:
-/// either JSON Lines, or the summary / stage-aggregate / run-count tables
-/// (plus a failure table when any job failed) separated by blank lines.
+/// either JSON Lines, or tables separated by blank lines — the summary /
+/// stage-aggregate / run-count tables, or the Pareto frontier — plus a
+/// failure table when any job failed.
 pub fn suite_output(result: &CampaignResult, report: ReportKind, format: TableFormat) -> String {
-    match report {
-        ReportKind::Jsonl => result.to_jsonl(),
-        ReportKind::Pareto => {
-            let mut out = render_table(&Frontier::of_result(result).table(), format);
-            let failures = result.failures();
-            if !failures.is_empty() {
-                let mut table = Table::new(["benchmark", "tool", "error"]);
-                for (record, error) in failures {
-                    table.push_row([
-                        record.benchmark.clone(),
-                        record.tool.clone(),
-                        error.to_string(),
-                    ]);
-                }
-                out.push('\n');
-                out.push_str(&render_table(&table, format));
-            }
-            out
+    let mut out = match report {
+        ReportKind::Jsonl => return result.to_jsonl(),
+        ReportKind::FrontierJsonl => return Frontier::of_result(result).to_jsonl(),
+        ReportKind::Pareto => render_table(&Frontier::of_result(result).table(), format),
+        ReportKind::Table => [
+            result.suite_table(),
+            result.stage_aggregate_table(),
+            result.run_count_table(),
+        ]
+        .iter()
+        .map(|table| render_table(table, format))
+        .collect::<Vec<_>>()
+        .join("\n"),
+    };
+    // Failures go out as one more table so csv/markdown output stays
+    // parseable (they are also reported per job and in the exit status /
+    // response fields).
+    let failures = result.failures();
+    if !failures.is_empty() {
+        let mut table = Table::new(["benchmark", "tool", "error"]);
+        for (record, error) in failures {
+            table.push_row([
+                record.benchmark.clone(),
+                record.tool.clone(),
+                error.to_string(),
+            ]);
         }
-        ReportKind::FrontierJsonl => Frontier::of_result(result).to_jsonl(),
-        ReportKind::Table => {
-            let mut out = String::new();
-            out.push_str(&render_table(&result.suite_table(), format));
-            out.push('\n');
-            out.push_str(&render_table(&result.stage_aggregate_table(), format));
-            out.push('\n');
-            out.push_str(&render_table(&result.run_count_table(), format));
-            // Failures go out as one more table so csv/markdown output
-            // stays parseable (they are also reported per job and in the
-            // exit status / response fields).
-            let failures = result.failures();
-            if !failures.is_empty() {
-                let mut table = Table::new(["benchmark", "tool", "error"]);
-                for (record, error) in failures {
-                    table.push_row([
-                        record.benchmark.clone(),
-                        record.tool.clone(),
-                        error.to_string(),
-                    ]);
-                }
-                out.push('\n');
-                out.push_str(&render_table(&table, format));
-            }
-            out
-        }
+        out.push('\n');
+        out.push_str(&render_table(&table, format));
     }
+    out
 }
 
 #[cfg(test)]

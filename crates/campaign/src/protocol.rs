@@ -196,16 +196,19 @@ pub struct RequestError {
     pub error: ServerError,
 }
 
-/// Reads the next non-blank NDJSON frame line. `Ok(None)` means the stream
-/// ended: EOF, or a torn final line without its `\n`.
+/// Reads the next NDJSON frame line, skipping lines of ASCII whitespace.
+/// The bytes are decoded lossily, so a frame that is not UTF-8 reaches its
+/// decoder and fails there as malformed. `Ok(None)` means the stream
+/// ended: EOF, or a final frame without its `\n`, which is dropped.
 pub(crate) fn read_line(reader: &mut impl BufRead) -> io::Result<Option<String>> {
+    let mut line = Vec::new();
     loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 || !line.ends_with('\n') {
+        line.clear();
+        if reader.read_until(b'\n', &mut line)? == 0 || line.last() != Some(&b'\n') {
             return Ok(None);
         }
-        if !line.trim().is_empty() {
-            return Ok(Some(line));
+        if !line.iter().all(u8::is_ascii_whitespace) {
+            return Ok(Some(String::from_utf8_lossy(&line).into_owned()));
         }
     }
 }

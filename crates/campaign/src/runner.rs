@@ -21,7 +21,7 @@ use crate::job::{CornerKind, Job, VariationSpec};
 use crate::jsonl::record_line;
 use contango_benchmarks::report::{
     aggregate_stages, comparison_table, format_ps, run_count_table, stage_aggregate_table,
-    suite_table, RunSummary, Table,
+    RunSummary, Table,
 };
 use contango_core::construct::ParallelConfig;
 use contango_core::error::CoreError;
@@ -514,8 +514,7 @@ impl CampaignResult {
     ///
     /// When any job carried corner or variation axes the table gains one
     /// skew column per corner (in [`CornerKind::all`] order) and a
-    /// worst-Monte-Carlo-skew column; axis-less campaigns render the
-    /// historical table byte for byte.
+    /// worst-Monte-Carlo-skew column.
     pub fn suite_table(&self) -> Table {
         let corner_labels = self.corner_labels();
         let has_variation = self
@@ -523,10 +522,6 @@ impl CampaignResult {
             .iter()
             .filter_map(|r| r.outcome.as_ref().ok())
             .any(|m| m.variation.is_some());
-        if corner_labels.is_empty() && !has_variation {
-            return suite_table(&self.summaries());
-        }
-
         let mut ok: Vec<&JobMetrics> = self
             .records
             .iter()

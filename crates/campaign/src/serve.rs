@@ -33,10 +33,12 @@
 //! `overloaded` error instead of being buffered without bound — every
 //! request gets exactly one response, nothing is silently dropped.
 //!
-//! Shutdown: a `shutdown` request closes the queue. The acceptor stops
-//! taking connections, readers stop accepting new work (`shutting-down`
-//! errors), and the pool drains the queue — every job already accepted
-//! still runs and answers — before [`Server::run`] returns the summary.
+//! Shutdown: a `shutdown` request closes the queue and shuts the read half
+//! of every open connection. The acceptor stops taking connections,
+//! readers answer frames already received with `shutting-down` errors and
+//! then see EOF, and the pool drains the queue — every job already
+//! accepted still runs and answers on its connection's write half — before
+//! [`Server::run`] returns the summary.
 
 use crate::manifest::Manifest;
 use crate::output::{suite_output, ReportKind, TableFormat};
@@ -48,16 +50,13 @@ use crate::Job;
 use contango_core::construct::ParallelConfig;
 use contango_core::session::EngineSession;
 use contango_sim::{CacheCounters, CacheStore, StoreError};
+use std::collections::HashMap;
 use std::fmt;
-use std::io::{self, BufRead, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{self, BufReader};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-
-/// How long blocking reads sleep before re-checking whether the queue
-/// closed.
-const POLL_INTERVAL: Duration = Duration::from_millis(25);
 
 /// How long the nonblocking acceptor sleeps when no connection is pending.
 const ACCEPT_INTERVAL: Duration = Duration::from_millis(2);
@@ -153,6 +152,42 @@ struct Shared {
     rejected: AtomicU64,
     errors: AtomicU64,
     jobs_run: AtomicU64,
+    /// A clone of each open connection, by registration number, so that
+    /// shutdown can end its reader; `None` once the shutdown sweep ran.
+    readers: Mutex<Option<HashMap<u64, TcpStream>>>,
+    next_reader: AtomicU64,
+}
+
+impl Shared {
+    /// Registers a clone of a connection and returns its number; `None`
+    /// when the shutdown sweep already ran, in which case the connection
+    /// shuts its own read half.
+    fn register_reader(&self, stream: TcpStream) -> Option<u64> {
+        let mut readers = self.readers.lock().expect("reader registry lock");
+        let Some(open) = readers.as_mut() else {
+            let _ = stream.shutdown(Shutdown::Read);
+            return None;
+        };
+        let id = self.next_reader.fetch_add(1, Ordering::SeqCst);
+        open.insert(id, stream);
+        Some(id)
+    }
+
+    fn deregister_reader(&self, id: u64) {
+        if let Some(open) = self.readers.lock().expect("reader registry lock").as_mut() {
+            open.remove(&id);
+        }
+    }
+
+    /// Closes the queue and shuts the read half of every open connection:
+    /// idle readers see EOF, while workers can still write their answers.
+    fn close(&self) {
+        self.queue.close();
+        let open = self.readers.lock().expect("reader registry lock").take();
+        for stream in open.into_iter().flat_map(HashMap::into_values) {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+    }
 }
 
 /// Writes one response frame to a connection. Write errors are swallowed:
@@ -230,6 +265,8 @@ impl Server {
             rejected: AtomicU64::new(0),
             errors: AtomicU64::new(0),
             jobs_run: AtomicU64::new(0),
+            readers: Mutex::new(Some(HashMap::new())),
+            next_reader: AtomicU64::new(0),
         };
         let (listener, shared) = (&self.listener, &shared);
         std::thread::scope(|scope| {
@@ -244,8 +281,9 @@ impl Server {
                         }
                         Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                         Err(e) => {
-                            // Fatal listener failure: stop the pool too.
-                            shared.queue.close();
+                            // Fatal listener failure: stop the pool and
+                            // the readers too.
+                            shared.close();
                             return Err(e);
                         }
                     }
@@ -253,7 +291,7 @@ impl Server {
                 Ok(())
             });
             // Returns once `shutdown` closed the queue and the pool drained
-            // it; readers exit within a poll interval (their reads time out).
+            // it; readers exit at the EOF of their shut read halves.
             run_pool(workers, &shared.queue, |item, session| {
                 run_item(shared, item, session);
             });
@@ -314,65 +352,35 @@ fn run_item(shared: &Shared, item: WorkItem, session: &mut Option<EngineSession>
 
 /// One connection: reads NDJSON frames until EOF or shutdown, answering
 /// `ping`/`shutdown`/errors inline and enqueueing `run` requests. Blank
-/// lines are ignored (NDJSON convention); every other frame gets exactly
-/// one response, though pipelined `run` responses may arrive out of
-/// submission order — match them by id.
+/// lines are ignored (NDJSON convention), and so is a final frame without
+/// its `\n`; every other frame gets exactly one response, though
+/// pipelined `run` responses may arrive out of submission order — match
+/// them by id.
 fn connection_loop(stream: TcpStream, shared: &Shared) {
-    if stream.set_read_timeout(Some(POLL_INTERVAL)).is_err()
-        || stream.set_nonblocking(false).is_err()
-    {
+    // An accepted socket may inherit the listener's nonblocking mode.
+    if stream.set_nonblocking(false).is_err() {
         return;
     }
-    let Ok(write_half) = stream.try_clone() else {
+    let (Ok(write_half), Ok(registered)) = (stream.try_clone(), stream.try_clone()) else {
         return;
     };
+    let reader_id = shared.register_reader(registered);
     let conn = Arc::new(Mutex::new(write_half));
     let mut reader = BufReader::new(stream);
-    let mut line: Vec<u8> = Vec::new();
-    loop {
-        match reader.read_until(b'\n', &mut line) {
-            Ok(0) => {
-                // EOF; a final unterminated frame is still a frame.
-                if !line.iter().all(u8::is_ascii_whitespace) {
-                    handle_frame(&line, &conn, shared);
-                }
-                return;
-            }
-            Ok(_) => {
-                if line.ends_with(b"\n") {
-                    if !line.iter().all(u8::is_ascii_whitespace) {
-                        handle_frame(&line, &conn, shared);
-                    }
-                    line.clear();
-                }
-                // No trailing newline means EOF mid-frame; the next read
-                // returns Ok(0) and flushes it.
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                // Keep any partial frame in `line` and retry, unless the
-                // server is draining.
-                if shared.queue.is_closed() {
-                    return;
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return,
-        }
+    while let Ok(Some(line)) = read_line(&mut reader) {
+        handle_frame(&line, &conn, shared);
+    }
+    if let Some(id) = reader_id {
+        shared.deregister_reader(id);
     }
 }
 
 /// Decodes and dispatches one frame, writing the immediate response (for
 /// everything except an accepted `run`, which the worker answers).
-fn handle_frame(raw: &[u8], conn: &Arc<Mutex<TcpStream>>, shared: &Shared) {
-    // Non-UTF-8 bytes survive into the text lossily and then fail JSON
-    // decoding with a typed error; nothing on the wire can panic us.
-    let text = String::from_utf8_lossy(raw);
-    let text = text.trim_end_matches(['\n', '\r']);
+fn handle_frame(line: &str, conn: &Arc<Mutex<TcpStream>>, shared: &Shared) {
+    // Non-UTF-8 bytes reach the text lossily and then fail JSON decoding
+    // with a typed error; nothing on the wire can panic us.
+    let text = line.trim_end_matches(['\n', '\r']);
     let request = match Request::decode(text) {
         Ok(request) => request,
         Err(failure) => {
@@ -402,7 +410,7 @@ fn handle_frame(raw: &[u8], conn: &Arc<Mutex<TcpStream>>, shared: &Shared) {
             );
         }
         RequestBody::Shutdown => {
-            shared.queue.close();
+            shared.close();
             write_response(
                 conn,
                 &Response::ShutdownAck {
@@ -699,7 +707,7 @@ impl Client {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write as _;
+    use std::io::{BufRead as _, Write as _};
 
     /// Starts a server on a free port and returns its address plus the
     /// thread that will yield the summary after shutdown.
@@ -834,6 +842,52 @@ mod tests {
         let summary = handle.join().expect("server thread");
         assert_eq!(summary.errors, 3);
         assert_eq!(summary.completed, 0);
+    }
+
+    #[test]
+    fn an_unterminated_final_frame_is_dropped_and_the_server_keeps_serving() {
+        let (addr, handle) = start(ServeConfig::default());
+        let mut raw = TcpStream::connect(addr).expect("connect");
+        raw.set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("read timeout");
+        let ping = Request {
+            id: RequestId::Number(1),
+            body: RequestBody::Ping,
+        };
+        raw.write_all(ping.encode().as_bytes()).expect("write");
+        raw.shutdown(Shutdown::Write).expect("half-close");
+        let mut answer = Vec::new();
+        io::Read::read_to_end(&mut raw, &mut answer).expect("EOF before the timeout");
+        assert!(answer.is_empty(), "{}", String::from_utf8_lossy(&answer));
+        let mut client = Client::connect(addr).expect("connect");
+        assert!(matches!(
+            client.ping().expect("ping"),
+            Response::Pong { .. }
+        ));
+        client.shutdown().expect("shutdown");
+        let summary = handle.join().expect("server thread");
+        assert_eq!(summary.errors, 0);
+    }
+
+    #[test]
+    fn run_returns_after_shutdown_while_a_connection_idles() {
+        let (addr, handle) = start(ServeConfig::default());
+        let mut idle = Client::connect(addr).expect("connect");
+        // The answered ping shows the idle connection's reader is running.
+        assert!(matches!(idle.ping().expect("ping"), Response::Pong { .. }));
+        let mut client = Client::connect(addr).expect("connect");
+        client.shutdown().expect("shutdown");
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        while !handle.is_finished() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the server still runs while a connection idles"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        handle.join().expect("server thread");
+        // The server ended the idle connection's reader and closed it.
+        assert!(matches!(idle.recv(), Err(ClientError::Closed)));
     }
 
     #[test]

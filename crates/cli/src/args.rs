@@ -800,7 +800,7 @@ mod tests {
             "--format",
             "md",
             "--model",
-            "two-pole",
+            "elmore",
         ]))
         .expect("parses");
         assert_eq!(
@@ -813,7 +813,7 @@ mod tests {
                     lines: lines(&[
                         ("--fast", "profile fast"),
                         ("--topology", "topology h-tree"),
-                        ("--model", "model two-pole"),
+                        ("--model", "model elmore"),
                     ]),
                 },
                 format: TableFormat::Markdown,

@@ -411,7 +411,7 @@ fn generate(suite: bool, ti_sinks: Option<usize>, out: &str) -> Result<String, C
         let mut lines = Vec::new();
         for spec in ispd09_suite() {
             let instance = make_instance(&spec);
-            let path = format!("{out}/{}.cts", spec.name);
+            let path = format!("{out}/{}.cns", spec.name);
             write(&path, &write_instance(&instance))?;
             lines.push(format!(
                 "{}: {} sinks -> {path}",
@@ -856,7 +856,7 @@ mod tests {
         spec.sinks = 10;
         spec.obstacles = 0;
         let instance = make_instance(&spec);
-        let path = dir.join("small.cts");
+        let path = dir.join("small.cns");
         fs::write(&path, write_instance(&instance)).expect("write instance");
         path.to_string_lossy().into_owned()
     }
@@ -882,7 +882,7 @@ mod tests {
         ("technology", "ti45", "ti7"),
         ("profile", "scalability", "slow"),
         ("topology", "fishbone", "ring"),
-        ("model", "two-pole", "spice"),
+        ("model", "elmore", "two-pole"),
         ("large-inverters", "false", "maybe"),
         ("stages", "twsn,TBSZ", "TBSZ,MESH"),
         ("skip", "BWSN", "INITIAL"),
@@ -1127,7 +1127,7 @@ mod tests {
     #[test]
     fn generate_writes_a_ti_instance() {
         let dir = scratch("generate-ti");
-        let out_path = dir.join("ti200.cts").to_string_lossy().into_owned();
+        let out_path = dir.join("ti200.cns").to_string_lossy().into_owned();
         let out = execute(&Command::Generate {
             suite: false,
             ti_sinks: Some(200),
@@ -1138,6 +1138,28 @@ mod tests {
         let parsed = parse_instance(&fs::read_to_string(&out_path).expect("file written"))
             .expect("valid instance");
         assert_eq!(parsed.sink_count(), 200);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn generate_writes_the_suite_as_cns_files() {
+        let dir = scratch("generate-suite");
+        let out_dir = dir.to_string_lossy().into_owned();
+        execute(&Command::Generate {
+            suite: true,
+            ti_sinks: None,
+            out: out_dir.clone(),
+        })
+        .expect("generate succeeds");
+        for spec in ispd09_suite() {
+            let path = format!("{out_dir}/{}.cns", spec.name);
+            let text = fs::read_to_string(&path).expect("file written");
+            assert_eq!(
+                parse_instance(&text).expect("valid instance"),
+                make_instance(&spec),
+                "{path}"
+            );
+        }
         fs::remove_dir_all(&dir).ok();
     }
 

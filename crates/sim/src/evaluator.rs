@@ -7,7 +7,7 @@
 //! skew, Clock Latency Range and slew violations are derived.
 
 use crate::driver::DriverSpec;
-use crate::models::{analytic_tap_timing, DelayModel};
+use crate::models::{elmore_tap_timing, DelayModel};
 use crate::netlist::{Netlist, StageDriver, TapKind};
 use crate::report::{CornerReport, EvalReport, SinkTiming, TransitionTiming};
 use crate::transient::{solve_lanes, Lane};
@@ -286,30 +286,15 @@ impl Evaluator {
             .collect();
 
         match self.model {
-            DelayModel::Elmore | DelayModel::TwoPole => {
-                let two_pole = self.model == DelayModel::TwoPole;
-                drives
-                    .iter()
-                    .map(|d| {
-                        let (m1, m2) = tree.moments_from(d.res);
-                        taps.iter()
-                            .map(|&node| {
-                                let t = analytic_tap_timing(
-                                    m1[node],
-                                    m2[node],
-                                    d.intrinsic,
-                                    d.input_slew,
-                                    two_pole,
-                                );
-                                RelTiming {
-                                    delay: t.delay,
-                                    slew: t.slew,
-                                }
-                            })
-                            .collect()
-                    })
-                    .collect()
-            }
+            DelayModel::Elmore => drives
+                .iter()
+                .map(|d| {
+                    let m1 = tree.elmore_from(d.res);
+                    taps.iter()
+                        .map(|&node| elmore_tap_timing(m1[node], d.intrinsic, d.input_slew))
+                        .collect()
+                })
+                .collect(),
             DelayModel::Transient => transient_rel_outputs(tree, taps, driver.output_cap, &drives),
         }
     }
@@ -437,11 +422,7 @@ mod tests {
     #[test]
     fn symmetric_netlist_has_negligible_skew() {
         let netlist = two_sink_netlist(0.0, 0.0);
-        for model in [
-            DelayModel::Elmore,
-            DelayModel::TwoPole,
-            DelayModel::Transient,
-        ] {
+        for model in [DelayModel::Elmore, DelayModel::Transient] {
             let eval = Evaluator::with_model(Technology::ispd09(), model);
             let report = eval.evaluate(&netlist);
             assert!(
@@ -456,11 +437,7 @@ mod tests {
     #[test]
     fn asymmetric_load_creates_skew_in_every_model() {
         let netlist = two_sink_netlist(300.0, 40.0);
-        for model in [
-            DelayModel::Elmore,
-            DelayModel::TwoPole,
-            DelayModel::Transient,
-        ] {
+        for model in [DelayModel::Elmore, DelayModel::Transient] {
             let eval = Evaluator::with_model(Technology::ispd09(), model);
             let report = eval.evaluate(&netlist);
             assert!(
@@ -497,17 +474,17 @@ mod tests {
     }
 
     #[test]
-    fn transient_and_two_pole_agree_on_ordering() {
+    fn transient_and_elmore_agree_on_ordering() {
         let netlist = two_sink_netlist(500.0, 80.0);
         let spice =
             Evaluator::with_model(Technology::ispd09(), DelayModel::Transient).evaluate(&netlist);
-        let awe =
-            Evaluator::with_model(Technology::ispd09(), DelayModel::TwoPole).evaluate(&netlist);
+        let elmore =
+            Evaluator::with_model(Technology::ispd09(), DelayModel::Elmore).evaluate(&netlist);
         let slow_spice = spice.nominal.sink(1).expect("sink").rise.latency
             > spice.nominal.sink(0).expect("sink").rise.latency;
-        let slow_awe = awe.nominal.sink(1).expect("sink").rise.latency
-            > awe.nominal.sink(0).expect("sink").rise.latency;
-        assert_eq!(slow_spice, slow_awe);
+        let slow_elmore = elmore.nominal.sink(1).expect("sink").rise.latency
+            > elmore.nominal.sink(0).expect("sink").rise.latency;
+        assert_eq!(slow_spice, slow_elmore);
     }
 
     #[test]

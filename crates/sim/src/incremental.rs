@@ -830,9 +830,10 @@ fn context_fingerprint(evaluator: &Evaluator) -> StageSig {
 fn fingerprint_with_canary(evaluator: &Evaluator, canary: &[Vec<RelTiming>]) -> StageSig {
     let tech = evaluator.technology();
     let mut b = SigBuilder::new();
+    // Tag 1 named a retired model; the others keep their values so that
+    // stores written before its removal keep their keys.
     b.write_tag(match evaluator.model() {
         DelayModel::Elmore => 0,
-        DelayModel::TwoPole => 1,
         DelayModel::Transient => 2,
     });
     b.write_f64(tech.threshold_voltage);

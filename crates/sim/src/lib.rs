@@ -4,7 +4,7 @@
 //! ISPD'09 contest, HSPICE for the scalability study) and explicitly notes
 //! that "any accurate delay evaluator can be used, including FastSpice,
 //! Arnoldi approximations, etc." This crate is that evaluator: it provides
-//! three delay models of increasing accuracy over the same
+//! the paper's two delay models, Elmore and transient, over the same
 //! [`RcTree`]/[`Netlist`] representation and a multi-corner
 //! [`Evaluator`] that produces the metrics the optimizations consume —
 //! per-sink latency and slew for rising and falling transitions at both
@@ -14,7 +14,6 @@
 //! | Model | Description | Used for |
 //! |---|---|---|
 //! | [`DelayModel::Elmore`] | first-moment delay, `ln 2 · m₁` | initial tree construction, fast buffering |
-//! | [`DelayModel::TwoPole`] | D2M two-moment metric with moment-matched slew | quick what-if analysis |
 //! | [`DelayModel::Transient`] | backward-Euler transient solve of each buffered stage with a ramped Thevenin driver | "SPICE-accurate" optimization loops |
 //!
 //! The transient solver exploits the tree structure of every buffered stage
@@ -35,13 +34,12 @@
 //! let n2 = tree.add_node(n1, 40.0, 70.0);
 //! let elmore = tree.elmore_from(100.0);
 //! assert!(elmore[n2] > elmore[n1]);
-//! assert!(DelayModel::Elmore.is_analytic());
+//! assert_eq!(DelayModel::default(), DelayModel::Transient);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arnoldi;
 mod driver;
 mod error;
 mod evaluator;
@@ -55,7 +53,6 @@ pub mod store;
 mod transient;
 pub mod variation;
 
-pub use arnoldi::{higher_moments, reduced_order_models, Moments, ReducedOrderModel};
 pub use driver::{DriverSpec, SourceSpec, RISE_FALL_ASYMMETRY, SLEW_DELAY_SENSITIVITY};
 pub use error::{NetlistError, SpiceError};
 pub use evaluator::Evaluator;

@@ -1,6 +1,7 @@
-//! Delay-model selection and analytic (moment-based) stage timing.
+//! Delay-model selection and closed-form (Elmore) stage timing.
 
 use crate::driver::{SLEW_DELAY_SENSITIVITY, SLEW_PROPAGATION};
+use crate::evaluator::RelTiming;
 use contango_tech::units;
 use serde::{Deserialize, Serialize};
 
@@ -10,63 +11,26 @@ pub enum DelayModel {
     /// First-moment (Elmore) delay with single-pole slew. Fast and
     /// pessimistic; used during initial tree construction and buffering.
     Elmore,
-    /// Two-moment D2M delay metric with moment-matched slew. A good proxy
-    /// for the Arnoldi/AWE approximations mentioned in the paper.
-    TwoPole,
     /// Backward-Euler transient simulation of every stage ("SPICE-accurate"
     /// in this reproduction). The default for optimization loops.
     #[default]
     Transient,
 }
 
-impl DelayModel {
-    /// Returns `true` for closed-form (non-simulating) models.
-    pub fn is_analytic(self) -> bool {
-        !matches!(self, DelayModel::Transient)
-    }
-}
-
-/// Timing of one tap of a stage: delay from the driver's input switching to
-/// the tap crossing 50%, and the 10%–90% output slew at the tap.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TapTiming {
-    /// Stage delay in ps (gate delay plus network delay).
-    pub delay: f64,
-    /// Output slew at the tap in ps.
-    pub slew: f64,
-}
-
-/// Computes analytic (moment-based) tap timing for a stage.
+/// Computes the Elmore timing of one tap of a stage: the delay from the
+/// driver's input switching to the tap crossing 50%, and the 10%–90%
+/// output slew at the tap.
 ///
-/// * `m1`, `m2` — first/second delay moments at the tap for the stage's RC
-///   tree driven through the corner-derated driver resistance.
+/// * `m1` — Elmore delay (first moment) at the tap for the stage's RC tree
+///   driven through the corner-derated driver resistance.
 /// * `gate_intrinsic` — corner-derated intrinsic delay of the driver.
 /// * `input_slew` — 10–90% slew of the transition at the driver input.
-/// * `use_two_pole` — selects the D2M metric instead of pure Elmore.
-pub fn analytic_tap_timing(
-    m1: f64,
-    m2: f64,
-    gate_intrinsic: f64,
-    input_slew: f64,
-    use_two_pole: bool,
-) -> TapTiming {
-    let network_delay = if use_two_pole && m2 > 0.0 {
-        // D2M metric: ln2 · m1² / sqrt(m2); never exceeds the Elmore delay
-        // and tracks SPICE much better for far-downstream nodes.
-        (units::DELAY_LN2 * m1 * m1 / m2.sqrt()).min(units::DELAY_LN2 * m1)
-    } else {
-        units::DELAY_LN2 * m1
-    };
-    let step_slew = if use_two_pole && m2 > 0.0 {
-        // Effective time constant from matched moments; for a single pole
-        // m2 = m1² and this reduces to ln9 · m1.
-        units::SLEW_LN9 * m2.sqrt().max(m1 * 0.5)
-    } else {
-        units::SLEW_LN9 * m1
-    };
+pub(crate) fn elmore_tap_timing(m1: f64, gate_intrinsic: f64, input_slew: f64) -> RelTiming {
+    let network_delay = units::DELAY_LN2 * m1;
+    let step_slew = units::SLEW_LN9 * m1;
     let gate_delay = gate_intrinsic + SLEW_DELAY_SENSITIVITY * input_slew;
     let slew = (step_slew * step_slew + (SLEW_PROPAGATION * input_slew).powi(2)).sqrt();
-    TapTiming {
+    RelTiming {
         delay: gate_delay + network_delay,
         slew,
     }
@@ -79,41 +43,28 @@ mod tests {
     #[test]
     fn default_model_is_transient() {
         assert_eq!(DelayModel::default(), DelayModel::Transient);
-        assert!(!DelayModel::Transient.is_analytic());
-        assert!(DelayModel::Elmore.is_analytic());
-        assert!(DelayModel::TwoPole.is_analytic());
     }
 
     #[test]
     fn elmore_timing_scales_with_first_moment() {
-        let a = analytic_tap_timing(10.0, 120.0, 5.0, 20.0, false);
-        let b = analytic_tap_timing(20.0, 480.0, 5.0, 20.0, false);
+        let a = elmore_tap_timing(10.0, 5.0, 20.0);
+        let b = elmore_tap_timing(20.0, 5.0, 20.0);
         assert!(b.delay > a.delay);
         assert!(b.slew > a.slew);
     }
 
     #[test]
-    fn d2m_never_exceeds_elmore() {
-        for (m1, m2) in [(10.0, 60.0), (25.0, 400.0), (40.0, 2400.0)] {
-            let elmore = analytic_tap_timing(m1, m2, 0.0, 0.0, false);
-            let d2m = analytic_tap_timing(m1, m2, 0.0, 0.0, true);
-            assert!(d2m.delay <= elmore.delay + 1e-12);
-        }
-    }
-
-    #[test]
     fn input_slew_increases_delay_and_output_slew() {
-        let clean = analytic_tap_timing(10.0, 120.0, 5.0, 0.0, true);
-        let slow = analytic_tap_timing(10.0, 120.0, 5.0, 80.0, true);
+        let clean = elmore_tap_timing(10.0, 5.0, 0.0);
+        let slow = elmore_tap_timing(10.0, 5.0, 80.0);
         assert!(slow.delay > clean.delay);
         assert!(slow.slew > clean.slew);
     }
 
     #[test]
-    fn single_pole_limit_matches_ln_constants() {
-        // When m2 = m1², the two-pole model reduces to a single pole.
+    fn step_input_matches_ln_constants() {
         let m1 = 10.0;
-        let t = analytic_tap_timing(m1, m1 * m1, 0.0, 0.0, true);
+        let t = elmore_tap_timing(m1, 0.0, 0.0);
         assert!((t.delay - units::DELAY_LN2 * m1).abs() < 1e-9);
         assert!((t.slew - units::SLEW_LN9 * m1).abs() < 1e-9);
     }

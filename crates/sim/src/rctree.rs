@@ -1,4 +1,4 @@
-//! RC-tree representation and moment computation.
+//! RC-tree representation and Elmore delays.
 
 use serde::{Deserialize, Serialize};
 
@@ -132,33 +132,6 @@ impl RcTree {
         m1
     }
 
-    /// First and second delay moments of every node (in ps and ps²) for a
-    /// step applied through `driver_res` ohms at the driving point.
-    ///
-    /// The second moment is computed with the standard recursive formula
-    /// `m2[i] = Σ_k R(path ∩ path_k) · C_k · m1[k]`, evaluated with the same
-    /// bottom-up/top-down sweeps as the Elmore delay.
-    pub fn moments_from(&self, driver_res: f64) -> (Vec<f64>, Vec<f64>) {
-        let m1 = self.elmore_from(driver_res);
-        let n = self.nodes.len();
-        let mut m2 = vec![0.0; n];
-        if n == 0 {
-            return (m1, m2);
-        }
-        // "Capacitance-weighted Elmore" per subtree: Σ_{k ∈ subtree(i)} C_k · m1[k].
-        let mut weighted: Vec<f64> = (0..n).map(|i| self.nodes[i].cap * m1[i]).collect();
-        for i in (1..n).rev() {
-            let p = self.nodes[i].parent;
-            weighted[p] += weighted[i];
-        }
-        m2[0] = driver_res * weighted[0] * contango_tech::units::RC_TO_PS;
-        for i in 1..n {
-            let p = self.nodes[i].parent;
-            m2[i] = m2[p] + self.nodes[i].res * weighted[i] * contango_tech::units::RC_TO_PS;
-        }
-        (m1, m2)
-    }
-
     /// Iterator over `(parent, res, cap)` triples in node order; the root
     /// reports `parent == usize::MAX`.
     pub fn iter(&self) -> impl Iterator<Item = (usize, f64, f64)> + '_ {
@@ -212,19 +185,6 @@ mod tests {
         assert!((m1[r] - 5.0).abs() < 1e-12);
         // m1[n] = 5 ps + 50 * 40 fF = 5 + 2 = 7 ps
         assert!((m1[n] - 7.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn second_moment_exceeds_first_squared_over_two_for_chains() {
-        // For RC chains m2 >= m1^2 / 2 (response is "wider" than a single
-        // pole); just check positivity and monotonicity here.
-        let t = branchy();
-        let (m1, m2) = t.moments_from(100.0);
-        for &m2_i in &m2 {
-            assert!(m2_i > 0.0);
-        }
-        assert!(m2[2] > m2[1]);
-        assert!(m1[2] > m1[1]);
     }
 
     #[test]

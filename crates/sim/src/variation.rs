@@ -427,7 +427,7 @@ mod tests {
     }
 
     fn evaluator() -> Evaluator {
-        Evaluator::with_model(Technology::ispd09(), DelayModel::TwoPole)
+        Evaluator::with_model(Technology::ispd09(), DelayModel::Elmore)
     }
 
     #[test]

@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("nominal CLR         : {:.3} ps", result.clr());
 
     let netlist = to_netlist(&result.tree, &tech, &instance.source_spec, 150.0)?;
-    let evaluator = Evaluator::with_model(tech, DelayModel::TwoPole);
+    let evaluator = Evaluator::with_model(tech, DelayModel::Elmore);
     let report = monte_carlo(
         &evaluator,
         &netlist,

@@ -5,7 +5,7 @@
 //!
 //! * [`geom`] — Manhattan geometry, obstacles, maze routing.
 //! * [`tech`] — technology data, composite-buffer analysis.
-//! * [`sim`] — the delay-evaluation substrate (Elmore, two-pole, transient).
+//! * [`sim`] — the delay-evaluation substrate (Elmore and transient).
 //! * [`core`] — the Contango clock-tree synthesis flow and its composable
 //!   pass [`pipeline`](contango_core::pipeline).
 //! * [`benchmarks`] — ISPD'09-style benchmark generators and file format.

@@ -393,15 +393,25 @@ fn row_instance(sinks: usize) -> ClockNetInstance {
     b.build().expect("valid row instance")
 }
 
-/// Times `iters` calls of `f` after one untimed warm-up call and returns
-/// the mean per call in µs.
-fn mean_us<T>(iters: usize, mut f: impl FnMut() -> T) -> f64 {
+/// Times `iters` calls of `f` one by one after one untimed warm-up call
+/// and returns the median call in µs, so that one preempted call does not
+/// move the result.
+fn median_us<T>(iters: usize, mut f: impl FnMut() -> T) -> f64 {
     black_box(f());
-    let start = Instant::now();
-    for _ in 0..iters {
-        black_box(f());
+    let mut calls: Vec<f64> = (0..iters)
+        .map(|_| {
+            let start = Instant::now();
+            black_box(f());
+            start.elapsed().as_secs_f64() * 1e6
+        })
+        .collect();
+    calls.sort_by(f64::total_cmp);
+    let mid = iters / 2;
+    if iters.is_multiple_of(2) {
+        (calls[mid - 1] + calls[mid]) / 2.0
+    } else {
+        calls[mid]
     }
-    start.elapsed().as_secs_f64() * 1e6 / iters as f64
 }
 
 /// Asserts that the engine is at least `floor` times faster than the
@@ -437,8 +447,8 @@ fn engine_construction_floors_over_the_references_at_1k() {
         zero_skew_tree_with(&instance, &tech, ParallelConfig::serial(), arena)
     };
     assert_eq!(zst_ref(), zst_eng(&mut arena));
-    let reference_us = mean_us(iters, zst_ref);
-    let engine_us = mean_us(iters, || zst_eng(&mut arena));
+    let reference_us = median_us(iters, zst_ref);
+    let engine_us = median_us(iters, || zst_eng(&mut arena));
     assert_floor("zst", reference_us, engine_us, 1.15);
 
     for (name, layout, floor) in [
@@ -447,8 +457,8 @@ fn engine_construction_floors_over_the_references_at_1k() {
     ] {
         let reference = || reference_greedy_matching_tree(layout);
         assert_eq!(reference(), greedy_matching_with(layout, &mut arena));
-        let reference_us = mean_us(iters, reference);
-        let engine_us = mean_us(iters, || greedy_matching_with(layout, &mut arena));
+        let reference_us = median_us(iters, reference);
+        let engine_us = median_us(iters, || greedy_matching_with(layout, &mut arena));
         assert_floor(name, reference_us, engine_us, floor);
     }
 
@@ -459,11 +469,11 @@ fn engine_construction_floors_over_the_references_at_1k() {
     split_long_edges(&mut split, 250.0);
     let (mut ref_tree, mut eng_tree) = (split.clone(), split);
     let (cap, obstacles) = (instance.cap_limit, &instance.obstacles);
-    let reference_us = mean_us(iters, || {
+    let reference_us = median_us(iters, || {
         choose_and_insert_buffers(&mut ref_tree, &tech, &candidates, cap, 0.1, obstacles)
             .expect("fits")
     });
-    let engine_us = mean_us(iters, || {
+    let engine_us = median_us(iters, || {
         choose_buffers_with(
             &mut eng_tree,
             &tech,
@@ -484,7 +494,7 @@ fn engine_construction_floors_over_the_references_at_1k() {
         construct_initial(&instance, &tech, &config(1), arena).expect("constructs")
     };
     assert_eq!(reference(), engine(&mut arena).0);
-    let reference_us = mean_us(iters, reference);
-    let engine_us = mean_us(iters, || engine(&mut arena));
+    let reference_us = median_us(iters, reference);
+    let engine_us = median_us(iters, || engine(&mut arena));
     assert_floor("initial", reference_us, engine_us, 1.25);
 }

@@ -143,7 +143,7 @@ proptest! {
         let victim = tree.sink_node(0);
         tree.node_mut(victim).wire.extra_length += extra;
         let netlist = to_netlist(&tree, &tech, &SourceSpec::ispd09(), 50.0).expect("lowers");
-        let report = Evaluator::with_model(tech, DelayModel::TwoPole).evaluate(&netlist);
+        let report = Evaluator::with_model(tech, DelayModel::Elmore).evaluate(&netlist);
         let slacks = SlackAnalysis::compute(&tree, &report);
         for id in 0..tree.len() {
             if let Some(p) = tree.node(id).parent {

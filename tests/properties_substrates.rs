@@ -1,13 +1,11 @@
 //! Property-based tests for the supporting substrates: the spatial index,
-//! reduced-order delay models, the SPICE measurement parser and the
-//! solution file format.
+//! the SPICE measurement parser and the solution file format.
 
 use contango::benchmarks::solution::{parse_solution, write_solution};
 use contango::core::instance::ClockNetInstance;
 use contango::core::topology::greedy_matching_tree;
 use contango::geom::{Point, SpatialIndex};
 use contango::sim::spice::{parse_measurements, rise_latency_name};
-use contango::sim::{reduced_order_models, RcTree};
 use contango::tech::Technology;
 use proptest::prelude::*;
 
@@ -44,41 +42,6 @@ proptest! {
             .map(|p| p.manhattan(query))
             .fold(f64::INFINITY, f64::min);
         prop_assert!((points[got].manhattan(query) - best).abs() < 1e-9);
-    }
-
-    /// Reduced-order models of random RC chains stay within the Elmore
-    /// bound and increase monotonically towards the leaf.
-    #[test]
-    fn reduced_order_models_respect_elmore_bound(
-        sections in 1usize..30,
-        res in 5.0..200.0_f64,
-        cap in 1.0..80.0_f64,
-        driver in 10.0..500.0_f64,
-    ) {
-        let mut tree = RcTree::new();
-        let mut prev = tree.add_root(cap * 0.2);
-        for i in 0..sections {
-            // Vary the section values deterministically so the chain is not
-            // perfectly uniform.
-            let scale = 1.0 + 0.1 * (i % 5) as f64;
-            prev = tree.add_node(prev, res * scale, cap / scale);
-        }
-        let models = reduced_order_models(&tree, driver);
-        let elmore = tree.elmore_from(driver);
-        let mut last_delay = 0.0;
-        for i in 1..tree.len() {
-            let delay = models[i].delay();
-            prop_assert!(delay.is_finite() && delay > 0.0);
-            // m1 bounds the 50% delay of the true response; the fitted model
-            // is allowed a small numerical margin above it.
-            prop_assert!(delay <= elmore[i] * 1.05 + 1e-9,
-                "node {}: delay {} vs m1 {}", i, delay, elmore[i]);
-            // Delay must not decrease along the chain beyond numerical noise.
-            prop_assert!(delay >= last_delay * 0.99 - 1e-9);
-            last_delay = delay;
-            let slew = models[i].slew();
-            prop_assert!(slew > 0.0);
-        }
     }
 
     /// SPICE measurement values survive formatting and parsing for the full

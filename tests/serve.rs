@@ -128,9 +128,9 @@ proptest! {
     }
 }
 
-/// A frame trickling in across writes spaced wider than the server's read
-/// timeout is still reassembled into one request (the reader must not drop
-/// partial frames when a read times out).
+/// A frame trickling in across writes spaced 120 ms apart is still
+/// reassembled into one request (the reader must keep a partial frame
+/// across reads).
 #[test]
 fn slow_partial_frames_are_reassembled() {
     let addr = fuzz_server();
@@ -148,8 +148,8 @@ fn slow_partial_frames_are_reassembled() {
     let mid = bytes.len() / 2;
     stream.write_all(&bytes[..mid]).expect("first half");
     stream.flush().expect("flush");
-    // Longer than the 25 ms poll interval, so the server's read times out
-    // mid-frame at least once.
+    // Long enough that the server's first read returns the first half
+    // alone.
     thread::sleep(Duration::from_millis(120));
     stream.write_all(&bytes[mid..]).expect("second half");
     stream.flush().expect("flush");

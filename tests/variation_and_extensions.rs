@@ -1,5 +1,5 @@
-//! Cross-crate integration tests for the variation engine, the reduced-order
-//! delay models and the cross-link/mesh analyses on flow-produced trees.
+//! Cross-crate integration tests for the variation engine and the
+//! cross-link/mesh analyses on flow-produced trees.
 
 use contango::core::crosslink::{propose_cross_links, MeshOverlay};
 use contango::core::instance::ClockNetInstance;
@@ -8,7 +8,7 @@ use contango::geom::Point;
 use contango::sim::variation::{
     monte_carlo, monte_carlo_samples, perturb_netlist, truncated_normal, VariationModel, XorShift,
 };
-use contango::sim::{reduced_order_models, DelayModel, Evaluator};
+use contango::sim::{DelayModel, Evaluator};
 use contango::{ContangoFlow, FlowConfig, FlowResult, Technology};
 
 fn synthesized() -> (ClockNetInstance, FlowResult, Technology) {
@@ -36,7 +36,7 @@ fn synthesized() -> (ClockNetInstance, FlowResult, Technology) {
 fn monte_carlo_brackets_the_nominal_metrics() {
     let (instance, result, tech) = synthesized();
     let netlist = to_netlist(&result.tree, &tech, &instance.source_spec, 150.0).expect("lowers");
-    let evaluator = Evaluator::with_model(tech.clone(), DelayModel::TwoPole);
+    let evaluator = Evaluator::with_model(tech.clone(), DelayModel::Elmore);
     let nominal = evaluator.evaluate(&netlist);
 
     let zero = monte_carlo(&evaluator, &netlist, &VariationModel::none(), 8, 20.0, 11);
@@ -229,22 +229,4 @@ fn mesh_overlays_scale_with_pitch_and_report_their_cost() {
     assert!(coarse.cap_overhead > 0.0);
     assert!(fine.total_cap_ff > 0.5 * result.report.total_cap);
     assert!(fine.switching_power_uw(&tech) > coarse.switching_power_uw(&tech));
-}
-
-#[test]
-fn reduced_order_models_track_the_stage_structure() {
-    let (instance, result, tech) = synthesized();
-    let netlist = to_netlist(&result.tree, &tech, &instance.source_spec, 150.0).expect("lowers");
-    for stage in &netlist.stages {
-        let driver_res = stage.driver.spec().output_res;
-        let models = reduced_order_models(&stage.tree, driver_res);
-        assert_eq!(models.len(), stage.tree.len());
-        let elmore = stage.tree.elmore_from(driver_res);
-        for (i, model) in models.iter().enumerate().skip(1) {
-            let delay = model.delay();
-            assert!(delay.is_finite() && delay >= 0.0);
-            // The first moment is an upper bound on the 50% delay.
-            assert!(delay <= elmore[i] + 1e-9, "stage node {i}");
-        }
-    }
 }
